@@ -1,11 +1,11 @@
-"""User-SBS association: maximum-weight matching under dual penalties.
+"""User-SBS association: maximum-weight matching, slot by slot and per period.
 
 Per slot, the candidate pool is the localized, not-yet-served users. Each
-(SBS, user) pair carries weight p*h - lambda_user, where h is the binary
-transmission-feasibility of the THz link and lambda prices the serve-at-
-most-once-per-period coupling. The slot subproblem is a rectangular
-maximum-weight matching solved exactly by the Hungarian algorithm; the
-period solver runs projected-subgradient ascent on lambda around it.
+(SBS, user) pair carries weight h, the binary transmission feasibility of
+the THz link. The slot subproblem is a rectangular maximum-weight matching
+solved exactly by the Hungarian algorithm. The offline period solver prices
+the serve-at-most-once-per-period coupling with per-user multipliers lambda
+(weights h - lambda) and runs projected-subgradient ascent on them.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ class AssignmentSolution:
 
 @dataclass(frozen=True)
 class SlotAssignmentProblem:
-    """One slot's matching instance: candidate users and the priced weights.
+    """One slot's matching instance: candidate users and the link weights.
 
     candidates are the localized, not-yet-served users; weights[i, col] is
-    h - lambda for SBS i and candidates[col], with h the binary link
-    feasibility counting every body in the room.
+    the binary link feasibility h of SBS i to candidates[col], counting
+    every body in the room.
     """
 
     candidates: tuple[int, ...]
@@ -148,10 +148,9 @@ def hungarian_max(weights, allow_skip: bool = True) -> AssignmentSolution:
 def build_slot_problem(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
-    duals: DualVars,
     scenario: env.ScenarioConfig,
 ) -> SlotAssignmentProblem:
-    """Collect the slot's candidate users and price every (SBS, user) pair."""
+    """Collect the slot's candidate users and weigh every (SBS, user) link."""
     if len(vap_set) != 3:
         raise ValueError("exactly 3 VAPs must be lit")
     grid = scenario.grid
@@ -175,23 +174,22 @@ def build_slot_problem(
         ]
         for i in range(scenario.num_sbs):
             budget = channel.link_budget(all_sbs[i], positions[j], blockers, all_sbs, scenario.radio)
-            weights[i, col] = (1.0 if budget.tx_ok else 0.0) - duals.lambdas[j]
+            weights[i, col] = 1.0 if budget.tx_ok else 0.0
     return SlotAssignmentProblem(candidates=tuple(pool), weights=weights)
 
 
 def slot_assign(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
-    duals: DualVars,
     scenario: env.ScenarioConfig,
 ) -> AssignmentSolution:
     """One slot's matching of SBSs to localized unserved users.
 
-    Weights are h - lambda_user per (SBS, user); physical blockage counts
-    every body in the room, localized or not. Matching entries are
+    Weights are the link feasibility h per (SBS, user); physical blockage
+    counts every body in the room, localized or not. Matching entries are
     (sbs_index, user_index) with global user indices.
     """
-    problem = build_slot_problem(state, vap_set, duals, scenario)
+    problem = build_slot_problem(state, vap_set, scenario)
     if not problem.candidates:
         return AssignmentSolution(matching=(), objective_value=0.0)
     sol = hungarian_max(problem.weights, allow_skip=True)

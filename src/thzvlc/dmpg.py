@@ -1,10 +1,10 @@
-"""VAP-only policy trained with the meta loop; association by dual method.
+"""VAP-only policy trained with the meta loop; association by matching.
 
 The policy picks which 3 VAPs to light; the user-SBS association for that
-slot comes from the Hungarian subproblem over localized unserved users.
-Excluding already-served users enforces the serve-once-per-period rule
-directly during rollouts, and the dual variables are updated from the
-period's serve counts when the episode ends.
+slot is the Hungarian matching over localized unserved users. Leaving
+already-served users out of the matching enforces the serve-once-per-period
+rule directly during rollouts, so no prices are needed there; the priced
+period solver is `association.solve_period_association`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import association, env, meta_rl, policy_net
-from .association import DualVars
-from .env import JointAction, ScenarioConfig, Task, Trajectory, TrajectoryStep
+from . import association, env, meta_rl
+from .env import JointAction, ScenarioConfig, Task, Trajectory
 from .policy_net import PolicyParams
 
 
@@ -38,41 +37,16 @@ def enumerate_vap_actions(num_vaps: int) -> tuple[VapAction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DualContext:
-    """Dual state carried across the slots of one period."""
+def vap_decoder(actions: tuple[VapAction, ...], scenario: ScenarioConfig):
+    """Decoder for `meta_rl.rollout_period`: the VAP subset plus its slot matching."""
 
-    duals: DualVars
-    served_counts: tuple[int, ...]
+    def decode(idx: int, state: env.EnvState) -> JointAction:
+        vap_set = actions[idx].vap_set
+        solution = association.slot_assign(state, vap_set, scenario)
+        pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
+        return JointAction(vap_set=vap_set, assignments=pairs)
 
-
-def start_period(num_users: int, dual_step: float, carry: DualVars | None = None) -> DualContext:
-    duals = carry if carry is not None else association.zero_duals(num_users, dual_step)
-    return DualContext(duals=duals, served_counts=(0,) * num_users)
-
-
-def finish_period(ctx: DualContext) -> DualVars:
-    """Period-end subgradient step from the accumulated serve counts."""
-    return association.dual_update(ctx.duals, ctx.served_counts)
-
-
-def dmpg_step(
-    state: env.EnvState,
-    vap_action: VapAction,
-    ctx: DualContext,
-    task: Task,
-    scenario: ScenarioConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[env.EnvState, set[int], DualContext]:
-    """Light the VAPs, solve the slot association, then step the world."""
-    solution = association.slot_assign(state, vap_action.vap_set, ctx.duals, scenario)
-    pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
-    joint = JointAction(vap_set=vap_action.vap_set, assignments=pairs)
-    next_state, newly = env.step(state, joint, task, scenario, rng)
-    counts = list(ctx.served_counts)
-    for _, user in solution.matching:
-        counts[user] += 1
-    return next_state, newly, DualContext(duals=ctx.duals, served_counts=tuple(counts))
+    return decode
 
 
 def rollout_vap(
@@ -81,71 +55,9 @@ def rollout_vap(
     actions: tuple[VapAction, ...],
     scenario: ScenarioConfig,
     rng: np.random.Generator,
-    dual_step: float = 0.1,
-    carry_duals: DualVars | None = None,
     realization: env.MobilityRealization | None = None,
 ) -> Trajectory:
-    """One period under the VAP-selection policy with dual association."""
-    state = env.reset(task, scenario)
-    if realization is not None:
-        state = env.state_at_slot(realization, 0, state.served)
-    ctx = start_period(scenario.num_users, dual_step, carry_duals)
-    steps = []
-    for t in range(scenario.slots_per_period):
-        enc = policy_net.encode_state(state, scenario)
-        dist = policy_net.forward(params, enc)
-        idx = policy_net.sample_action(dist, rng)
-        vap_action = actions[idx]
-        solution = association.slot_assign(state, vap_action.vap_set, ctx.duals, scenario)
-        pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
-        joint = JointAction(vap_set=vap_action.vap_set, assignments=pairs)
-        outcome = env.evaluate_service(state, joint, scenario)
-        if realization is not None:
-            next_cells = realization.cells[t + 1]
-        else:
-            next_cells = env.sample_next_cells(task.pattern, state.user_cells, rng)
-        steps.append(
-            TrajectoryStep(
-                state=state,
-                encoding=enc,
-                action_index=idx,
-                action=joint,
-                newly_served=outcome.newly_served,
-                localized=outcome.localized,
-                tx_ok=outcome.tx_ok,
-                duals=ctx.duals.lambdas,
-            )
-        )
-        counts = list(ctx.served_counts)
-        for _, user in solution.matching:
-            counts[user] += 1
-        ctx = DualContext(duals=ctx.duals, served_counts=tuple(counts))
-        state = env.EnvState(
-            user_cells=next_cells,
-            user_heights=state.user_heights,
-            served=outcome.served_after,
-            slot_index=t + 1,
-        )
-    return Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
-
-
-def train_dmpg(
-    cfg: meta_rl.LearningConfig,
-    scenario: ScenarioConfig,
-    tasks: list[Task],
-    master_seed: int = 0,
-    initial_params: PolicyParams | None = None,
-    workers: int = 1,
-    trajectory_sink=None,
-) -> tuple[PolicyParams, list[meta_rl.IterationMetrics]]:
-    """Meta training of the VAP-selection policy; head width is C(V, 3)."""
-    return meta_rl.meta_train(
-        cfg,
-        scenario,
-        tasks,
-        kind="dmpg",
-        master_seed=master_seed,
-        initial_params=initial_params,
-        workers=workers,
-        trajectory_sink=trajectory_sink,
+    """One period under the VAP-selection policy with per-slot matching."""
+    return meta_rl.rollout_period(
+        task, params, vap_decoder(actions, scenario), scenario, rng, realization
     )

@@ -201,7 +201,6 @@ class TrajectoryStep:
     newly_served: tuple[int, ...]
     localized: tuple[bool, ...]
     tx_ok: tuple[bool, ...]
-    duals: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)

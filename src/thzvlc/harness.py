@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dmpg, env, meta_rl, policy_net
+from . import env, meta_rl, policy_net
 from .channel import dbm_per_hz_to_w_per_hz
 from .env import ScenarioConfig, Task
 from .geometry import Point3, make_grid
@@ -75,7 +75,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "reward_to_go": ("bool", False),
         "meta_order": ("str", "first_order"),
         "hidden_sizes": ("int_tuple", (64, 64)),
-        "dual_step": ("float", 0.1),
     },
     "tasks": {
         "count": ("int", 20),
@@ -160,6 +159,22 @@ class ExperimentSpec:
     @property
     def config_hash(self) -> str:
         return policy_net.config_digest(self.canonical_text)
+
+    @property
+    def kind(self) -> str:
+        """Policy head the algorithm trains: `dmpg` or the joint `mpg` (also for pg)."""
+        return "dmpg" if self.algorithm == "dmpg" else "mpg"
+
+    def task(self, seed: int, task_id: int) -> Task:
+        """A movement pattern drawn with the spec's [tasks] settings."""
+        tk = self.values["tasks"]
+        return env.sample_task(
+            self.scenario.grid,
+            seed=seed,
+            concentration=tk["concentration"],
+            locality_radius=tk["locality_radius"],
+            task_id=task_id,
+        )
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
@@ -268,7 +283,6 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             reward_to_go=ln["reward_to_go"],
             meta_order=ln["meta_order"],
             hidden_sizes=tuple(ln["hidden_sizes"]),
-            dual_step=ln["dual_step"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -281,6 +295,9 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             env.enumerate_joint_actions(scenario)  # raises above the action cap
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    workers = values["run"]["workers"]
+    if workers < 1:
+        raise ConfigError(f"run.workers must be >= 1, got {workers}")
     return ExperimentSpec(
         values=values,
         scenario=scenario,
@@ -288,7 +305,7 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
         algorithm=algorithm,
         master_seed=values["run"]["master_seed"],
         output_dir=values["run"]["output_dir"],
-        workers=values["run"]["workers"],
+        workers=workers,
     )
 
 
@@ -312,18 +329,8 @@ def derive_task_seeds(master_seed: int, count: int, purpose: int = 11) -> list[i
 
 
 def build_task_stream(spec: ExperimentSpec, purpose: int = 11) -> list[Task]:
-    tk = spec.values["tasks"]
-    seeds = derive_task_seeds(spec.master_seed, tk["count"], purpose)
-    return [
-        env.sample_task(
-            spec.scenario.grid,
-            seed=s,
-            concentration=tk["concentration"],
-            locality_radius=tk["locality_radius"],
-            task_id=i,
-        )
-        for i, s in enumerate(seeds)
-    ]
+    seeds = derive_task_seeds(spec.master_seed, spec.values["tasks"]["count"], purpose)
+    return [spec.task(s, i) for i, s in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +356,7 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
         writer.writerow(
             [
                 "period", "slot", "user", "cell_x", "cell_y", "height",
-                "localized", "assigned_sbs", "tx_ok", "newly_served", "dual_lambda",
+                "localized", "assigned_sbs", "tx_ok", "newly_served",
             ]
         )
         for period, traj in enumerate(trajectories):
@@ -370,7 +377,6 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
                             -1 if sbs is None else sbs,
                             int(step.tx_ok[j]),
                             int(j in newly),
-                            "" if step.duals is None else repr(step.duals[j]),
                         ]
                     )
 
@@ -382,20 +388,12 @@ def evaluate_policy(
     seed_purpose: int = 13,
 ) -> tuple[float, list]:
     """Roll a frozen policy on fresh tasks; returns avg reliability per user."""
-    kind = "dmpg" if spec.algorithm == "dmpg" else "mpg"
-    rollout = meta_rl.make_rollout_fn(kind, spec.scenario, spec.learning)
+    rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
     seeds = derive_task_seeds(spec.master_seed, periods, purpose=seed_purpose)
-    tk = spec.values["tasks"]
     trajectories = []
     total = 0
     for i, s in enumerate(seeds):
-        task = env.sample_task(
-            spec.scenario.grid,
-            seed=s,
-            concentration=tk["concentration"],
-            locality_radius=tk["locality_radius"],
-            task_id=10_000 + i,
-        )
+        task = spec.task(s, 10_000 + i)
         rng = np.random.default_rng([spec.master_seed, 17, i])
         traj = rollout(task, params, rng)
         trajectories.append(traj)
@@ -418,17 +416,14 @@ def run(spec: ExperimentSpec) -> RunMetrics:
     tasks = build_task_stream(spec)
     started = time.perf_counter()
 
-    if spec.algorithm == "mpg":
-        params, metrics = meta_rl.train_mpg(
-            spec.learning, spec.scenario, tasks, master_seed=spec.master_seed, workers=spec.workers
-        )
-    elif spec.algorithm == "dmpg":
-        params, metrics = dmpg.train_dmpg(
-            spec.learning, spec.scenario, tasks, master_seed=spec.master_seed, workers=spec.workers
+    if spec.algorithm == "pg":
+        params, metrics = meta_rl.train_baseline_pg(
+            spec.learning, spec.scenario, tasks, kind=spec.kind, master_seed=spec.master_seed
         )
     else:
-        params, metrics = meta_rl.train_baseline_pg(
-            spec.learning, spec.scenario, tasks, kind="mpg", master_seed=spec.master_seed
+        params, metrics = meta_rl.meta_train(
+            spec.learning, spec.scenario, tasks, spec.kind,
+            master_seed=spec.master_seed, workers=spec.workers,
         )
 
     write_metrics(out_dir, metrics)
@@ -481,11 +476,25 @@ def _spec_from_args(args) -> ExperimentSpec:
     return load_spec(args.config, overrides=overrides)
 
 
-def _cmd_train(args) -> int:
-    spec = _spec_from_args(args)
-    if args.print_config:
-        print(spec.canonical_text, end="")
-        return 0
+def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
+    """Load a checkpoint, refusing one whose input or head width misfits the spec."""
+    params, _ = policy_net.load_params(path)
+    inputs = policy_net.encoding_dim(spec.scenario)
+    if params.layer_shapes[0][0] != inputs:
+        raise ConfigError(
+            f"checkpoint {path} takes {params.layer_shapes[0][0]} inputs; "
+            f"the spec's {spec.scenario.num_users} users need {inputs}"
+        )
+    actions = meta_rl.action_count_for(spec.kind, spec.scenario)
+    if params.action_count != actions:
+        raise ConfigError(
+            f"checkpoint {path} has {params.action_count} actions; "
+            f"{spec.kind} on the spec's scenario has {actions}"
+        )
+    return params
+
+
+def _cmd_train(spec: ExperimentSpec, args) -> int:
     result = run(spec)
     print(
         f"trained {spec.algorithm} for {len(result.iterations)} iterations; "
@@ -495,23 +504,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_adapt(args) -> int:
-    spec = _spec_from_args(args)
-    if args.print_config:
-        print(spec.canonical_text, end="")
-        return 0
-    params, _ = policy_net.load_params(args.checkpoint)
-    kind = "dmpg" if spec.algorithm == "dmpg" else "mpg"
-    tk = spec.values["tasks"]
-    task = env.sample_task(
-        spec.scenario.grid,
-        seed=args.task_seed,
-        concentration=tk["concentration"],
-        locality_radius=tk["locality_radius"],
-        task_id=args.task_seed,
-    )
+def _cmd_adapt(spec: ExperimentSpec, args) -> int:
+    params = _load_checkpoint(args.checkpoint, spec)
+    task = spec.task(args.task_seed, args.task_seed)
     adapted, curve = meta_rl.adapt(
-        params, task, args.steps, spec.learning, spec.scenario, kind=kind,
+        params, task, args.steps, spec.learning, spec.scenario, kind=spec.kind,
         master_seed=spec.master_seed,
     )
     out_dir = Path(spec.output_dir)
@@ -526,12 +523,8 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    spec = _spec_from_args(args)
-    if args.print_config:
-        print(spec.canonical_text, end="")
-        return 0
-    params, _ = policy_net.load_params(args.checkpoint)
+def _cmd_eval(spec: ExperimentSpec, args) -> int:
+    params = _load_checkpoint(args.checkpoint, spec)
     avg, trajectories = evaluate_policy(params, spec, args.periods)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -546,19 +539,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    spec = _spec_from_args(args)
-    if args.print_config:
-        print(spec.canonical_text, end="")
-        return 0
-    tk = spec.values["tasks"]
-    task = env.sample_task(
-        spec.scenario.grid,
-        seed=args.task_seed,
-        concentration=tk["concentration"],
-        locality_radius=tk["locality_radius"],
-        task_id=args.task_seed,
-    )
+def _cmd_oracle(spec: ExperimentSpec, args) -> int:
+    task = spec.task(args.task_seed, args.task_seed)
     best, sequence = env.brute_force_oracle(task, spec.scenario, args.realization_seed)
     print(f"oracle optimum: {best}")
     for t, action in enumerate(sequence):
@@ -566,17 +548,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
-    if args.print_config:
-        print(spec.canonical_text, end="")
-        return 0
-    kind = "dmpg" if spec.algorithm == "dmpg" else "mpg"
+def _cmd_simulate(spec: ExperimentSpec, args) -> int:
     if args.checkpoint:
-        params, _ = policy_net.load_params(args.checkpoint)
+        params = _load_checkpoint(args.checkpoint, spec)
     else:
-        params = meta_rl.new_policy(kind, spec.scenario, spec.learning, spec.master_seed)
-    rollout = meta_rl.make_rollout_fn(kind, spec.scenario, spec.learning)
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
+    rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
     tasks = build_task_stream(spec)
     trajectories = []
     for i in range(args.periods):
@@ -629,7 +606,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        spec = _spec_from_args(args)
+        if args.print_config:
+            print(spec.canonical_text, end="")
+            return 0
+        return args.func(spec, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

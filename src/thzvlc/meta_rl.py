@@ -42,7 +42,6 @@ class LearningConfig:
     reward_to_go: bool = False
     meta_order: str = "first_order"
     hidden_sizes: tuple[int, ...] = (64, 64)
-    dual_step: float = 0.1
     fd_epsilon: float = 1e-5
 
     def __post_init__(self):
@@ -78,15 +77,20 @@ class IterationMetrics:
 # Rollouts
 
 
-def rollout_joint(
+def rollout_period(
     task: Task,
     params: PolicyParams,
-    space: JointActionSpace,
+    decode,
     scenario: ScenarioConfig,
     rng: np.random.Generator,
     realization: env.MobilityRealization | None = None,
 ) -> Trajectory:
-    """One period under the joint VAP-selection/association policy."""
+    """One period: per slot, sample an action index, decode it, serve, move.
+
+    `decode(index, state)` turns the sampled index and the slot state into
+    the JointAction that is evaluated. The rng is drawn by the action sample
+    and then by the users' moves, unless a fixed realization supplies them.
+    """
     state = env.reset(task, scenario)
     if realization is not None:
         state = env.state_at_slot(realization, 0, state.served)
@@ -95,7 +99,7 @@ def rollout_joint(
         enc = policy_net.encode_state(state, scenario)
         dist = policy_net.forward(params, enc)
         idx = policy_net.sample_action(dist, rng)
-        action = space[idx]
+        action = decode(idx, state)
         outcome = env.evaluate_service(state, action, scenario)
         if realization is not None:
             next_cells = realization.cells[t + 1]
@@ -119,6 +123,18 @@ def rollout_joint(
             slot_index=t + 1,
         )
     return Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
+
+
+def rollout_joint(
+    task: Task,
+    params: PolicyParams,
+    space: JointActionSpace,
+    scenario: ScenarioConfig,
+    rng: np.random.Generator,
+    realization: env.MobilityRealization | None = None,
+) -> Trajectory:
+    """One period under the joint VAP-selection/association policy."""
+    return rollout_period(task, params, lambda idx, state: space[idx], scenario, rng, realization)
 
 
 def collect_trajectories(
@@ -266,7 +282,7 @@ def meta_update(
 # Training loops
 
 
-def make_rollout_fn(kind: str, scenario: ScenarioConfig, cfg: LearningConfig):
+def make_rollout_fn(kind: str, scenario: ScenarioConfig):
     if kind == "mpg":
         space = env.enumerate_joint_actions(scenario)
         return lambda task, params, rng: rollout_joint(task, params, space, scenario, rng)
@@ -274,9 +290,7 @@ def make_rollout_fn(kind: str, scenario: ScenarioConfig, cfg: LearningConfig):
         from . import dmpg
 
         actions = dmpg.enumerate_vap_actions(scenario.num_vaps)
-        return lambda task, params, rng: dmpg.rollout_vap(
-            task, params, actions, scenario, rng, dual_step=cfg.dual_step
-        )
+        return lambda task, params, rng: dmpg.rollout_vap(task, params, actions, scenario, rng)
     raise ValueError(f"unknown rollout kind {kind!r}")
 
 
@@ -296,7 +310,7 @@ def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase:
 
 def _run_task_phase(payload) -> TaskBatchResult:
     (kind, scenario, cfg, task, params, master_seed, iteration, slot) = payload
-    rollout = make_rollout_fn(kind, scenario, cfg)
+    rollout = make_rollout_fn(kind, scenario)
     rng_inner = _phase_rng(master_seed, iteration, slot, task.id, 0)
     inner = [rollout(task, params, rng_inner) for _ in range(cfg.inner_rollouts)]
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
@@ -308,7 +322,7 @@ def _run_task_phase(payload) -> TaskBatchResult:
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:
     shapes = policy_net.layer_shapes_for(
-        4 * scenario.num_users, cfg.hidden_sizes, action_count_for(kind, scenario)
+        policy_net.encoding_dim(scenario), cfg.hidden_sizes, action_count_for(kind, scenario)
     )
     return policy_net.init_params(shapes, seed)
 
@@ -323,7 +337,7 @@ def meta_train(
     workers: int = 1,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:
-    """Full meta-training loop shared by the joint and VAP-only policies."""
+    """Meta training of the joint (`mpg`) or VAP-only (`dmpg`) policy."""
     if not tasks:
         raise ValueError("task stream is empty")
     params = initial_params
@@ -371,29 +385,6 @@ def meta_train(
     return params, metrics
 
 
-def train_mpg(
-    cfg: LearningConfig,
-    scenario: ScenarioConfig,
-    tasks: list[Task],
-    master_seed: int = 0,
-    initial_params: PolicyParams | None = None,
-    workers: int = 1,
-    trajectory_sink=None,
-) -> tuple[PolicyParams, list[IterationMetrics]]:
-    """Meta training over the joint VAP-selection/association action space."""
-    env.enumerate_joint_actions(scenario)  # enforce the action-space cap early
-    return meta_train(
-        cfg,
-        scenario,
-        tasks,
-        kind="mpg",
-        master_seed=master_seed,
-        initial_params=initial_params,
-        workers=workers,
-        trajectory_sink=trajectory_sink,
-    )
-
-
 def adapt(
     params: PolicyParams,
     task: Task,
@@ -409,7 +400,7 @@ def adapt(
     The reward curve holds the mean return of the rollouts each step was
     computed from (pre-update), so curve[0] is the starting policy's level.
     """
-    rollout = make_rollout_fn(kind, scenario, cfg)
+    rollout = make_rollout_fn(kind, scenario)
     curve: list[float] = []
     for s in range(steps):
         rng = _phase_rng(master_seed, s, 0, task.id, 2)
@@ -438,7 +429,7 @@ def train_baseline_pg(
     params = initial_params
     if params is None:
         params = new_policy(kind, scenario, cfg, master_seed)
-    rollout = make_rollout_fn(kind, scenario, cfg)
+    rollout = make_rollout_fn(kind, scenario)
     metrics: list[IterationMetrics] = []
     for it in range(cfg.meta_iterations):
         start = time.perf_counter()

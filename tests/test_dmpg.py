@@ -1,23 +1,13 @@
-import itertools
 from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import make_toy_scenario
-from thzvlc import association, dmpg, env, meta_rl
-from thzvlc.association import check_period_feasible, zero_duals
-from thzvlc.dmpg import (
-    DualContext,
-    VapAction,
-    dmpg_step,
-    enumerate_vap_actions,
-    rollout_vap,
-    start_period,
-    train_dmpg,
-)
-from thzvlc.env import EnvState
-from thzvlc.meta_rl import LearningConfig
+from thzvlc import association, env, meta_rl
+from thzvlc.association import check_period_feasible
+from thzvlc.dmpg import enumerate_vap_actions, rollout_vap
+from thzvlc.meta_rl import LearningConfig, meta_train
 
 
 class TestEnumerateVapActions:
@@ -44,29 +34,29 @@ class TestEnumerateVapActions:
 
 
 class TestDmpgStep:
+    """One slot of a dmpg rollout: the sampled VAP subset plus its matching."""
+
+    def _rollouts(self, scenario, seeds, locality_radius):
+        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        actions = enumerate_vap_actions(scenario.num_vaps)
+        for seed in seeds:
+            params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
+            task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality_radius)
+            yield actions, rollout_vap(task, params, actions, scenario, np.random.default_rng(seed))
+
     def test_no_localized_users_zero_reward(self):
         sc = make_toy_scenario(fov_deg=5.0)
-        task = env.sample_task(sc.grid, seed=0, locality_radius=0)
-        state = env.reset(task, sc)
-        ctx = start_period(sc.num_users, 0.1)
-        _, newly, ctx2 = dmpg_step(state, enumerate_vap_actions(4)[0], ctx, task, sc)
-        assert newly == set()
-        assert ctx2.served_counts == (0, 0)
+        for _, traj in self._rollouts(sc, range(4), 0):
+            assert traj.total_reward == 0
+            assert all(step.action.assignments == () for step in traj.steps)
 
     def test_matches_external_composition(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=0)
-        state = env.reset(task, toy_scenario)
-        ctx = start_period(toy_scenario.num_users, 0.1)
-        vap_action = enumerate_vap_actions(4)[2]
-
-        sol = association.slot_assign(state, vap_action.vap_set, ctx.duals, toy_scenario)
-        pairs = tuple(sorted((u, s) for s, u in sol.matching))
-        joint = env.JointAction(vap_set=vap_action.vap_set, assignments=pairs)
-        want_state, want_newly = env.step(state, joint, task, toy_scenario)
-
-        got_state, got_newly, _ = dmpg_step(state, vap_action, ctx, task, toy_scenario)
-        assert got_state == want_state
-        assert got_newly == want_newly
+        for actions, traj in self._rollouts(toy_scenario, range(6), 1):
+            for step in traj.steps:
+                vap_set = actions[step.action_index].vap_set
+                sol = association.slot_assign(step.state, vap_set, toy_scenario)
+                assert step.action.vap_set == vap_set
+                assert step.action.assignments == tuple(sorted((u, s) for s, u in sol.matching))
 
     def test_reward_bounded_by_joint_oracle(self, toy_scenario):
         cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
@@ -101,16 +91,6 @@ class TestRolloutVap:
                 toy_scenario.num_sbs * toy_scenario.slots_per_period,
             )
 
-    def test_duals_recorded_and_nonnegative(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
-        params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=1)
-        actions = enumerate_vap_actions(toy_scenario.num_vaps)
-        task = env.sample_task(toy_scenario.grid, seed=2, locality_radius=1)
-        traj = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(0))
-        for step in traj.steps:
-            assert step.duals is not None
-            assert min(step.duals) >= 0.0
-
     def test_served_user_never_reassigned(self, toy_scenario):
         cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=3)
@@ -125,14 +105,6 @@ class TestRolloutVap:
                 served.update(step.newly_served)
 
 
-class TestFinishPeriod:
-    def test_unserved_count_drives_lambda_down_then_clamps(self):
-        ctx = DualContext(duals=zero_duals(2, step=0.3), served_counts=(0, 2))
-        out = dmpg.finish_period(ctx)
-        assert out.lambdas[0] == 0.0  # max(0, 0 - 0.3)
-        assert out.lambdas[1] == pytest.approx(0.3)  # served twice: 0 + 0.3
-
-
 class TestTrainDmpg:
     def test_metrics_and_determinism(self, toy_scenario):
         cfg = LearningConfig(
@@ -143,8 +115,8 @@ class TestTrainDmpg:
             env.sample_task(toy_scenario.grid, seed=s, locality_radius=1, task_id=s)
             for s in range(3)
         ]
-        p1, m1 = train_dmpg(cfg, toy_scenario, tasks, master_seed=5)
-        p2, m2 = train_dmpg(cfg, toy_scenario, tasks, master_seed=5)
+        p1, m1 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5)
+        p2, m2 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5)
         assert len(m1) == 3
         assert np.array_equal(p1.flat, p2.flat)
         assert [m.mean_reward for m in m1] == [m.mean_reward for m in m2]
@@ -157,5 +129,5 @@ class TestTrainDmpg:
             tasks_per_batch=1, hidden_sizes=(8,),
         )
         tasks = [env.sample_task(sc.grid, seed=0, locality_radius=0, task_id=0)]
-        params, _ = train_dmpg(cfg, sc, tasks, master_seed=0)
+        params, _ = meta_train(cfg, sc, tasks, "dmpg", master_seed=0)
         assert params.action_count == comb(sc.num_vaps, 3)

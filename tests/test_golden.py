@@ -30,12 +30,12 @@ GOLDEN = {
     "toy_mpg": (
         TOY_MPG,
         "d4362e10307136a190420fd784fb942c4a8fa108d857c97fd1a10d78591e8668",
-        "44fa7747af6eb1541c085f6da26345303b00252c5646cae7acdf12b02690b5d7",
+        "517ca160c336a459a1b72f0a1a484172af1e994497c628b3ef17c73b653a58ec",
     ),
     "readme_dmpg": (
         README_DMPG,
         "5248a7034f77fd344a81ed2229688cfe311714387819de6838779fe5b0536172",
-        "6b0f4315cef58700f2da2d5c233a7d178de6642fc0614229b74d9b26c2f7f234",
+        "0d3f5d8f9a80f4123f868581594facc818aa777f391631f280bbfda68b6be28c",
     ),
 }
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thzvlc import env, harness, policy_net
+from thzvlc import env, harness, meta_rl, policy_net
 from thzvlc.harness import ConfigError, build_task_stream, load_spec, main, parse_config_text, run, serialize_spec
 
 TOY_CONFIG = """
@@ -148,13 +148,17 @@ class TestRun:
         assert recomputed == pytest.approx(result.avg_reliability_per_user)
         assert 0.0 <= result.avg_reliability_per_user <= 1.0
 
-    def test_dmpg_run_writes_dual_column(self, tmp_path):
-        spec = toy_spec(tmp_path, out_name="dual", extra={("run", "algorithm"): "dmpg"})
-        run(spec)
-        with open(tmp_path / "dual" / "trajectories.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert all(row["dual_lambda"] != "" for row in rows)
-        assert all(float(row["dual_lambda"]) >= 0.0 for row in rows)
+    def test_dmpg_and_mpg_trajectory_headers_match(self, tmp_path):
+        headers = []
+        for algo in ("mpg", "dmpg"):
+            run(toy_spec(tmp_path, out_name=algo, extra={("run", "algorithm"): algo}))
+            with open(tmp_path / algo / "trajectories.csv") as fh:
+                headers.append(next(csv.reader(fh)))
+        assert headers[0] == headers[1]
+        assert headers[0] == [
+            "period", "slot", "user", "cell_x", "cell_y", "height",
+            "localized", "assigned_sbs", "tx_ok", "newly_served",
+        ]
 
     def test_baseline_pg_runs(self, tmp_path):
         spec = toy_spec(tmp_path, out_name="pg", extra={("run", "algorithm"): "pg"})
@@ -164,22 +168,25 @@ class TestRun:
 
 class TestCli:
     def test_print_config_reports_reference_defaults(self, capsys):
-        assert main(["train", "--print-config"]) == 0
-        text = capsys.readouterr().out
-        values = parse_config_text(text)
-        assert values["radio"]["carrier_freq_hz"] == 1e12
-        assert values["radio"]["tx_power_w"] == 1.0
-        assert values["radio"]["image_size_bits"] == 2e7
-        assert values["radio"]["noise_density_dbm_per_hz"] == -174.0
-        assert values["scenario"]["slots_per_period"] == 3
-        assert values["scenario"]["room_side"] == 6.0
-        assert values["scenario"]["ceiling"] == 3.0
-        assert values["scenario"]["num_vaps"] == 7
-        assert values["scenario"]["num_sbs"] == 7
-        assert values["learning"]["inner_rollouts"] == 50
-        assert values["learning"]["outer_rollouts"] == 10
-        assert values["learning"]["inner_lr"] == 0.1
-        assert values["learning"]["meta_lr"] == 0.01
+        for command in (
+            ["train"], ["adapt", "--checkpoint", "none.bin"], ["eval", "--checkpoint", "none.bin"],
+            ["oracle"], ["simulate"],
+        ):
+            assert main([*command, "--print-config"]) == 0
+            values = parse_config_text(capsys.readouterr().out)
+            assert values["radio"]["carrier_freq_hz"] == 1e12
+            assert values["radio"]["tx_power_w"] == 1.0
+            assert values["radio"]["image_size_bits"] == 2e7
+            assert values["radio"]["noise_density_dbm_per_hz"] == -174.0
+            assert values["scenario"]["slots_per_period"] == 3
+            assert values["scenario"]["room_side"] == 6.0
+            assert values["scenario"]["ceiling"] == 3.0
+            assert values["scenario"]["num_vaps"] == 7
+            assert values["scenario"]["num_sbs"] == 7
+            assert values["learning"]["inner_rollouts"] == 50
+            assert values["learning"]["outer_rollouts"] == 10
+            assert values["learning"]["inner_lr"] == 0.1
+            assert values["learning"]["meta_lr"] == 0.01
 
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as err:
@@ -249,3 +256,53 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         spec = load_spec(cfg, environ={})
         assert len(rows) == 2 * spec.scenario.slots_per_period * spec.scenario.num_users
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        for workers in ("0", "-3"):
+            assert main(["train", "--config", str(cfg), "--workers", workers,
+                         "--out", str(tmp_path / "w")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "run.workers" in err
+        assert not (tmp_path / "w").exists()
+
+    def _checkpoint(self, tmp_path, algo, **overrides):
+        """A fresh policy for the toy scenario under `algo`, saved to disk."""
+        spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
+        path = tmp_path / f"{algo}.bin"
+        policy_net.save_params(path, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0))
+        return path
+
+    def _refused(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint" in err
+        return err
+
+    def test_dmpg_checkpoint_refused_by_mpg(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "dmpg")  # 4 VAP subsets
+        for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
+                        ["adapt", "--steps", "1"]):
+            err = self._refused([*command, "--config", str(cfg), "--algo", "mpg",
+                                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], capsys)
+            assert "has 4 actions" in err and "has 8" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mpg_checkpoint_refused_by_dmpg(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")  # 8 joint actions
+        for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
+                        ["adapt", "--steps", "1"]):
+            err = self._refused([*command, "--config", str(cfg), "--algo", "dmpg",
+                                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], capsys)
+            assert "has 8 actions" in err and "has 4" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_for_other_user_count_refused(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "dmpg")  # 2 users: 8 inputs
+        monkeypatch.setenv("THZVLC_SCENARIO__NUM_USERS", "3")
+        err = self._refused(["eval", "--config", str(cfg), "--algo", "dmpg",
+                             "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], capsys)
+        assert "takes 8 inputs" in err and "need 12" in err

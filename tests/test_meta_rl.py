@@ -16,7 +16,6 @@ from thzvlc.meta_rl import (
     meta_update,
     task_gradient,
     train_baseline_pg,
-    train_mpg,
 )
 from thzvlc.policy_net import PolicyParams, forward, init_params, layer_shapes_for
 
@@ -327,21 +326,21 @@ class TestTraining:
         cfg = tiny_cfg(meta_iterations=0)
         tasks = self._tasks(toy_scenario)
         init = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        params, metrics = train_mpg(cfg, toy_scenario, tasks, initial_params=init)
+        params, metrics = meta_train(cfg, toy_scenario, tasks, "mpg", initial_params=init)
         assert metrics == []
         assert np.array_equal(params.flat, init.flat)
 
     def test_metrics_length(self, toy_scenario):
         cfg = tiny_cfg()
-        params, metrics = train_mpg(cfg, toy_scenario, self._tasks(toy_scenario), master_seed=1)
+        params, metrics = meta_train(cfg, toy_scenario, self._tasks(toy_scenario), "mpg", master_seed=1)
         assert len(metrics) == cfg.meta_iterations
         assert [m.iteration for m in metrics] == [0, 1, 2]
 
     def test_deterministic_across_runs(self, toy_scenario):
         cfg = tiny_cfg()
         tasks = self._tasks(toy_scenario)
-        p1, m1 = train_mpg(cfg, toy_scenario, tasks, master_seed=7)
-        p2, m2 = train_mpg(cfg, toy_scenario, tasks, master_seed=7)
+        p1, m1 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7)
+        p2, m2 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7)
         assert np.array_equal(p1.flat, p2.flat)
         assert [(m.mean_reward, m.std_reward) for m in m1] == [
             (m.mean_reward, m.std_reward) for m in m2
@@ -350,8 +349,8 @@ class TestTraining:
     def test_workers_do_not_change_results(self, toy_scenario):
         cfg = tiny_cfg(meta_iterations=2)
         tasks = self._tasks(toy_scenario)
-        p1, _ = train_mpg(cfg, toy_scenario, tasks, master_seed=3, workers=1)
-        p2, _ = train_mpg(cfg, toy_scenario, tasks, master_seed=3, workers=2)
+        p1, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=3, workers=1)
+        p2, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=3, workers=2)
         assert np.array_equal(p1.flat, p2.flat)
 
     def test_baseline_pg_deterministic(self, toy_scenario):
@@ -386,7 +385,7 @@ class TestTraining:
             meta_iterations=150, tasks_per_batch=5, hidden_sizes=(32,),
         )
         _, pg_metrics = train_baseline_pg(cfg, sc, tasks, master_seed=0)
-        _, mpg_metrics = train_mpg(cfg, sc, tasks, master_seed=0)
+        _, mpg_metrics = meta_train(cfg, sc, tasks, "mpg", master_seed=0)
         pg_final = np.mean([m.mean_reward for m in pg_metrics[-10:]])
         mpg_final = np.mean([m.mean_reward for m in mpg_metrics[-10:]])
         assert pg_final <= mpg_final
@@ -394,7 +393,7 @@ class TestTraining:
     def test_trajectory_sink_sees_all_rollouts(self, toy_scenario):
         cfg = tiny_cfg(meta_iterations=2)
         seen = []
-        train_mpg(cfg, toy_scenario, self._tasks(toy_scenario), master_seed=0,
+        meta_train(cfg, toy_scenario, self._tasks(toy_scenario), "mpg", master_seed=0,
                   trajectory_sink=seen.append)
         expected = 2 * cfg.tasks_per_batch * (cfg.inner_rollouts + cfg.outer_rollouts)
         assert len(seen) == expected
