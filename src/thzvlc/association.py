@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, env
-from .geometry import BodyOccupancy, Point3
+from . import env
 
 
 @dataclass(frozen=True)
@@ -149,39 +148,27 @@ def build_slot_problem(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
     scenario: env.ScenarioConfig,
+    links: env.SlotLinks | None = None,
 ) -> SlotAssignmentProblem:
-    """Collect the slot's candidate users and weigh every (SBS, user) link."""
+    """Collect the slot's candidate users and weigh every (SBS, user) link.
+
+    `links` are the state's `env.slot_links`, computed here when not given.
+    """
     if len(vap_set) != 3:
         raise ValueError("exactly 3 VAPs must be lit")
-    grid = scenario.grid
-    positions = [env.user_point(state, grid, j) for j in range(scenario.num_users)]
-    heights = list(state.user_heights)
-    selected = [scenario.vap_positions[k] for k in vap_set]
-    all_sbs = list(scenario.sbs_positions)
-
-    pool = [
-        j
-        for j in range(scenario.num_users)
-        if not state.served[j]
-        and channel.localized(j, positions, heights, selected, scenario.optics, scenario.body_radius)
-    ]
-    weights = np.empty((scenario.num_sbs, len(pool)))
-    for col, j in enumerate(pool):
-        blockers = [
-            BodyOccupancy(center_xy=(p.x, p.y), height=h, radius=scenario.body_radius)
-            for m, (p, h) in enumerate(zip(positions, heights))
-            if m != j
-        ]
-        for i in range(scenario.num_sbs):
-            budget = channel.link_budget(all_sbs[i], positions[j], blockers, all_sbs, scenario.radio)
-            weights[i, col] = 1.0 if budget.tx_ok else 0.0
-    return SlotAssignmentProblem(candidates=tuple(pool), weights=weights)
+    if links is None:
+        links = env.slot_links(state, scenario)
+    pool = np.flatnonzero(links.localized(vap_set) & ~np.array(state.served))
+    return SlotAssignmentProblem(
+        candidates=tuple(pool.tolist()), weights=links.h[:, pool].astype(float)
+    )
 
 
 def slot_assign(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
     scenario: env.ScenarioConfig,
+    links: env.SlotLinks | None = None,
 ) -> AssignmentSolution:
     """One slot's matching of SBSs to localized unserved users.
 
@@ -189,7 +176,7 @@ def slot_assign(
     counts every body in the room, localized or not. Matching entries are
     (sbs_index, user_index) with global user indices.
     """
-    problem = build_slot_problem(state, vap_set, scenario)
+    problem = build_slot_problem(state, vap_set, scenario, links)
     if not problem.candidates:
         return AssignmentSolution(matching=(), objective_value=0.0)
     sol = hungarian_max(problem.weights, allow_skip=True)
@@ -230,35 +217,13 @@ def service_tables(
     scenario: env.ScenarioConfig,
 ) -> tuple[list[list[bool]], list[np.ndarray]]:
     """Per-slot localization flags and link-feasibility matrices h[t][i, j]."""
-    grid = scenario.grid
-    all_sbs = list(scenario.sbs_positions)
+    blank = (False,) * scenario.num_users
     loc: list[list[bool]] = []
     feas: list[np.ndarray] = []
     for t in range(scenario.slots_per_period):
-        positions = [
-            Point3(*grid.cell_center(c), h)
-            for c, h in zip(realization.cells[t], realization.heights)
-        ]
-        heights = list(realization.heights)
-        selected = [scenario.vap_positions[k] for k in vap_sequence[t]]
-        loc_t = [
-            channel.localized(j, positions, heights, selected, scenario.optics, scenario.body_radius)
-            for j in range(scenario.num_users)
-        ]
-        h_t = np.zeros((scenario.num_sbs, scenario.num_users))
-        for j in range(scenario.num_users):
-            blockers = [
-                BodyOccupancy(center_xy=(p.x, p.y), height=h, radius=scenario.body_radius)
-                for m, (p, h) in enumerate(zip(positions, heights))
-                if m != j
-            ]
-            for i in range(scenario.num_sbs):
-                budget = channel.link_budget(
-                    all_sbs[i], positions[j], blockers, all_sbs, scenario.radio
-                )
-                h_t[i, j] = 1.0 if budget.tx_ok else 0.0
-        loc.append(loc_t)
-        feas.append(h_t)
+        links = env.slot_links(env.state_at_slot(realization, t, blank), scenario)
+        loc.append(links.localized(vap_sequence[t]).tolist())
+        feas.append(links.h.astype(float))
     return loc, feas
 
 

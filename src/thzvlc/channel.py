@@ -157,7 +157,17 @@ def link_budget(
     params: RadioParams,
 ) -> LinkBudget:
     """Full budget for the sbs->user THz link, body blockage included."""
-    los = los_clear(sbs, user, blockers)
+    return budget_given_los(sbs, user, los_clear(sbs, user, blockers), all_sbs, params)
+
+
+def budget_given_los(
+    sbs: Point3,
+    user: Point3,
+    los: bool,
+    all_sbs: list[Point3],
+    params: RadioParams,
+) -> LinkBudget:
+    """Budget for the sbs->user THz link whose line of sight is `los`."""
     g = path_loss(sbs, user, los, params)
     noise = noise_power(user, all_sbs, params)
     rate = params.bandwidth_hz * math.log2(1.0 + params.tx_power_w * g / noise)

@@ -40,9 +40,9 @@ def enumerate_vap_actions(num_vaps: int) -> tuple[VapAction, ...]:
 def vap_decoder(actions: tuple[VapAction, ...], scenario: ScenarioConfig):
     """Decoder for `meta_rl.rollout_period`: the VAP subset plus its slot matching."""
 
-    def decode(idx: int, state: env.EnvState) -> JointAction:
+    def decode(idx: int, state: env.EnvState, links: env.SlotLinks) -> JointAction:
         vap_set = actions[idx].vap_set
-        solution = association.slot_assign(state, vap_set, scenario)
+        solution = association.slot_assign(state, vap_set, scenario, links)
         pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
         return JointAction(vap_set=vap_set, assignments=pairs)
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb, perm
 
 import numpy as np
 
 from . import channel
-from .geometry import BodyOccupancy, Point3, RoomGrid, make_grid
+from .geometry import Point3, RoomGrid, blocked, make_grid
 from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
@@ -134,6 +135,11 @@ class MovementPattern:
             raise ValueError("every transition row must sum to 1")
         t.setflags(write=False)
 
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Running sums along each row, for drawing the next cell."""
+        return np.cumsum(self.transition, axis=1)
+
 
 @dataclass(frozen=True)
 class Task:
@@ -221,13 +227,6 @@ def user_point(state: EnvState, grid: RoomGrid, user: int) -> Point3:
     return Point3(cx, cy, state.user_heights[user])
 
 
-def user_bodies(state: EnvState, grid: RoomGrid, body_radius: float) -> list[BodyOccupancy]:
-    return [
-        BodyOccupancy(center_xy=grid.cell_center(c), height=h, radius=body_radius)
-        for c, h in zip(state.user_cells, state.user_heights)
-    ]
-
-
 def sample_task(
     grid: RoomGrid,
     seed: int,
@@ -275,31 +274,100 @@ def reset(task: Task, scenario: ScenarioConfig) -> EnvState:
     )
 
 
-def evaluate_service(state: EnvState, action: JointAction, scenario: ScenarioConfig) -> ServiceOutcome:
-    """Evaluate one slot at the state's positions, without advancing time."""
-    grid = scenario.grid
-    positions = [user_point(state, grid, j) for j in range(scenario.num_users)]
-    heights = list(state.user_heights)
-    selected = [scenario.vap_positions[k] for k in action.vap_set]
-    all_sbs = list(scenario.sbs_positions)
+@dataclass(frozen=True)
+class SlotLinks:
+    """Every ceiling link at one state's positions, every other body counted.
 
-    loc = []
-    tx = []
-    for j in range(scenario.num_users):
-        loc.append(
-            channel.localized(j, positions, heights, selected, scenario.optics, scenario.body_radius)
-        )
-        sbs = action.assigned_sbs(j)
-        ok = False
-        if sbs is not None:
-            blockers = [
-                BodyOccupancy(center_xy=(p.x, p.y), height=h, radius=scenario.body_radius)
-                for m, (p, h) in enumerate(zip(positions, heights))
-                if m != j
-            ]
-            budget = channel.link_budget(all_sbs[sbs], positions[j], blockers, all_sbs, scenario.radio)
-            ok = budget.tx_ok
-        tx.append(ok)
+    visible[k, j]: VAP k lies inside user j's FOV and its optical path is
+    clear. h[i, j]: SBS i's THz link to user j is clear and delivers the
+    image within the slot.
+    """
+
+    visible: np.ndarray
+    h: np.ndarray
+
+    def localized(self, vap_set: tuple[int, int, int]) -> np.ndarray:
+        """bool[user]: all three lit VAPs reach the user."""
+        a, b, c = vap_set
+        return self.visible[a] & self.visible[b] & self.visible[c]
+
+
+class _LinkTable:
+    """Static arrays of a scenario plus the blockage-free link terms of one
+    task's user heights.
+
+    free[j, cell, unit] is 1 when the unit's link to user j standing in that
+    cell passes its blockage-free test (the FOV for a VAP, the range for an
+    SBS), 0 when it fails and -1 until first needed. The flags come from the
+    scalar `channel` formulas, so they match them bit for bit: the range
+    flag is the budget of a clear link, and a blocked link never delivers.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, heights: tuple[float, ...]):
+        units = scenario.vap_positions + scenario.sbs_positions
+        self.units = np.array([(p.x, p.y, p.z) for p in units])
+        self.centers = np.array(scenario.grid.cell_centers)
+        self.heights = np.array(heights)
+        self.free = np.full((len(heights), scenario.grid.num_cells, len(units)), -1, dtype=np.int8)
+
+    def fill(self, state: EnvState, scenario: ScenarioConfig, user: int) -> np.ndarray:
+        point = user_point(state, scenario.grid, user)
+        all_sbs = list(scenario.sbs_positions)
+        fov = scenario.optics.fov_semi_angle_rad
+        row = [channel.incidence_angle(vap, point) <= fov for vap in scenario.vap_positions]
+        row += [
+            channel.budget_given_los(sbs, point, True, all_sbs, scenario.radio).tx_ok
+            for sbs in all_sbs
+        ]
+        self.free[user, state.user_cells[user]] = row
+        return self.free[user, state.user_cells[user]]
+
+
+@lru_cache(maxsize=1024)
+def _link_table(scenario: ScenarioConfig, heights: tuple[float, ...]) -> _LinkTable:
+    """The table shared by every state of the tasks with these heights.
+
+    Heights are fixed per task and a run keeps revisiting the same cells, so
+    the blockage-free terms are worked out once per (user, cell); blockage
+    is recomputed for every state. The bound keeps an evaluation over many
+    fresh tasks from growing the cache without end.
+    """
+    return _LinkTable(scenario, heights)
+
+
+def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
+    """The state's VAP visibility and SBS feasibility, in one numpy pass."""
+    table = _link_table(scenario, state.user_heights)
+    users = np.arange(scenario.num_users)
+    cells = np.array(state.user_cells)
+    free = table.free[users, cells]
+    for j in np.flatnonzero(free[:, 0] < 0):
+        free[j] = table.fill(state, scenario, int(j))
+
+    receivers = np.column_stack((table.centers[cells], table.heights))
+    bodies = np.column_stack((receivers, np.full(scenario.num_users, scenario.body_radius)))
+    hit = blocked(table.units, receivers, bodies)
+    hit[:, users, users] = False  # a receiver's own body
+    ok = (free.T == 1) & ~hit.any(axis=2)
+    return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])
+
+
+def evaluate_service(
+    state: EnvState,
+    action: JointAction,
+    scenario: ScenarioConfig,
+    links: SlotLinks | None = None,
+) -> ServiceOutcome:
+    """Evaluate one slot at the state's positions, without advancing time.
+
+    `links` are the state's `slot_links`, computed here when not given.
+    """
+    if links is None:
+        links = slot_links(state, scenario)
+    loc = links.localized(action.vap_set).tolist()
+    tx = [False] * scenario.num_users
+    for j, sbs in action.assignments:
+        tx[j] = bool(links.h[sbs, j])
 
     served_after = tuple((p and h) or w for p, h, w in zip(loc, tx, state.served))
     newly = tuple(j for j in range(scenario.num_users) if served_after[j] and not state.served[j])
@@ -309,13 +377,15 @@ def evaluate_service(state: EnvState, action: JointAction, scenario: ScenarioCon
 
 
 def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-    """One Markov transition for every user."""
+    """One Markov transition for every user.
+
+    Each user's next cell is the first whose running row sum exceeds its
+    uniform draw (the last cell when rounding leaves the sum below it).
+    """
     draws = rng.random(len(cells))
-    out = []
-    for c, u in zip(cells, draws):
-        cum = np.cumsum(pattern.transition[c])
-        out.append(int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1)))
-    return tuple(out)
+    cumulative = pattern.cumulative[list(cells)]
+    nxt = np.minimum((cumulative <= draws[:, None]).sum(axis=1), cumulative.shape[1] - 1)
+    return tuple(nxt.tolist())
 
 
 def step(
@@ -512,9 +582,10 @@ def brute_force_oracle(
     blank = (False,) * scenario.num_users
     for t in range(t_slots):
         state = state_at_slot(real, t, blank)
+        links = slot_links(state, scenario)
         per_action = []
         for a in action_list:
-            out = evaluate_service(state, a, scenario)
+            out = evaluate_service(state, a, scenario, links)
             per_action.append(
                 frozenset(j for j in range(scenario.num_users) if out.localized[j] and out.tx_ok[j])
             )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Point3:
@@ -82,45 +84,46 @@ def distance(a: Point3, b: Point3) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _blocks(tx: Point3, rx: Point3, body: BodyOccupancy) -> bool:
-    """True when `body` obstructs the open segment rx -> tx.
+def blocked(tx: np.ndarray, rx: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """bool[t, r, b]: body b obstructs the open segment rx[r] -> tx[t].
 
-    Points on the segment are P(g) = rx + g*(tx - rx), 0 < g < 1. The set of
+    tx and rx are float arrays of shape (n, 3) holding (x, y, z); bodies has
+    shape (m, 4) holding (center x, center y, height, radius). Masking a
+    receiver's own body is the caller's job.
+
+    Points on a segment are P(g) = rx + g*(tx - rx), 0 < g < 1. The set of
     g where the XY projection lies within the body radius is the solution of
     a quadratic; z(g) is linear, so the lowest point of the segment inside
     that g-interval sits at one of the interval's ends. The body blocks iff
-    that lowest z is at or below the body top.
+    that lowest z is at or below the body top. An XY-vertical segment
+    (a == 0) projects to a single point, inside the radius or not.
     """
-    ex = tx.x - rx.x
-    ey = tx.y - rx.y
-    ez = tx.z - rx.z
-    dx = rx.x - body.center_xy[0]
-    dy = rx.y - body.center_xy[1]
+    tx = tx[:, None, None, :]
+    rx = rx[None, :, None, :]
+    ex = tx[..., 0] - rx[..., 0]
+    ey = tx[..., 1] - rx[..., 1]
+    ez = tx[..., 2] - rx[..., 2]
+    dx = rx[..., 0] - bodies[:, 0]
+    dy = rx[..., 1] - bodies[:, 1]
+    radius = bodies[:, 3]
 
     a = ex * ex + ey * ey
     b = 2.0 * (dx * ex + dy * ey)
-    c = dx * dx + dy * dy - body.radius * body.radius
+    c = dx * dx + dy * dy - radius * radius
 
-    if a == 0.0:
-        # XY-vertical link: projection is a single point.
-        if c > 0.0:
-            return False
-        lo, hi = 0.0, 1.0
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return False
-        root = math.sqrt(disc)
-        lo = (-b - root) / (2.0 * a)
-        hi = (-b + root) / (2.0 * a)
-        if hi <= 0.0 or lo >= 1.0:
-            return False
-        lo = max(lo, 0.0)
-        hi = min(hi, 1.0)
+    vertical = a == 0.0
+    a = np.where(vertical, 1.0, a)  # the vertical entries' roots are unused
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = (-b - root) / (2.0 * a)
+    hi = (-b + root) / (2.0 * a)
+    meets = np.where(vertical, c <= 0.0, (disc >= 0.0) & (hi > 0.0) & (lo < 1.0))
+    lo = np.where(vertical, 0.0, np.maximum(lo, 0.0))
+    hi = np.where(vertical, 1.0, np.minimum(hi, 1.0))
 
-    g_low = lo if ez >= 0.0 else hi
-    z_min = rx.z + g_low * ez
-    return z_min <= body.height
+    g_low = np.where(ez >= 0.0, lo, hi)
+    z_min = rx[..., 2] + g_low * ez
+    return meets & (z_min <= bodies[:, 2])
 
 
 def los_clear(tx: Point3, rx: Point3, blockers: list[BodyOccupancy]) -> bool:
@@ -131,4 +134,7 @@ def los_clear(tx: Point3, rx: Point3, blockers: list[BodyOccupancy]) -> bool:
     """
     if tx == rx:
         raise ValueError("tx and rx must be distinct points")
-    return all(not _blocks(tx, rx, body) for body in blockers)
+    if not blockers:
+        return True
+    bodies = np.array([(b.center_xy[0], b.center_xy[1], b.height, b.radius) for b in blockers])
+    return not blocked(np.array([[tx.x, tx.y, tx.z]]), np.array([[rx.x, rx.y, rx.z]]), bodies).any()

@@ -298,6 +298,9 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
     workers = values["run"]["workers"]
     if workers < 1:
         raise ConfigError(f"run.workers must be >= 1, got {workers}")
+    eval_periods = values["run"]["eval_periods"]
+    if eval_periods < 1:
+        raise ConfigError(f"run.eval_periods must be >= 1, got {eval_periods}")
     return ExperimentSpec(
         values=values,
         scenario=scenario,
@@ -523,7 +526,13 @@ def _cmd_adapt(spec: ExperimentSpec, args) -> int:
     return 0
 
 
+def _check_periods(args) -> None:
+    if args.periods < 1:
+        raise ConfigError(f"--periods must be >= 1, got {args.periods}")
+
+
 def _cmd_eval(spec: ExperimentSpec, args) -> int:
+    _check_periods(args)
     params = _load_checkpoint(args.checkpoint, spec)
     avg, trajectories = evaluate_policy(params, spec, args.periods)
     out_dir = Path(spec.output_dir)
@@ -549,6 +558,7 @@ def _cmd_oracle(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_simulate(spec: ExperimentSpec, args) -> int:
+    _check_periods(args)
     if args.checkpoint:
         params = _load_checkpoint(args.checkpoint, spec)
     else:

@@ -87,9 +87,11 @@ def rollout_period(
 ) -> Trajectory:
     """One period: per slot, sample an action index, decode it, serve, move.
 
-    `decode(index, state)` turns the sampled index and the slot state into
-    the JointAction that is evaluated. The rng is drawn by the action sample
-    and then by the users' moves, unless a fixed realization supplies them.
+    `decode(index, state, links)` turns the sampled index and the slot state
+    into the JointAction that is evaluated; `links` are the state's
+    `env.slot_links`, computed once per slot for the decoder and the service
+    evaluation. The rng is drawn by the action sample and then by the users'
+    moves, unless a fixed realization supplies them.
     """
     state = env.reset(task, scenario)
     if realization is not None:
@@ -99,8 +101,9 @@ def rollout_period(
         enc = policy_net.encode_state(state, scenario)
         dist = policy_net.forward(params, enc)
         idx = policy_net.sample_action(dist, rng)
-        action = decode(idx, state)
-        outcome = env.evaluate_service(state, action, scenario)
+        links = env.slot_links(state, scenario)
+        action = decode(idx, state, links)
+        outcome = env.evaluate_service(state, action, scenario, links)
         if realization is not None:
             next_cells = realization.cells[t + 1]
         else:
@@ -134,7 +137,9 @@ def rollout_joint(
     realization: env.MobilityRealization | None = None,
 ) -> Trajectory:
     """One period under the joint VAP-selection/association policy."""
-    return rollout_period(task, params, lambda idx, state: space[idx], scenario, rng, realization)
+    return rollout_period(
+        task, params, lambda idx, state, links: space[idx], scenario, rng, realization
+    )
 
 
 def collect_trajectories(

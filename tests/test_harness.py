@@ -266,6 +266,37 @@ class TestCli:
             assert err.startswith("error:") and "run.workers" in err
         assert not (tmp_path / "w").exists()
 
+    def test_eval_periods_below_one_rejected_before_training(self, tmp_path, capsys):
+        for periods in ("0", "-2"):
+            cfg = tmp_path / f"p{periods}.cfg"
+            cfg.write_text(TOY_CONFIG.replace("eval_periods = 2", f"eval_periods = {periods}"))
+            out = tmp_path / f"out{periods}"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "run.eval_periods" in err
+            assert not out.exists()
+
+    def test_eval_periods_below_one_rejected(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        for periods in ("0", "-1"):
+            out = tmp_path / f"eval{periods}"
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--periods", periods, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--periods" in err
+            assert not out.exists()
+
+    def test_simulate_periods_below_one_rejected(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        for periods in ("0", "-1"):
+            out = tmp_path / f"sim{periods}"
+            assert main(["simulate", "--config", str(cfg), "--periods", periods,
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--periods" in err
+            assert not out.exists()
+
     def _checkpoint(self, tmp_path, algo, **overrides):
         """A fresh policy for the toy scenario under `algo`, saved to disk."""
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
