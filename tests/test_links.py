@@ -3,8 +3,8 @@
 The blockage kernel is checked against the dense sweep of `oracles`, and
 the rows of `env.slot_links` against the scalar `channel` predicates.
 Geometry sits on a 1/4 m lattice, body radii on 1/8 m and body tops on odd
-multiples of 1/8 m, so sweeps on a 2**12 grid evaluate exactly and no body
-top ties with a link endpoint.
+multiples of 1/8 m, so sweeps on a 2**12 grid evaluate exactly and no drawn
+body top ties with a link endpoint.
 """
 
 import dataclasses
