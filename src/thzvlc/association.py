@@ -63,6 +63,7 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     scanning columns in index order. Returns column matched to each row.
     """
     n = cost.shape[0]
+    table = cost.tolist()  # Python floats: a numpy scalar per read is slow
     inf = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -76,12 +77,13 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
         while True:
             used[j0] = True
             i0 = match[j0]
+            row = table[i0 - 1]
             delta = inf
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u[i0] - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0

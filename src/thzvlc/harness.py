@@ -11,6 +11,8 @@ A training run writes into its output directory:
     checkpoint.bin    policy parameters (JSON header + raw float64)
     trajectories.csv  per-user per-slot log of the post-training eval pass
     summary.json      scalars, including avg reliability per user
+Each file is written through `artifacts.atomic_open`, so an interrupted run
+leaves the previous file or none, never a partial one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import env, meta_rl, policy_net
+from .artifacts import atomic_open
 from .channel import dbm_per_hz_to_w_per_hz
 from .env import ScenarioConfig, Task
 from .geometry import Point3, make_grid
@@ -341,12 +344,12 @@ def build_task_stream(spec: ExperimentSpec, purpose: int = 11) -> list[Task]:
 
 
 def write_metrics(out_dir: Path, metrics: list[meta_rl.IterationMetrics]) -> None:
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "mean_reward", "std_reward"])
         for m in metrics:
             writer.writerow([m.iteration, repr(m.mean_reward), repr(m.std_reward)])
-    with open(out_dir / "timing.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "timing.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "wall_clock_s"])
         for m in metrics:
@@ -354,7 +357,7 @@ def write_metrics(out_dir: Path, metrics: list[meta_rl.IterationMetrics]) -> Non
 
 
 def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConfig, name="trajectories.csv") -> None:
-    with open(out_dir / name, "w", newline="") as fh:
+    with atomic_open(out_dir / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -430,7 +433,7 @@ def run(spec: ExperimentSpec) -> RunMetrics:
         )
 
     write_metrics(out_dir, metrics)
-    policy_net.save_params(out_dir / "checkpoint.bin", params, spec.config_hash)
+    policy_net.save_params(out_dir / "checkpoint.bin", params, spec.config_hash, spec.kind)
     eval_periods = spec.values["run"]["eval_periods"]
     avg, trajectories = evaluate_policy(params, spec, eval_periods)
     write_trajectories(out_dir, trajectories, spec.scenario)
@@ -446,10 +449,11 @@ def run(spec: ExperimentSpec) -> RunMetrics:
         "config_hash": spec.config_hash,
         "total_wall_clock_s": time.perf_counter() - started,
     }
-    with open(out_dir / "summary.json", "w") as fh:
+    with atomic_open(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    (out_dir / "config.txt").write_text(spec.canonical_text)
+    with atomic_open(out_dir / "config.txt") as fh:
+        fh.write(spec.canonical_text)
     return RunMetrics(iterations=metrics, avg_reliability_per_user=avg, summary=summary)
 
 
@@ -480,8 +484,8 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
-    """Load a checkpoint, refusing one whose input or head width misfits the spec."""
-    params, _ = policy_net.load_params(path)
+    """Load a checkpoint, refusing one whose widths or head kind misfit the spec."""
+    params, header = policy_net.load_params(path)
     inputs = policy_net.encoding_dim(spec.scenario)
     if params.layer_shapes[0][0] != inputs:
         raise ConfigError(
@@ -493,6 +497,11 @@ def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
         raise ConfigError(
             f"checkpoint {path} has {params.action_count} actions; "
             f"{spec.kind} on the spec's scenario has {actions}"
+        )
+    if header.get("kind") != spec.kind:
+        raise ConfigError(
+            f"checkpoint {path} holds a {header.get('kind') or 'untagged'} policy; "
+            f"{spec.algorithm} needs {spec.kind}"
         )
     return params
 
@@ -516,8 +525,8 @@ def _cmd_adapt(spec: ExperimentSpec, args) -> int:
     )
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policy_net.save_params(out_dir / "adapted_checkpoint.bin", adapted, spec.config_hash)
-    with open(out_dir / "adapt_curve.csv", "w", newline="") as fh:
+    policy_net.save_params(out_dir / "adapted_checkpoint.bin", adapted, spec.config_hash, spec.kind)
+    with atomic_open(out_dir / "adapt_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_reward"])
         for i, r in enumerate(curve):
@@ -538,7 +547,7 @@ def _cmd_eval(spec: ExperimentSpec, args) -> int:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectories(out_dir, trajectories, spec.scenario)
-    with open(out_dir / "summary.json", "w") as fh:
+    with atomic_open(out_dir / "summary.json") as fh:
         json.dump(
             {"avg_reliability_per_user": avg, "eval_periods": args.periods},
             fh, indent=2, sort_keys=True,

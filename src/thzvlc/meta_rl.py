@@ -181,7 +181,7 @@ def task_gradient(
     else:
         baselines = np.zeros(k)
 
-    grad = np.zeros_like(params.flat)
+    encodings, actions, weights = [], [], []
     for ti, traj in enumerate(trajectories):
         if reward_to_go:
             gains = np.array([float(len(s.newly_served)) for s in traj.steps])
@@ -189,11 +189,13 @@ def task_gradient(
         else:
             coeffs = np.full(len(traj.steps), returns[ti] - baselines[ti])
         for step, coeff in zip(traj.steps, coeffs):
-            if coeff == 0.0:
-                continue
-            policy_net.accumulate_grad_log_prob(
-                params, step.encoding, step.action_index, coeff / k, grad
-            )
+            if coeff != 0.0:
+                encodings.append(step.encoding)
+                actions.append(step.action_index)
+                weights.append(coeff / k)
+    grad = np.zeros_like(params.flat)
+    if weights:
+        policy_net.accumulate_grad_log_prob(params, encodings, actions, weights, grad)
     return grad
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .env import EnvState, ScenarioConfig
 
 
@@ -45,14 +46,14 @@ def layer_shapes_for(encoding_dim: int, hidden_sizes: tuple[int, ...], action_co
     return tuple((widths[i], widths[i + 1]) for i in range(len(widths) - 1))
 
 
-def _views(params: PolicyParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (W, b) views into the flat vector; W is (out, in)."""
+def _views(flat: np.ndarray, layer_shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views into a flat vector of that layout; W is (out, in)."""
     out = []
     ofs = 0
-    for n_in, n_out in params.layer_shapes:
-        w = params.flat[ofs : ofs + n_in * n_out].reshape(n_out, n_in)
+    for n_in, n_out in layer_shapes:
+        w = flat[ofs : ofs + n_in * n_out].reshape(n_out, n_in)
         ofs += n_in * n_out
-        b = params.flat[ofs : ofs + n_out]
+        b = flat[ofs : ofs + n_out]
         ofs += n_out
         out.append((w, b))
     return out
@@ -95,7 +96,7 @@ def encoding_dim(scenario: ScenarioConfig) -> int:
 
 def _forward_raw(params: PolicyParams, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations (tanh) and the final logits."""
-    layers = _views(params)
+    layers = _views(params.flat, params.layer_shapes)
     activations = [np.asarray(encoding, dtype=float)]
     for w, b in layers[:-1]:
         activations.append(np.tanh(w @ activations[-1] + b))
@@ -125,47 +126,57 @@ def log_prob(params: PolicyParams, encoding: np.ndarray, action_index: int) -> f
 def grad_log_prob(params: PolicyParams, encoding: np.ndarray, action_index: int) -> np.ndarray:
     """Exact gradient of log pi(action | encoding) w.r.t. the flat vector."""
     out = np.zeros_like(params.flat)
-    accumulate_grad_log_prob(params, encoding, action_index, 1.0, out)
+    accumulate_grad_log_prob(params, [encoding], [action_index], [1.0], out)
     return out
 
 
 def accumulate_grad_log_prob(
     params: PolicyParams,
-    encoding: np.ndarray,
-    action_index: int,
-    coeff: float,
+    encodings,
+    action_indices,
+    coeffs,
     out: np.ndarray,
 ) -> None:
-    """Add coeff * grad log pi(action | encoding) into `out` in place."""
-    if not 0 <= action_index < params.action_count:
+    """Add sum_s coeffs[s] * grad log pi(action_s | encoding_s) into `out`.
+
+    Rows go through one batched forward and one backward pass per layer; a
+    weight gradient is the product delta.T @ activations. Rows are taken in
+    blocks of at most the last layer's input width, so no temporary is
+    larger than that layer's (action_count, width) weight gradient.
+    """
+    x = np.asarray(encodings, dtype=float)
+    actions = np.asarray(action_indices, dtype=np.intp)
+    c = np.asarray(coeffs, dtype=float)
+    n_rows = len(x)
+    if x.shape != (n_rows, params.layer_shapes[0][0]):
+        raise ValueError("encodings must be one row per step, as wide as the input layer")
+    if actions.shape != (n_rows,) or c.shape != (n_rows,):
+        raise ValueError("need one action index and one coefficient per encoding")
+    if n_rows and not (0 <= actions.min() and actions.max() < params.action_count):
         raise ValueError("action index out of range")
-    layers = _views(params)
-    activations, logits = _forward_raw(params, encoding)
-    z = logits - logits.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-
-    # d log pi / d logits = one_hot(action) - probs
-    delta = -probs
-    delta[action_index] += 1.0
-
-    # Walk the flat layout backwards, filling W/b slices layer by layer.
-    offsets = []
-    ofs = 0
-    for n_in, n_out in params.layer_shapes:
-        offsets.append(ofs)
-        ofs += n_in * n_out + n_out
-    for layer in range(len(layers) - 1, -1, -1):
-        n_in, n_out = params.layer_shapes[layer]
-        start = offsets[layer]
-        w_slice = out[start : start + n_in * n_out].reshape(n_out, n_in)
-        b_slice = out[start + n_in * n_out : start + n_in * n_out + n_out]
-        w_slice += np.outer(coeff * delta, activations[layer])
-        b_slice += coeff * delta
-        if layer > 0:
-            w, _ = layers[layer]
-            upstream = w.T @ delta
-            delta = upstream * (1.0 - activations[layer] ** 2)
+    layers = _views(params.flat, params.layer_shapes)
+    grads = _views(out, params.layer_shapes)
+    block = params.layer_shapes[-1][0]
+    for lo in range(0, n_rows, block):
+        rows = slice(lo, lo + block)
+        activations = [x[rows]]
+        for w, b in layers[:-1]:
+            activations.append(np.tanh(activations[-1] @ w.T + b))
+        w, b = layers[-1]
+        # d log pi / d logits = one_hot(action) - probs, built in one buffer
+        delta = activations[-1] @ w.T
+        delta += b
+        delta -= delta.max(axis=1, keepdims=True)
+        np.exp(delta, out=delta)
+        delta /= -delta.sum(axis=1, keepdims=True)
+        delta[np.arange(len(delta)), actions[rows]] += 1.0
+        delta *= c[rows, None]
+        for layer in range(len(layers) - 1, -1, -1):
+            w_grad, b_grad = grads[layer]
+            w_grad += delta.T @ activations[layer]
+            b_grad += delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ layers[layer][0]) * (1.0 - activations[layer] ** 2)
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -179,28 +190,38 @@ def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def save_params(path, params: PolicyParams, config_hash: str = "") -> None:
-    """Checkpoint layout: one JSON header line, then raw float64 bytes."""
+def save_params(path, params: PolicyParams, config_hash: str = "", kind: str = "") -> None:
+    """Checkpoint layout: one JSON header line, then raw float64 bytes.
+
+    `kind` names the policy head (`mpg` or `dmpg`) so a loader can refuse a
+    checkpoint trained for the other one. The file is replaced atomically.
+    """
     header = {
         "layer_shapes": [list(s) for s in params.layer_shapes],
         "action_count": params.action_count,
         "config_hash": config_hash,
+        "kind": kind,
         "param_count": int(params.size),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_params(path) -> tuple[PolicyParams, dict]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        line = fh.readline()
         raw = fh.read()
-    flat = np.frombuffer(raw, dtype="<f8").astype(float)
-    if flat.size != header["param_count"]:
+    if not line.endswith(b"\n"):
+        raise ValueError(f"checkpoint {path} is truncated")
+    header = json.loads(line.decode())
+    expected = 8 * header["param_count"]
+    if len(raw) < expected:
+        raise ValueError(f"checkpoint {path} is truncated")
+    if len(raw) != expected:
         raise ValueError("checkpoint payload size does not match its header")
     params = PolicyParams(
-        flat=flat,
+        flat=np.frombuffer(raw, dtype="<f8").astype(float),
         layer_shapes=tuple(tuple(s) for s in header["layer_shapes"]),
         action_count=header["action_count"],
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_toy_scenario
@@ -62,6 +64,25 @@ class TestHungarianMax:
                 cols = [j for _, j in sol.matching]
                 assert len(set(rows)) == len(rows)
                 assert len(set(cols)) == len(cols)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=m, max_size=m))), st.booleans())
+    def test_small_integer_matrices_vs_permutations(self, rows, allow_skip):
+        # integer entries in -2..2: ties everywhere, zeros and negatives
+        w = np.array(rows, dtype=float)
+        sol = hungarian_max(w, allow_skip=allow_skip)
+        assert sol.objective_value == oracles.best_matching_value(rows, allow_skip)
+        assert sum(w[i, j] for i, j in sol.matching) == sol.objective_value
+        matched_rows = [i for i, _ in sol.matching]
+        matched_cols = [j for _, j in sol.matching]
+        assert len(set(matched_rows)) == len(matched_rows)
+        assert len(set(matched_cols)) == len(matched_cols)
+        if allow_skip:
+            assert all(w[i, j] > 0 for i, j in sol.matching)
+        else:
+            assert len(sol.matching) == min(w.shape)
 
     def test_deterministic(self):
         rng = np.random.default_rng(33)

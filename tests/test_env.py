@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_toy_scenario
 from thzvlc import env
@@ -261,6 +263,27 @@ class TestJointActionSpace:
             rng = np.random.default_rng(sum(dims))
             for idx in rng.integers(0, len(space), 40):
                 assert space.index(space[int(idx)]) == int(idx)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(3, 6), st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_index_and_getitem_are_inverse_bijections(self, vaps, a, b, more_users):
+        # both sides of num_users <= num_sbs, with ties (a == b) on the first
+        users, sbs = (max(a, b) + 1, min(a, b)) if more_users else (min(a, b), max(a, b))
+        space = JointActionSpace(num_vaps=vaps, num_users=users, num_sbs=sbs)
+        if users <= sbs:
+            assocs = [tuple(enumerate(p)) for p in itertools.permutations(range(sbs), users)]
+        else:
+            assocs = [tuple(sorted((u, s) for s, u in enumerate(p)))
+                      for p in itertools.permutations(range(users), sbs)]
+        every = {JointAction(vap_set=c, assignments=pairs)
+                 for c in itertools.combinations(range(vaps), 3) for pairs in assocs}
+        actions = [space[i] for i in range(len(space))]
+        assert len(space) == len(every)
+        assert set(actions) == every
+        assert [space.index(action) for action in actions] == list(range(len(space)))
+        for bad in (-1, len(space)):
+            with pytest.raises(IndexError):
+                space[bad]
 
     def test_cap_error_mentions_dual(self):
         sc = make_toy_scenario(num_users=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thzvlc import env, harness, meta_rl, policy_net
+from thzvlc.artifacts import atomic_open
 from thzvlc.harness import ConfigError, build_task_stream, load_spec, main, parse_config_text, run, serialize_spec
 
 TOY_CONFIG = """
@@ -301,7 +302,8 @@ class TestCli:
         """A fresh policy for the toy scenario under `algo`, saved to disk."""
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
         path = tmp_path / f"{algo}.bin"
-        policy_net.save_params(path, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0))
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
+        policy_net.save_params(path, params, kind=spec.kind)
         return path
 
     def _refused(self, argv, capsys):
@@ -337,3 +339,71 @@ class TestCli:
         err = self._refused(["eval", "--config", str(cfg), "--algo", "dmpg",
                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], capsys)
         assert "takes 8 inputs" in err and "need 12" in err
+
+    def test_checkpoint_of_other_kind_refused_at_equal_widths(self, tmp_path, capsys):
+        # one user, one SBS, four VAPs: both heads have 4 actions
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(TOY_CONFIG.replace("num_users = 2", "num_users = 1")
+                       .replace("sbs_positions = 2,3; 4,3", "sbs_positions = 2,3"))
+        for trained, other in (("dmpg", "mpg"), ("mpg", "dmpg")):
+            out = tmp_path / trained
+            assert main(["train", "--config", str(cfg), "--algo", trained, "--out", str(out)]) == 0
+            capsys.readouterr()
+            ckpt = out / "checkpoint.bin"
+            for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
+                            ["adapt", "--steps", "1"]):
+                err = self._refused([*command, "--config", str(cfg), "--algo", other,
+                                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], capsys)
+                assert f"holds a {trained} policy" in err
+            assert main(["eval", "--config", str(cfg), "--algo", trained, "--periods", "1",
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "ok")]) == 0
+        assert not (tmp_path / "o").exists()
+
+    def test_untagged_checkpoint_refused(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        spec = toy_spec(tmp_path)
+        ckpt = tmp_path / "untagged.bin"
+        policy_net.save_params(ckpt, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0))
+        err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--out", str(tmp_path / "o")], capsys)
+        assert "untagged" in err
+
+    def test_truncated_checkpoint_named(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[:-3])
+        err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--out", str(tmp_path / "o")], capsys)
+        assert err == f"error: checkpoint {ckpt} is truncated\n"
+
+
+class TestAtomicArtifacts:
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path):
+        spec = toy_spec(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        task = spec.task(1, 1)
+        rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
+        trajs = [rollout(task, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0),
+                         np.random.default_rng(i)) for i in range(3)]
+        harness.write_trajectories(out, trajs[:1], spec.scenario)
+        before = (out / "trajectories.csv").read_bytes()
+        # the third period breaks the writer after two periods of rows
+        with pytest.raises(AttributeError):
+            harness.write_trajectories(out, [*trajs[1:], None], spec.scenario)
+        assert (out / "trajectories.csv").read_bytes() == before
+        with pytest.raises(AttributeError):
+            harness.write_trajectories(out, [*trajs, None], spec.scenario, name="fresh.csv")
+        assert sorted(p.name for p in out.iterdir()) == ["trajectories.csv"]
+
+    def test_interrupt_inside_atomic_open_keeps_previous(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(b"old")
+        for target in (path, tmp_path / "new.bin"):
+            with pytest.raises(KeyboardInterrupt):
+                with atomic_open(target, "wb") as fh:
+                    fh.write(b"partial")
+                    raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]

@@ -166,6 +166,42 @@ class TestTaskGradient:
         with pytest.raises(ValueError):
             task_gradient([], params)
 
+    def test_all_zero_coefficients_skip_the_kernel(self, monkeypatch):
+        params = init_params(((2, 4), (4, 3)), seed=1)
+        calls = []
+        monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", lambda *a: calls.append(a))
+        zero = [synthetic_trajectory([[0.1, 0.2]] * 2, [i % 3, 1], [0, 0]) for i in range(3)]
+        equal = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
+        assert np.all(task_gradient(zero, params) == 0.0)
+        assert np.all(task_gradient(equal, params, reward_baseline=True) == 0.0)
+        assert calls == []
+
+    def test_one_kernel_call_over_nonzero_steps_in_order(self, monkeypatch):
+        params = init_params(((2, 4), (4, 3)), seed=2)
+        trajs = [
+            synthetic_trajectory([[0.1, 0.2], [0.3, 0.4]], [0, 1], [1, 0]),
+            synthetic_trajectory([[0.5, 0.6], [0.7, 0.8]], [2, 0], [0, 0]),
+            synthetic_trajectory([[0.9, 1.0]], [1], [3]),
+        ]
+        calls = []
+        original = policy_net.accumulate_grad_log_prob
+
+        def spy(params, encodings, action_indices, coeffs, out):
+            calls.append((np.array(encodings), list(action_indices), list(coeffs)))
+            original(params, encodings, action_indices, coeffs, out)
+
+        monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", spy)
+        g = task_gradient(trajs, params, reward_to_go=True)
+        assert len(calls) == 1
+        encodings, actions, coeffs = calls[0]
+        # reward-to-go: 1 then 0 for the first trajectory, 0 and 0 for the second
+        assert encodings.tolist() == [[0.1, 0.2], [0.9, 1.0]]
+        assert actions == [0, 1]
+        assert coeffs == [1 / 3, 3 / 3]
+        want = (policy_net.grad_log_prob(params, np.array([0.1, 0.2]), 0)
+                + 3 * policy_net.grad_log_prob(params, np.array([0.9, 1.0]), 1)) / 3
+        assert np.allclose(g, want, rtol=1e-12, atol=1e-15)
+
 
 class TestInnerUpdate:
     def test_zero_gradient_fixed_point(self):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzvlc import policy_net
 from thzvlc.env import EnvState
 from thzvlc.policy_net import (
     PolicyParams,
+    accumulate_grad_log_prob,
     encode_state,
     forward,
     grad_log_prob,
@@ -145,6 +148,79 @@ class TestGradLogProb:
             grad_log_prob(params, np.zeros(3), 99)
 
 
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def batches(draw):
+    """A small net and S rows, sometimes more than one row block."""
+    n_in = draw(st.integers(1, 4))
+    hidden = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)))
+    actions = draw(st.integers(1, 6))
+    params = init_params(layer_shapes_for(n_in, hidden, actions), draw(st.integers(0, 99)))
+    block = params.layer_shapes[-1][0]
+    n_rows = draw(st.integers(1, 3 * block + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    x = rng.normal(size=(n_rows, n_in))
+    # few distinct actions, so rows repeat them
+    a = draw(st.lists(st.integers(0, min(actions, 3) - 1), min_size=n_rows, max_size=n_rows))
+    c = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.25, -2.5, 3.0]),
+                      min_size=n_rows, max_size=n_rows))
+    return params, x, a, c
+
+
+def assert_matches_row_sum(params, x, a, c):
+    """The batched kernel against the coefficient-weighted per-row gradients."""
+    terms = np.array([ci * grad_log_prob(params, xi, ai) for xi, ai, ci in zip(x, a, c)])
+    out = np.zeros(params.size)
+    accumulate_grad_log_prob(params, x, a, c, out)
+    scale = np.abs(terms).sum(axis=0).max()
+    assert np.abs(out - terms.sum(axis=0)).max() <= 1e-12 * scale
+
+
+class TestBatchedGradient:
+    @PROPERTY
+    @given(batches())
+    def test_equals_sum_of_rows(self, batch):
+        assert_matches_row_sum(*batch)
+
+    def test_single_row(self):
+        params = small_net(seed=4)
+        assert_matches_row_sum(params, np.array([[0.3, -0.7, 1.2]]), [2], [-1.5])
+
+    def test_rows_span_several_blocks(self):
+        params = small_net(seed=5)  # last hidden width 8: blocks of 8 rows
+        rng = np.random.default_rng(6)
+        n_rows = 2 * 8 + 3
+        a = rng.integers(0, 4, n_rows)
+        c = rng.normal(size=n_rows)
+        c[::5] = 0.0
+        assert_matches_row_sum(params, rng.normal(size=(n_rows, 3)), a, c)
+
+    def test_adds_into_out(self):
+        params = small_net(seed=7)
+        x = np.array([[0.5, 0.1, -0.4]])
+        out = np.ones(params.size)
+        accumulate_grad_log_prob(params, x, [1], [2.0], out)
+        assert np.allclose(out, 1.0 + 2.0 * grad_log_prob(params, x[0], 1), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 99])
+    def test_out_of_range_action_refused(self, bad):
+        params = small_net()
+        out = np.zeros(params.size)
+        with pytest.raises(ValueError, match="action index"):
+            accumulate_grad_log_prob(params, np.zeros((3, 3)), [0, bad, 1], [1.0, 1.0, 1.0], out)
+        assert not out.any()
+
+    def test_mismatched_rows_refused(self):
+        params = small_net()
+        out = np.zeros(params.size)
+        with pytest.raises(ValueError):
+            accumulate_grad_log_prob(params, np.zeros((2, 3)), [0], [1.0, 1.0], out)
+        with pytest.raises(ValueError):
+            accumulate_grad_log_prob(params, np.zeros((2, 4)), [0, 1], [1.0, 1.0], out)
+
+
 class TestSampleAction:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
@@ -201,3 +277,19 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_truncated_payload_named(self, tmp_path):
+        params = small_net(seed=9)
+        path = tmp_path / "ckpt.bin"
+        save_params(path, params)
+        data = path.read_bytes()
+        for cut in (3, 8, len(data) - data.index(b"\n") - 1, len(data) - 5):
+            path.write_bytes(data[:-cut])
+            with pytest.raises(ValueError, match="is truncated"):
+                load_params(path)
+
+    def test_header_records_kind(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_params(path, small_net(seed=9), kind="dmpg")
+        _, header = load_params(path)
+        assert header["kind"] == "dmpg"
