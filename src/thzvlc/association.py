@@ -57,45 +57,50 @@ class SlotAssignmentProblem:
 
 
 def _min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Exact square assignment minimizing total cost, O(n^3).
+    """Exact assignment of every row of an m x n cost matrix, m <= n, O(m^2 n).
 
     Shortest-augmenting-path form with row/column potentials; deterministic,
     scanning columns in index order. Returns column matched to each row.
+
+    It matches the real rows exactly as the square problem padded with
+    constant dummy rows would: a dummy row, solved last, always augments
+    straight onto a free column, so it never moves a real row's match.
     """
-    n = cost.shape[0]
+    m, n = cost.shape
     table = cost.tolist()  # Python floats: a numpy scalar per read is slow
     inf = float("inf")
-    u = [0.0] * (n + 1)
+    u = [0.0] * (m + 1)
     v = [0.0] * (n + 1)
     match = [0] * (n + 1)  # match[j]: row matched to column j (1-based, 0 free)
     way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    for i in range(1, m + 1):
         match[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        reached = [0]  # columns on the tree, in the order they joined it
+        unreached = list(range(1, n + 1))  # the rest, in index order
         while True:
-            used[j0] = True
             i0 = match[j0]
             row = table[i0 - 1]
+            ui = u[i0]
             delta = inf
             j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
+            for j in unreached:
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
+            if delta:  # a zero step moves no potential
+                for j in reached:
                     u[match[j]] += delta
                     v[j] -= delta
-                else:
+                for j in unreached:
                     minv[j] -= delta
+            unreached.remove(j1)
+            reached.append(j1)
             j0 = j1
             if match[j0] == 0:
                 break
@@ -103,7 +108,7 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    row_to_col = [-1] * n
+    row_to_col = [-1] * m
     for j in range(1, n + 1):
         if match[j]:
             row_to_col[match[j] - 1] = j - 1
@@ -127,11 +132,12 @@ def hungarian_max(weights, allow_skip: bool = True) -> AssignmentSolution:
         raise ValueError("weights must be finite")
 
     effective = np.maximum(w, 0.0) if allow_skip else w
-    size = max(m, n)
-    padded = np.zeros((size, size))
-    padded[:m, :n] = effective
-    cost = padded.max() - padded
-    row_to_col = _min_cost_assignment(cost)
+    # Columns are padded to the row count; rows are not (see
+    # `_min_cost_assignment`). The constant is the square padding's maximum.
+    padded = np.zeros((m, max(m, n)))
+    padded[:, :n] = effective
+    top = effective.max() if m == n else max(effective.max(), 0.0)
+    row_to_col = _min_cost_assignment(top - padded)
 
     pairs = []
     value = 0.0

@@ -12,14 +12,14 @@ while a slot is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import comb, perm
 
 import numpy as np
 
 from . import channel
-from .geometry import Point3, RoomGrid, blocked, make_grid
+from .geometry import Point3, RoomGrid, below_top, crossings, make_grid
 from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
@@ -56,6 +56,22 @@ class ScenarioConfig:
         lo, hi = self.user_height_range
         if not 0 < lo <= hi < self.ceiling_z:
             raise ValueError("user height range must lie strictly below the ceiling")
+
+    def __hash__(self) -> int:
+        # The per-scenario tables are looked up every slot, and hashing every
+        # field (unit positions, cell centres, ...) costs more than the
+        # lookup, so the hash is worked out once. Pickles leave it out: a
+        # hash need not agree between processes.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def num_vaps(self) -> int:
@@ -292,9 +308,30 @@ class SlotLinks:
         return self.visible[a] & self.visible[b] & self.visible[c]
 
 
+class _Crossings:
+    """The XY stage of the blockage test for every (unit, receiver cell,
+    body cell) of a scenario.
+
+    Users stand on cell centres and every body has the scenario's radius,
+    so only the z stage depends on a state: `slot_links` gathers its users'
+    [:, cells, cells] and applies their heights.
+    """
+
+    def __init__(self, scenario: ScenarioConfig):
+        units = scenario.vap_positions + scenario.sbs_positions
+        self.units = np.array([(p.x, p.y, p.z) for p in units])
+        centers = np.array(scenario.grid.cell_centers)
+        self.meets, self.lo, self.hi = crossings(self.units, centers, centers, scenario.body_radius)
+
+
+@lru_cache(maxsize=8)
+def _crossings(scenario: ScenarioConfig) -> _Crossings:
+    """Built once per scenario (14 units x 36**2 cell pairs: about 0.3 MB)."""
+    return _Crossings(scenario)
+
+
 class _LinkTable:
-    """Static arrays of a scenario plus the blockage-free link terms of one
-    task's user heights.
+    """The blockage-free link terms of one task's user heights.
 
     free[j, cell, unit] is 1 when the unit's link to user j standing in that
     cell passes its blockage-free test (the FOV for a VAP, the range for an
@@ -304,11 +341,9 @@ class _LinkTable:
     """
 
     def __init__(self, scenario: ScenarioConfig, heights: tuple[float, ...]):
-        units = scenario.vap_positions + scenario.sbs_positions
-        self.units = np.array([(p.x, p.y, p.z) for p in units])
-        self.centers = np.array(scenario.grid.cell_centers)
         self.heights = np.array(heights)
-        self.free = np.full((len(heights), scenario.grid.num_cells, len(units)), -1, dtype=np.int8)
+        units = scenario.num_vaps + scenario.num_sbs
+        self.free = np.full((len(heights), scenario.grid.num_cells, units), -1, dtype=np.int8)
 
     def fill(self, state: EnvState, scenario: ScenarioConfig, user: int) -> np.ndarray:
         point = user_point(state, scenario.grid, user)
@@ -328,15 +363,20 @@ def _link_table(scenario: ScenarioConfig, heights: tuple[float, ...]) -> _LinkTa
     """The table shared by every state of the tasks with these heights.
 
     Heights are fixed per task and a run keeps revisiting the same cells, so
-    the blockage-free terms are worked out once per (user, cell); blockage
-    is recomputed for every state. The bound keeps an evaluation over many
-    fresh tasks from growing the cache without end.
+    the blockage-free terms are worked out once per (user, cell). The bound
+    keeps an evaluation over many fresh tasks from growing the cache
+    without end.
     """
     return _LinkTable(scenario, heights)
 
 
 def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
-    """The state's VAP visibility and SBS feasibility, in one numpy pass."""
+    """The state's VAP visibility and SBS feasibility.
+
+    The blockage test's XY stage comes from the scenario's crossing table;
+    only its z stage runs here, with every other body counted.
+    """
+    cross = _crossings(scenario)
     table = _link_table(scenario, state.user_heights)
     users = np.arange(scenario.num_users)
     cells = np.array(state.user_cells)
@@ -344,9 +384,11 @@ def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
     for j in np.flatnonzero(free[:, 0] < 0):
         free[j] = table.fill(state, scenario, int(j))
 
-    receivers = np.column_stack((table.centers[cells], table.heights))
-    bodies = np.column_stack((receivers, np.full(scenario.num_users, scenario.body_radius)))
-    hit = blocked(table.units, receivers, bodies)
+    pairs = (slice(None), cells[:, None], cells)
+    hit = below_top(
+        cross.meets[pairs], cross.lo[pairs], cross.hi[pairs],
+        cross.units[:, 2], table.heights, table.heights,
+    )
     hit[:, users, users] = False  # a receiver's own body
     ok = (free.T == 1) & ~hit.any(axis=2)
     return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])

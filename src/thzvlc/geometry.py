@@ -84,28 +84,25 @@ def distance(a: Point3, b: Point3) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def blocked(tx: np.ndarray, rx: np.ndarray, bodies: np.ndarray) -> np.ndarray:
-    """bool[t, r, b]: body b obstructs the open segment rx[r] -> tx[t].
+def crossings(
+    tx: np.ndarray, rx: np.ndarray, centers: np.ndarray, radius
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """XY stage of `blocked`: (meets, lo, hi)[t, r, b].
 
-    tx and rx are float arrays of shape (n, 3) holding (x, y, z); bodies has
-    shape (m, 4) holding (center x, center y, height, radius). Masking a
-    receiver's own body is the caller's job.
-
-    Points on a segment are P(g) = rx + g*(tx - rx), 0 < g < 1. The set of
-    g where the XY projection lies within the body radius is the solution of
-    a quadratic; z(g) is linear, so the lowest point of the segment inside
-    that g-interval sits at one of the interval's ends. The body blocks iff
-    that lowest z is at or below the body top. An XY-vertical segment
-    (a == 0) projects to a single point, inside the radius or not.
+    Reads only columns 0 and 1 (x, y) of tx, rx and centers, plus the body
+    radius (one per center, or one for all). Points on a segment are
+    P(g) = rx + g*(tx - rx), 0 < g < 1; the set of g where the XY projection
+    lies within the radius of center b is the solution of a quadratic.
+    meets says whether that set touches the open segment, and [lo, hi] is
+    its part inside [0, 1]. An XY-vertical segment (a == 0) projects to a
+    single point, inside the radius or not, and spans all of [0, 1].
     """
     tx = tx[:, None, None, :]
     rx = rx[None, :, None, :]
     ex = tx[..., 0] - rx[..., 0]
     ey = tx[..., 1] - rx[..., 1]
-    ez = tx[..., 2] - rx[..., 2]
-    dx = rx[..., 0] - bodies[:, 0]
-    dy = rx[..., 1] - bodies[:, 1]
-    radius = bodies[:, 3]
+    dx = rx[..., 0] - centers[:, 0]
+    dy = rx[..., 1] - centers[:, 1]
 
     a = ex * ex + ey * ey
     b = 2.0 * (dx * ex + dy * ey)
@@ -120,10 +117,33 @@ def blocked(tx: np.ndarray, rx: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     meets = np.where(vertical, c <= 0.0, (disc >= 0.0) & (hi > 0.0) & (lo < 1.0))
     lo = np.where(vertical, 0.0, np.maximum(lo, 0.0))
     hi = np.where(vertical, 1.0, np.minimum(hi, 1.0))
+    return meets, lo, hi
 
+
+def below_top(meets, lo, hi, tx_z: np.ndarray, rx_z: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """z stage of `blocked`: bool[t, r, b] from the XY stage's output.
+
+    z(g) is linear, so the lowest point of the segment inside [lo, hi] sits
+    at lo when the segment rises towards tx and at hi when it falls; the
+    body blocks iff that lowest z is at or below its top.
+    """
+    ez = tx_z[:, None, None] - rx_z[None, :, None]
     g_low = np.where(ez >= 0.0, lo, hi)
-    z_min = rx[..., 2] + g_low * ez
-    return meets & (z_min <= bodies[:, 2])
+    z_min = rx_z[None, :, None] + g_low * ez
+    return meets & (z_min <= top)
+
+
+def blocked(tx: np.ndarray, rx: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """bool[t, r, b]: body b obstructs the open segment rx[r] -> tx[t].
+
+    tx and rx are float arrays of shape (n, 3) holding (x, y, z); bodies has
+    shape (m, 4) holding (center x, center y, height, radius). Masking a
+    receiver's own body is the caller's job. The XY stage (`crossings`)
+    finds where the segment's projection lies within each body's radius,
+    the z stage (`below_top`) whether the segment is that low there.
+    """
+    meets, lo, hi = crossings(tx, rx, bodies, bodies[:, 3])
+    return below_top(meets, lo, hi, tx[:, 2], rx[:, 2], bodies[:, 2])
 
 
 def los_clear(tx: Point3, rx: Point3, blockers: list[BodyOccupancy]) -> bool:

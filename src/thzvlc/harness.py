@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,10 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 ALGORITHMS = ("mpg", "dmpg", "pg")
 
+# The sections that define the simulated world; a checkpoint records their
+# digest, so it is refused under another room, radio or optics.
+SCENARIO_SECTIONS = ("scenario", "radio", "optics")
+
 
 class ConfigError(ValueError):
     pass
@@ -164,6 +169,11 @@ class ExperimentSpec:
         return policy_net.config_digest(self.canonical_text)
 
     @property
+    def scenario_hash(self) -> str:
+        """Digest of the canonical [scenario], [radio] and [optics] sections."""
+        return policy_net.config_digest(serialize_spec(self.values, SCENARIO_SECTIONS))
+
+    @property
     def kind(self) -> str:
         """Policy head the algorithm trains: `dmpg` or the joint `mpg` (also for pg)."""
         return "dmpg" if self.algorithm == "dmpg" else "mpg"
@@ -225,11 +235,11 @@ def apply_env_overrides(values: dict[str, dict[str, object]], environ=None) -> N
         values[section][key] = _parse_value(tag, raw, f"env {name}")
 
 
-def serialize_spec(values: dict[str, dict[str, object]]) -> str:
+def serialize_spec(values: dict[str, dict[str, object]], sections=tuple(SCHEMA)) -> str:
     lines = []
-    for section, keys in SCHEMA.items():
+    for section in sections:
         lines.append(f"[{section}]")
-        for key, (tag, _) in keys.items():
+        for key, (tag, _) in SCHEMA[section].items():
             value = values[section][key]
             if value is None:
                 continue
@@ -433,7 +443,9 @@ def run(spec: ExperimentSpec) -> RunMetrics:
         )
 
     write_metrics(out_dir, metrics)
-    policy_net.save_params(out_dir / "checkpoint.bin", params, spec.config_hash, spec.kind)
+    policy_net.save_params(
+        out_dir / "checkpoint.bin", params, spec.config_hash, spec.kind, spec.scenario_hash
+    )
     eval_periods = spec.values["run"]["eval_periods"]
     avg, trajectories = evaluate_policy(params, spec, eval_periods)
     write_trajectories(out_dir, trajectories, spec.scenario)
@@ -484,7 +496,8 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
-    """Load a checkpoint, refusing one whose widths or head kind misfit the spec."""
+    """Load a checkpoint, refusing one whose widths, head kind or scenario
+    misfit the spec."""
     params, header = policy_net.load_params(path)
     inputs = policy_net.encoding_dim(spec.scenario)
     if params.layer_shapes[0][0] != inputs:
@@ -502,6 +515,11 @@ def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
         raise ConfigError(
             f"checkpoint {path} holds a {header.get('kind') or 'untagged'} policy; "
             f"{spec.algorithm} needs {spec.kind}"
+        )
+    if header.get("scenario_hash") != spec.scenario_hash:
+        raise ConfigError(
+            f"checkpoint {path} was trained on scenario "
+            f"{header.get('scenario_hash') or '(unrecorded)'}; the spec's is {spec.scenario_hash}"
         )
     return params
 
@@ -525,7 +543,9 @@ def _cmd_adapt(spec: ExperimentSpec, args) -> int:
     )
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policy_net.save_params(out_dir / "adapted_checkpoint.bin", adapted, spec.config_hash, spec.kind)
+    policy_net.save_params(
+        out_dir / "adapted_checkpoint.bin", adapted, spec.config_hash, spec.kind, spec.scenario_hash
+    )
     with atomic_open(out_dir / "adapt_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_reward"])
@@ -632,6 +652,9 @@ def main(argv=None) -> int:
         return args.func(spec, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -190,11 +190,14 @@ def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def save_params(path, params: PolicyParams, config_hash: str = "", kind: str = "") -> None:
+def save_params(
+    path, params: PolicyParams, config_hash: str = "", kind: str = "", scenario_hash: str = ""
+) -> None:
     """Checkpoint layout: one JSON header line, then raw float64 bytes.
 
-    `kind` names the policy head (`mpg` or `dmpg`) so a loader can refuse a
-    checkpoint trained for the other one. The file is replaced atomically.
+    `kind` names the policy head (`mpg` or `dmpg`) and `scenario_hash` the
+    simulated world, so a loader can refuse a checkpoint trained for another
+    head or room. The file is replaced atomically.
     """
     header = {
         "layer_shapes": [list(s) for s in params.layer_shapes],
@@ -202,6 +205,7 @@ def save_params(path, params: PolicyParams, config_hash: str = "", kind: str = "
         "config_hash": config_hash,
         "kind": kind,
         "param_count": int(params.size),
+        "scenario_hash": scenario_hash,
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")

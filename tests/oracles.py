@@ -137,3 +137,84 @@ def best_period_service(servable, num_users, num_sbs, slots):
         if ok:
             best = max(best, len(served))
     return best
+
+
+# --- square-padded Hungarian ----------------------------------------------------
+
+
+def square_min_cost_assignment(cost):
+    """Exact square assignment minimizing total cost, O(n^3).
+
+    The package's solver before it dropped the dummy rows, kept verbatim as
+    the reference for its tie order.
+    """
+    n = cost.shape[0]
+    table = cost.tolist()  # Python floats: a numpy scalar per read is slow
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: row matched to column j (1-based, 0 free)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = table[i0 - 1]
+            delta = inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    row_to_col = [-1] * n
+    for j in range(1, n + 1):
+        if match[j]:
+            row_to_col[match[j] - 1] = j - 1
+    return row_to_col
+
+
+def square_hungarian_max(w, allow_skip):
+    """(matching, value) of the maximum-weight matching, solved on the
+    matrix padded with zeros to a square, as `hungarian_max` once did."""
+    import numpy as np
+
+    m, n = w.shape
+    effective = np.maximum(w, 0.0) if allow_skip else w
+    size = max(m, n)
+    padded = np.zeros((size, size))
+    padded[:m, :n] = effective
+    row_to_col = square_min_cost_assignment(padded.max() - padded)
+    pairs = []
+    value = 0.0
+    for i in range(m):
+        j = row_to_col[i]
+        if j < 0 or j >= n:
+            continue
+        if allow_skip and w[i, j] <= 0.0:
+            continue
+        pairs.append((i, j))
+        value += float(w[i, j])
+    return tuple(pairs), value

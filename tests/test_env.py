@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +37,18 @@ def make_state(scenario, cells, heights=None, served=None, slot=0):
         served=tuple(served or [False] * u),
         slot_index=slot,
     )
+
+
+class TestScenarioHash:
+    def test_equal_scenarios_hash_alike_and_pickles_drop_the_cache(self):
+        scenario = env.default_scenario()
+        first = hash(scenario)
+        assert hash(scenario) == first == hash(env.default_scenario())
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert "_hash" not in copy.__dict__
+        assert copy == scenario and hash(copy) == first
+        moved = dataclasses.replace(scenario, body_radius=0.3)
+        assert "_hash" not in moved.__dict__ and moved != scenario
 
 
 class TestSampleTask:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ algorithm = mpg
 master_seed = 0
 eval_periods = 2
 """
+
+
+def _die_in_worker(payload):
+    """A task phase that kills the forked pool worker running it."""
+    os._exit(3)
 
 
 def toy_spec(tmp_path, out_name="out", extra=None):
@@ -303,7 +309,7 @@ class TestCli:
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
         path = tmp_path / f"{algo}.bin"
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
-        policy_net.save_params(path, params, kind=spec.kind)
+        policy_net.save_params(path, params, kind=spec.kind, scenario_hash=spec.scenario_hash)
         return path
 
     def _refused(self, argv, capsys):
@@ -367,6 +373,48 @@ class TestCli:
         err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
                              "--out", str(tmp_path / "o")], capsys)
         assert "untagged" in err
+
+    def test_checkpoint_of_other_scenario_refused(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        # same widths and head, another room: only the scenario hash differs
+        for name, value in (("SCENARIO__BODY_RADIUS", "0.3"), ("RADIO__BANDWIDTH_HZ", "1e9"),
+                            ("OPTICS__FOV_SEMI_ANGLE_DEG", "60")):
+            monkeypatch.setenv(f"THZVLC_{name}", value)
+            for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
+                            ["adapt", "--steps", "1"]):
+                err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
+                                     "--out", str(tmp_path / "o")], capsys)
+                assert "trained on scenario" in err
+            monkeypatch.delenv(f"THZVLC_{name}")
+        assert not (tmp_path / "o").exists()
+        # the [learning], [tasks] and [run] sections are not part of the scenario
+        monkeypatch.setenv("THZVLC_LEARNING__INNER_LR", "0.5")
+        monkeypatch.setenv("THZVLC_TASKS__COUNT", "5")
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--periods", "1",
+                     "--seed", "3", "--out", str(tmp_path / "ok")]) == 0
+
+    def test_checkpoint_without_scenario_hash_refused(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        spec = toy_spec(tmp_path)
+        ckpt = tmp_path / "unbound.bin"
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
+        policy_net.save_params(ckpt, params, kind=spec.kind)
+        for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
+                        ["adapt", "--steps", "1"]):
+            err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
+                                 "--out", str(tmp_path / "o")], capsys)
+            assert "(unrecorded)" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dead_pool_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_toy(tmp_path)
+        monkeypatch.setattr(meta_rl, "_run_task_phase", _die_in_worker)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--workers", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
+        assert not (out / "checkpoint.bin").exists()
 
     def test_truncated_checkpoint_named(self, tmp_path, capsys):
         cfg = self._write_toy(tmp_path)

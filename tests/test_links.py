@@ -1,7 +1,9 @@
 """Property tests of the per-state link kernel.
 
-The blockage kernel is checked against the dense sweep of `oracles`, and
-the rows of `env.slot_links` against the scalar `channel` predicates.
+The blockage kernel is checked against the dense sweep of `oracles` and
+against its own two stages, the rows of `env.slot_links` against the
+scalar `channel` predicates and against one direct `geometry.blocked` pass
+over the state's positions.
 Geometry sits on a 1/4 m lattice, body radii on 1/8 m and body tops on odd
 multiples of 1/8 m, so sweeps on a 2**12 grid evaluate exactly and no drawn
 body top ties with a link endpoint.
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_toy_scenario
 from thzvlc import channel, env
-from thzvlc.geometry import BodyOccupancy, blocked
+from thzvlc.geometry import BodyOccupancy, below_top, blocked, crossings
 
 SAMPLES = 2**12
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -109,6 +111,99 @@ class TestBlockageKernel:
         r = r8 / 8
         bodies = [((end[0] + offset[0] * r, end[1] + offset[1] * r), top, r)]
         assert kernel(tx, rx, bodies).tolist() == sweep(tx, rx, bodies)
+
+
+class TestKernelStages:
+    @PROPERTY
+    @given(st.lists(links(), min_size=1, max_size=3), st.lists(body, min_size=1, max_size=4),
+           st.booleans())
+    def test_blocked_is_the_xy_stage_then_the_z_stage(self, pairs, bodies, vertical):
+        if vertical:  # every receiver directly below the first unit
+            pairs = [(pairs[0][0], (pairs[0][0][0], pairs[0][0][1], rx[2])) for _, rx in pairs]
+            assume(all(tx[2] != rx[2] for tx, rx in pairs))
+        tx = np.array([p[0] for p in pairs], dtype=float)
+        rx = np.array([p[1] for p in pairs], dtype=float)
+        table = np.array([(c[0], c[1], h, r) for c, h, r in bodies], dtype=float)
+        # the XY stage gets no z column, so it cannot read one
+        meets, lo, hi = crossings(tx[:, :2], rx[:, :2], table[:, :2], table[:, 3])
+        staged = below_top(meets, lo, hi, tx[:, 2], rx[:, 2], table[:, 2])
+        assert np.array_equal(blocked(tx, rx, table), staged)
+
+
+def direct_links(state, scenario):
+    """(visible, h) from one `geometry.blocked` pass over the state's
+    positions and the scalar blockage-free predicates."""
+    units = scenario.vap_positions + scenario.sbs_positions
+    points = [env.user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+    receivers = np.array([(p.x, p.y, p.z) for p in points])
+    bodies = np.column_stack((receivers, np.full(len(points), scenario.body_radius)))
+    hit = blocked(np.array([(p.x, p.y, p.z) for p in units]), receivers, bodies)
+    for j in range(len(points)):
+        hit[:, j, j] = False
+    clear = ~hit.any(axis=2)
+    all_sbs = list(scenario.sbs_positions)
+    fov = np.array([[channel.incidence_angle(vap, p) <= scenario.optics.fov_semi_angle_rad
+                     for p in points] for vap in scenario.vap_positions])
+    reach = np.array([[channel.budget_given_los(sbs, p, True, all_sbs, scenario.radio).tx_ok
+                       for p in points] for sbs in all_sbs])
+    return fov & clear[: scenario.num_vaps], reach & clear[scenario.num_vaps :]
+
+
+@st.composite
+def crowded_rooms(draw):
+    """A scenario whose units may sit directly above cell centres, plus
+    states of it whose users crowd into a few cells."""
+    cells_per_side = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    grid_centers = make_toy_scenario(cells_per_side=cells_per_side).grid.cell_centers
+    unit_xy = st.one_of(st.tuples(lattice, lattice), st.sampled_from(grid_centers))
+    vap_xy = draw(st.lists(unit_xy, min_size=3, max_size=5, unique=True))
+    sbs_xy = draw(st.lists(unit_xy, min_size=1, max_size=3, unique=True))
+    num_users = draw(st.integers(1, 6))
+    scenario = make_toy_scenario(
+        num_users=num_users, num_sbs=len(sbs_xy), vap_xy=tuple(vap_xy), sbs_xy=tuple(sbs_xy),
+        cells_per_side=cells_per_side,
+    )
+    crowd = draw(st.integers(1, len(grid_centers)))  # users share the first `crowd` cells
+    height = st.sampled_from((1.4, 1.5, 1.625, 1.9))  # equal heights tie body tops
+    heights = tuple(draw(st.lists(height, min_size=num_users, max_size=num_users)))
+    states = [
+        env.EnvState(
+            user_cells=tuple(draw(st.lists(st.integers(0, crowd - 1), min_size=num_users,
+                                           max_size=num_users))),
+            user_heights=heights, served=(False,) * num_users, slot_index=0,
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return scenario, states
+
+
+class TestCrossingTable:
+    @PROPERTY
+    @given(crowded_rooms())
+    def test_slot_links_equal_a_direct_blocked_pass(self, room):
+        scenario, states = room
+        for state in states:
+            links = env.slot_links(state, scenario)
+            visible, h = direct_links(state, scenario)
+            assert np.array_equal(links.visible, visible)
+            assert np.array_equal(links.h, h)
+
+    def test_vertical_link_and_shared_cell(self):
+        # VAP 0 and SBS 0 hang over the centre of cell 4; users 0 and 1 share
+        # it, so user 1's body stands on user 0's vertical links and c < 0.
+        scenario = make_toy_scenario(
+            num_users=3, vap_xy=((3.0, 3.0), (1.0, 1.0), (5.0, 1.0), (1.0, 5.0)),
+            sbs_xy=((3.0, 3.0), (5.0, 5.0)),
+        )
+        state = env.EnvState(user_cells=(4, 4, 0), user_heights=(1.5, 1.8, 1.6),
+                             served=(False,) * 3, slot_index=0)
+        links = env.slot_links(state, scenario)
+        visible, h = direct_links(state, scenario)
+        assert np.array_equal(links.visible, visible)
+        assert np.array_equal(links.h, h)
+        # the taller body blocks the shorter user's vertical links, not the reverse
+        assert not links.visible[0, 0] and not links.h[0, 0]
+        assert links.visible[0, 1] and links.h[0, 1]
 
 
 @st.composite

@@ -290,6 +290,7 @@ class TestCheckpoint:
 
     def test_header_records_kind(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_params(path, small_net(seed=9), kind="dmpg")
+        save_params(path, small_net(seed=9), kind="dmpg", scenario_hash="0123abcd")
         _, header = load_params(path)
         assert header["kind"] == "dmpg"
+        assert header["scenario_hash"] == "0123abcd"
