@@ -309,24 +309,45 @@ class SlotLinks:
 
 
 class _Crossings:
-    """The XY stage of the blockage test for every (unit, receiver cell,
+    """The XY stage of the blockage test for every (receiver cell, unit,
     body cell) of a scenario.
 
     Users stand on cell centres and every body has the scenario's radius,
-    so only the z stage depends on a state: `slot_links` gathers its users'
-    [:, cells, cells] and applies their heights.
+    so only the z stage depends on a state. A receiver cell's row is
+    worked out on first use, as `_LinkTable` fills its flags, so memory
+    pages are touched only for cells users visit: the whole table grows
+    with the fourth power of `cells_per_side`.
     """
 
     def __init__(self, scenario: ScenarioConfig):
         units = scenario.vap_positions + scenario.sbs_positions
         self.units = np.array([(p.x, p.y, p.z) for p in units])
-        centers = np.array(scenario.grid.cell_centers)
-        self.meets, self.lo, self.hi = crossings(self.units, centers, centers, scenario.body_radius)
+        self.centers = np.array(scenario.grid.cell_centers)
+        self.radius = scenario.body_radius
+        shape = (len(self.centers), len(units), len(self.centers))
+        self.meets = np.zeros(shape, dtype=bool)
+        self.lo = np.zeros(shape)
+        self.hi = np.zeros(shape)
+        self.filled = np.zeros(len(self.centers), dtype=bool)
+
+    def gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(meets, lo, hi)[unit, user, other user] for users in these cells."""
+        if not self.filled[cells].all():
+            visited = np.zeros_like(self.filled)
+            visited[cells] = True
+            todo = np.flatnonzero(visited & ~self.filled)
+            meets, lo, hi = crossings(self.units, self.centers[todo], self.centers, self.radius)
+            self.meets[todo] = meets.transpose(1, 0, 2)
+            self.lo[todo] = lo.transpose(1, 0, 2)
+            self.hi[todo] = hi.transpose(1, 0, 2)
+            self.filled[todo] = True
+        # rows first, then their body columns: [user, unit, other user]
+        return tuple(a[cells][:, :, cells].transpose(1, 0, 2) for a in (self.meets, self.lo, self.hi))
 
 
 @lru_cache(maxsize=8)
 def _crossings(scenario: ScenarioConfig) -> _Crossings:
-    """Built once per scenario (14 units x 36**2 cell pairs: about 0.3 MB)."""
+    """One table per scenario (14 units x 36**2 cell pairs: about 0.3 MB when full)."""
     return _Crossings(scenario)
 
 
@@ -384,11 +405,8 @@ def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
     for j in np.flatnonzero(free[:, 0] < 0):
         free[j] = table.fill(state, scenario, int(j))
 
-    pairs = (slice(None), cells[:, None], cells)
-    hit = below_top(
-        cross.meets[pairs], cross.lo[pairs], cross.hi[pairs],
-        cross.units[:, 2], table.heights, table.heights,
-    )
+    meets, lo, hi = cross.gather(cells)
+    hit = below_top(meets, lo, hi, cross.units[:, 2], table.heights, table.heights)
     hit[:, users, users] = False  # a receiver's own body
     ok = (free.T == 1) & ~hit.any(axis=2)
     return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import env, policy_net
 from .env import JointActionSpace, ScenarioConfig, Task, Trajectory, TrajectoryStep
-from .policy_net import PolicyParams
+from .policy_net import Gradient, Policy, PolicyParams
 
 FD_PARAM_GUARD = 2000
 
@@ -60,7 +60,7 @@ class TaskBatchResult:
     """Everything one task contributes to a meta update."""
 
     task: Task
-    adapted: PolicyParams
+    adapted: Policy
     inner_trajs: list[Trajectory]
     outer_trajs: list[Trajectory]
 
@@ -162,15 +162,16 @@ def collect_trajectories(
 
 def task_gradient(
     trajectories: list[Trajectory],
-    params: PolicyParams,
+    params: Policy,
     reward_baseline: bool = False,
     reward_to_go: bool = False,
-) -> np.ndarray:
+) -> Gradient:
     """REINFORCE estimate: trajectory return times summed score function.
 
     The optional baseline is the leave-one-out mean return, which keeps the
     estimator exactly unbiased. reward_to_go swaps the whole-period return
-    for the per-step remaining reward.
+    for the per-step remaining reward. Steps whose coefficient is zero are
+    left out, so the head-weight factors have one row per other step.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -193,24 +194,25 @@ def task_gradient(
                 encodings.append(step.encoding)
                 actions.append(step.action_index)
                 weights.append(coeff / k)
-    grad = np.zeros_like(params.flat)
-    if weights:
-        policy_net.accumulate_grad_log_prob(params, encodings, actions, weights, grad)
-    return grad
+    if not weights:
+        return Gradient.zero(params.layer_shapes)
+    return policy_net.accumulate_grad_log_prob(params, encodings, actions, weights)
 
 
-def inner_update(params: PolicyParams, gradient: np.ndarray, lr: float) -> PolicyParams:
-    """One gradient-ascent step; returns new parameters."""
-    if gradient.shape != params.flat.shape:
-        raise ValueError("gradient shape does not match the parameter vector")
-    return PolicyParams(
-        flat=params.flat + lr * gradient,
-        layer_shapes=params.layer_shapes,
-        action_count=params.action_count,
-    )
+def inner_update(params: Policy, gradient: Gradient | np.ndarray, lr: float) -> Policy:
+    """One gradient-ascent step; returns new parameters.
+
+    A factored head update stays pending on the shared parameters while it
+    can (`policy_net.ascend`); a dense flat gradient vector is also taken.
+    """
+    if isinstance(gradient, np.ndarray):
+        if gradient.shape != (params.size,):
+            raise ValueError("gradient shape does not match the parameter vector")
+        gradient = Gradient.of_flat(gradient, params.layer_shapes)
+    return policy_net.ascend(params, gradient, lr)
 
 
-def _trajectory_log_prob(params: PolicyParams, traj: Trajectory) -> float:
+def _trajectory_log_prob(params: Policy, traj: Trajectory) -> float:
     return sum(
         policy_net.log_prob(params, s.encoding, s.action_index) for s in traj.steps
     )
@@ -249,21 +251,21 @@ def meta_update(
     """Meta step on the shared initialization from a batch of task results.
 
     first_order: the post-adaptation gradient of each task, evaluated at its
-    adapted parameters, applied to the shared ones. fd_second_order: central
-    finite differences of the adapted objective along every coordinate
-    (small networks only), which keeps the chain term through the inner
-    update.
+    adapted parameters, applied to the shared ones in one fold (one copy of
+    the head weight, one gemm over every task's factors). fd_second_order:
+    central finite differences of the adapted objective along every
+    coordinate (small networks only), which keeps the chain term through
+    the inner update.
     """
     if not task_results:
         raise ValueError("need at least one task result")
     n = len(task_results)
     if cfg.meta_order == "first_order":
-        total = np.zeros_like(params.flat)
-        for res in task_results:
-            total += task_gradient(
-                res.outer_trajs, res.adapted, cfg.reward_baseline, cfg.reward_to_go
-            )
-        return inner_update(params, total / n, cfg.meta_lr)
+        grads = [
+            task_gradient(res.outer_trajs, res.adapted, cfg.reward_baseline, cfg.reward_to_go)
+            for res in task_results
+        ]
+        return policy_net.fold(params, grads, cfg.meta_lr)
 
     if params.size > FD_PARAM_GUARD:
         raise ValueError(
@@ -315,8 +317,16 @@ def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase:
     return np.random.default_rng([master_seed, iteration, slot, task_id, phase])
 
 
+# One instance per distinct scenario in this process. A payload unpickled in
+# a pool worker carries a fresh equal ScenarioConfig; looked up here once per
+# task phase, it is swapped for the first one seen, so the per-slot table
+# caches in `env` match it by identity instead of comparing every field.
+_SCENARIOS: dict[ScenarioConfig, ScenarioConfig] = {}
+
+
 def _run_task_phase(payload) -> TaskBatchResult:
     (kind, scenario, cfg, task, params, master_seed, iteration, slot) = payload
+    scenario = _SCENARIOS.setdefault(scenario, scenario)
     rollout = make_rollout_fn(kind, scenario)
     rng_inner = _phase_rng(master_seed, iteration, slot, task.id, 0)
     inner = [rollout(task, params, rng_inner) for _ in range(cfg.inner_rollouts)]
@@ -406,6 +416,7 @@ def adapt(
 
     The reward curve holds the mean return of the rollouts each step was
     computed from (pre-update), so curve[0] is the starting policy's level.
+    The returned parameters are dense.
     """
     rollout = make_rollout_fn(kind, scenario)
     curve: list[float] = []
@@ -418,7 +429,7 @@ def adapt(
         if trajectory_sink is not None:
             for traj in trajs:
                 trajectory_sink(traj)
-    return params, curve
+    return params.folded(), curve
 
 
 def train_baseline_pg(
@@ -430,7 +441,10 @@ def train_baseline_pg(
     initial_params: PolicyParams | None = None,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:
-    """Plain policy gradient over the task stream as one nonstationary problem."""
+    """Plain policy gradient over the task stream as one nonstationary problem.
+
+    The returned parameters are dense.
+    """
     if not tasks:
         raise ValueError("task stream is empty")
     params = initial_params
@@ -457,4 +471,4 @@ def train_baseline_pg(
         if trajectory_sink is not None:
             for traj in trajs:
                 trajectory_sink(traj)
-    return params, metrics
+    return params.folded(), metrics

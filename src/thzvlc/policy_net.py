@@ -3,7 +3,15 @@
 Tanh hidden layers feeding a linear softmax head. Gradients of log action
 probabilities are computed analytically by reverse accumulation so that the
 training loop needs no autodiff framework. Parameters are immutable values;
-updates build new vectors.
+updates build new values.
+
+The head weight (action_count x width) holds almost every parameter, while
+a gradient over S steps changes it by a matrix of rank at most S. So a
+gradient keeps that part as two factors, and an adapted policy is the shared
+parameters plus one pending factored head update (`AdaptedParams`), as long
+as the factors are smaller than the matrix (`factors_fit`). Past that
+break-even, or when a second update would stack on a pending one, the
+update is folded into a new dense `PolicyParams`.
 """
 
 from __future__ import annotations
@@ -39,6 +47,179 @@ class PolicyParams:
     @property
     def size(self) -> int:
         return self.flat.size
+
+    def folded(self) -> PolicyParams:
+        """The dense parameters: these, as no head update is pending."""
+        return self
+
+
+def factors_fit(rank: int, action_count: int, width: int) -> bool:
+    """True while rank-`rank` factors of an (action_count, width) matrix,
+    (rank, action_count) and (rank, width), hold fewer entries than it."""
+    return rank * (action_count + width) < width * action_count
+
+
+def _parts(flat: np.ndarray, layer_shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views (hidden layers, head weight, head bias) into a flat vector of that layout."""
+    width, actions = layer_shapes[-1]
+    ofs = flat.size - actions * (width + 1)
+    return flat[:ofs], flat[ofs : ofs + actions * width].reshape(actions, width), flat[ofs + actions * width :]
+
+
+@dataclass(frozen=True)
+class Gradient:
+    """A gradient over a policy's parameters with the head weight kept apart.
+
+    `body` holds the hidden layers' entries and `bias` the head bias, in
+    flat order. The head weight's gradient is d.T @ h, with d (S, action
+    count) and h (S, width), plus `head`, a dense (action count, width)
+    matrix, when there is one: the kernel keeps its rows as factors while
+    `factors_fit`, and otherwise writes the matrix and leaves them empty.
+    """
+
+    body: np.ndarray
+    bias: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
+    head: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.d)
+
+    @classmethod
+    def zero(cls, layer_shapes) -> Gradient:
+        width, actions = layer_shapes[-1]
+        body = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in layer_shapes[:-1]))
+        return cls(body, np.zeros(actions), np.empty((0, actions)), np.empty((0, width)))
+
+    @classmethod
+    def of_flat(cls, flat: np.ndarray, layer_shapes) -> Gradient:
+        """A dense flat gradient vector, split into views."""
+        body, head, bias = _parts(flat, layer_shapes)
+        width, actions = layer_shapes[-1]
+        return cls(body, bias, np.empty((0, actions)), np.empty((0, width)), head)
+
+    def dense(self) -> np.ndarray:
+        """The flat gradient vector: the factors folded into the head weight."""
+        head = self.d.T @ self.h
+        if self.head is not None:
+            head += self.head
+        return np.concatenate([self.body, head.ravel(), self.bias])
+
+
+@dataclass(frozen=True)
+class AdaptedParams:
+    """Shared parameters plus one pending low-rank head-weight update.
+
+    The policy's head weight is base's plus lr * d.T @ h, never formed:
+    d (S, action count) and h (S, width) are the factors of the gradient
+    the update took. The hidden layers (`body`) and the head bias (`bias`)
+    are small and held dense. `flat` is the shared vector the head weight
+    is read from, not this policy's; `folded()` builds that.
+    """
+
+    base: PolicyParams
+    body: np.ndarray
+    bias: np.ndarray
+    lr: float
+    d: np.ndarray
+    h: np.ndarray
+
+    def __post_init__(self):
+        base_body, _, base_bias = _parts(self.base.flat, self.base.layer_shapes)
+        width, actions = self.base.layer_shapes[-1]
+        if self.body.shape != base_body.shape or self.bias.shape != base_bias.shape:
+            raise ValueError("adapted layers do not match the base layout")
+        if self.d.shape != (len(self.d), actions) or self.h.shape != (len(self.d), width):
+            raise ValueError("head factors must be (S, action count) and (S, width)")
+        if not np.isfinite(self.lr):
+            raise ValueError("policy parameters must be finite")
+        for a in (self.body, self.bias, self.d, self.h):
+            if not np.isfinite(a).all():
+                raise ValueError("policy parameters must be finite")
+            a.setflags(write=False)
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.base.flat
+
+    @property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        return self.base.layer_shapes
+
+    @property
+    def action_count(self) -> int:
+        return self.base.action_count
+
+    @property
+    def size(self) -> int:
+        return self.base.size
+
+    @property
+    def rank(self) -> int:
+        return len(self.d)
+
+    def folded(self) -> PolicyParams:
+        """The dense parameters of this policy."""
+        return fold(self, [], 0.0)
+
+
+Policy = PolicyParams | AdaptedParams
+
+
+def ascend(params: Policy, grad: Gradient, lr: float) -> Policy:
+    """params + lr * grad.
+
+    The head update stays factored while its factors fit and no update is
+    pending on params; otherwise it is folded into new dense parameters.
+    """
+    width, actions = params.layer_shapes[-1]
+    if isinstance(params, PolicyParams) and grad.head is None and factors_fit(grad.rank, actions, width):
+        body, _, bias = _parts(params.flat, params.layer_shapes)
+        return AdaptedParams(params, body + lr * grad.body, bias + lr * grad.bias, lr, grad.d, grad.h)
+    return fold(params, [grad], lr)
+
+
+def _mean(arrays: list[np.ndarray], n: int) -> np.ndarray:
+    """Sum in order, over n."""
+    total = arrays[0] if len(arrays) == 1 else sum(arrays)
+    return total if n == 1 else total / n
+
+
+def fold(params: Policy, grads: list[Gradient], lr: float) -> PolicyParams:
+    """Dense params + lr * mean(grads), any pending head update included.
+
+    The new head weight takes one copy of the shared one and one gemm,
+    (action count x sum S) @ (sum S x width), over every factor pair; the
+    dense head parts are summed in order and added after.
+    """
+    base = params if isinstance(params, PolicyParams) else params.base
+    body, head, bias = _parts(base.flat, base.layer_shapes)
+    ds, hs = [], []
+    if isinstance(params, AdaptedParams):
+        body, bias = params.body, params.bias
+        ds.append(params.d)
+        hs.append(params.lr * params.h)
+    flat = np.empty(base.size)
+    new_body, new_head, new_bias = _parts(flat, base.layer_shapes)
+    new_body[:] = body
+    new_bias[:] = bias
+    n = len(grads)
+    if grads:
+        new_body += lr * _mean([g.body for g in grads], n)
+        new_bias += lr * _mean([g.bias for g in grads], n)
+        ds += [g.d for g in grads]
+        hs += [(lr / n) * g.h for g in grads]
+    if sum(len(d) for d in ds):
+        np.matmul(np.concatenate(ds).T, np.concatenate(hs), out=new_head)
+        new_head += head
+    else:
+        new_head[:] = head
+    dense = [g.head for g in grads if g.head is not None]
+    if dense:
+        new_head += lr * _mean(dense, n)
+    return PolicyParams(flat=flat, layer_shapes=base.layer_shapes, action_count=base.action_count)
 
 
 def layer_shapes_for(encoding_dim: int, hidden_sizes: tuple[int, ...], action_count: int) -> tuple[tuple[int, int], ...]:
@@ -94,18 +275,30 @@ def encoding_dim(scenario: ScenarioConfig) -> int:
     return 4 * scenario.num_users
 
 
-def _forward_raw(params: PolicyParams, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _layers(params: Policy) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple | None]:
+    """Per-layer (W, b) plus the pending head update (lr, d, h), if any."""
+    if isinstance(params, PolicyParams):
+        return _views(params.flat, params.layer_shapes), None
+    layers = _views(params.body, params.layer_shapes[:-1])
+    layers.append((_parts(params.base.flat, params.layer_shapes)[1], params.bias))
+    return layers, (params.lr, params.d, params.h)
+
+
+def _forward_raw(params: Policy, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations (tanh) and the final logits."""
-    layers = _views(params.flat, params.layer_shapes)
+    layers, pending = _layers(params)
     activations = [np.asarray(encoding, dtype=float)]
     for w, b in layers[:-1]:
         activations.append(np.tanh(w @ activations[-1] + b))
     w, b = layers[-1]
     logits = w @ activations[-1] + b
+    if pending is not None:
+        lr, d, h = pending
+        logits += (lr * (h @ activations[-1])) @ d
     return activations, logits
 
 
-def forward(params: PolicyParams, encoding: np.ndarray) -> np.ndarray:
+def forward(params: Policy, encoding: np.ndarray) -> np.ndarray:
     """Action distribution; softmax stabilized by max subtraction."""
     if len(encoding) != params.layer_shapes[0][0]:
         raise ValueError("encoding length does not match the input layer")
@@ -117,32 +310,34 @@ def forward(params: PolicyParams, encoding: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def log_prob(params: PolicyParams, encoding: np.ndarray, action_index: int) -> float:
+def log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> float:
     _, logits = _forward_raw(params, encoding)
     z = logits - logits.max()
     return float(z[action_index] - np.log(np.exp(z).sum()))
 
 
-def grad_log_prob(params: PolicyParams, encoding: np.ndarray, action_index: int) -> np.ndarray:
+def grad_log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> np.ndarray:
     """Exact gradient of log pi(action | encoding) w.r.t. the flat vector."""
-    out = np.zeros_like(params.flat)
-    accumulate_grad_log_prob(params, [encoding], [action_index], [1.0], out)
-    return out
+    return accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]).dense()
 
 
 def accumulate_grad_log_prob(
-    params: PolicyParams,
+    params: Policy,
     encodings,
     action_indices,
     coeffs,
-    out: np.ndarray,
-) -> None:
-    """Add sum_s coeffs[s] * grad log pi(action_s | encoding_s) into `out`.
+) -> Gradient:
+    """sum_s coeffs[s] * grad log pi(action_s | encoding_s), as one Gradient.
 
     Rows go through one batched forward and one backward pass per layer; a
-    weight gradient is the product delta.T @ activations. Rows are taken in
-    blocks of at most the last layer's input width, so no temporary is
-    larger than that layer's (action_count, width) weight gradient.
+    weight gradient is the product delta.T @ activations. For the head that
+    is d.T @ h, with d the rows' coefficient-weighted one_hot(action) -
+    probs and h their last hidden activations: kept as factors while
+    `factors_fit`. Otherwise rows are taken in blocks of at most the head's
+    input width and each block's product is added into a dense head
+    matrix, so no temporary is larger than it. A pending head update
+    enters as lr * d_p.T @ (h_p @ x) in the logits and lr * (delta @ d_p.T)
+    @ h_p in the backward pass, never as a matrix.
     """
     x = np.asarray(encodings, dtype=float)
     actions = np.asarray(action_indices, dtype=np.intp)
@@ -154,29 +349,49 @@ def accumulate_grad_log_prob(
         raise ValueError("need one action index and one coefficient per encoding")
     if n_rows and not (0 <= actions.min() and actions.max() < params.action_count):
         raise ValueError("action index out of range")
-    layers = _views(params.flat, params.layer_shapes)
-    grads = _views(out, params.layer_shapes)
-    block = params.layer_shapes[-1][0]
-    for lo in range(0, n_rows, block):
-        rows = slice(lo, lo + block)
+    layers, pending = _layers(params)
+    zero = Gradient.zero(params.layer_shapes)
+    body, bias, d, h = zero.body, zero.bias, zero.d, zero.h
+    width = params.layer_shapes[-1][0]
+    factored = factors_fit(n_rows, params.action_count, width)
+    head = None if factored else np.zeros((params.action_count, width))
+    hidden = _views(body, params.layer_shapes[:-1])
+    for lo in range(0, n_rows, width):  # one block when factored: then n_rows < width
+        rows = slice(lo, lo + width)
         activations = [x[rows]]
         for w, b in layers[:-1]:
             activations.append(np.tanh(activations[-1] @ w.T + b))
         w, b = layers[-1]
+        last = activations[-1]
         # d log pi / d logits = one_hot(action) - probs, built in one buffer
-        delta = activations[-1] @ w.T
+        delta = last @ w.T
         delta += b
+        if pending is not None:
+            lr, pd, ph = pending
+            delta += (lr * (last @ ph.T)) @ pd
         delta -= delta.max(axis=1, keepdims=True)
         np.exp(delta, out=delta)
         delta /= -delta.sum(axis=1, keepdims=True)
         delta[np.arange(len(delta)), actions[rows]] += 1.0
         delta *= c[rows, None]
-        for layer in range(len(layers) - 1, -1, -1):
-            w_grad, b_grad = grads[layer]
+        bias += delta.sum(axis=0)
+        if factored:
+            d, h = delta, last.copy()
+        else:
+            head += delta.T @ last
+        if not hidden:
+            continue
+        back = delta @ w
+        if pending is not None:
+            back += (lr * (delta @ pd.T)) @ ph
+        delta = back * (1.0 - last**2)
+        for layer in range(len(hidden) - 1, -1, -1):
+            w_grad, b_grad = hidden[layer]
             w_grad += delta.T @ activations[layer]
             b_grad += delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ layers[layer][0]) * (1.0 - activations[layer] ** 2)
+    return Gradient(body, bias, d, h, head)
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:

@@ -218,3 +218,98 @@ def square_hungarian_max(w, allow_skip):
         pairs.append((i, j))
         value += float(w[i, j])
     return tuple(pairs), value
+
+
+# --- dense policy network ---------------------------------------------------------
+
+
+def dense_layers(flat, layer_shapes):
+    """(W (out, in), b) slices of a flat vector, layer by layer."""
+    layers = []
+    ofs = 0
+    for n_in, n_out in layer_shapes:
+        w = flat[ofs : ofs + n_in * n_out].reshape(n_out, n_in)
+        ofs += n_in * n_out
+        layers.append((w, flat[ofs : ofs + n_out]))
+        ofs += n_out
+    return layers
+
+
+def dense_logits(flat, layer_shapes, x):
+    """Logits of one encoding through the dense weights."""
+    import numpy as np
+
+    layers = dense_layers(flat, layer_shapes)
+    a = np.asarray(x, dtype=float)
+    for w, b in layers[:-1]:
+        a = np.tanh(w @ a + b)
+    w, b = layers[-1]
+    return w @ a + b
+
+
+def dense_log_prob(flat, layer_shapes, x, action):
+    import numpy as np
+
+    z = dense_logits(flat, layer_shapes, x)
+    z = z - z.max()
+    return float(z[action] - np.log(np.exp(z).sum()))
+
+
+def dense_grad(flat, layer_shapes, rows):
+    """sum of c * grad log pi(a | x) over (x, a, c) rows, one row at a time,
+    by reverse accumulation through the dense weights."""
+    import numpy as np
+
+    out = np.zeros(len(flat))
+    layers = dense_layers(flat, layer_shapes)
+    grads = dense_layers(out, layer_shapes)
+    for x, a, c in rows:
+        acts = [np.asarray(x, dtype=float)]
+        for w, b in layers[:-1]:
+            acts.append(np.tanh(w @ acts[-1] + b))
+        w, b = layers[-1]
+        z = w @ acts[-1] + b
+        p = np.exp(z - z.max())
+        delta = -p / p.sum()
+        delta[a] += 1.0
+        delta *= c
+        for layer in range(len(layers) - 1, -1, -1):
+            grads[layer][0][...] += np.outer(delta, acts[layer])
+            grads[layer][1][...] += delta
+            if layer > 0:
+                delta = (layers[layer][0].T @ delta) * (1.0 - acts[layer] ** 2)
+    return out
+
+
+def score_rows(trajectories, reward_baseline, reward_to_go):
+    """(encoding, action, coefficient) of every step in a REINFORCE estimate
+    with the leave-one-out baseline, zero coefficients included."""
+    k = len(trajectories)
+    returns = [float(sum(len(s.newly_served) for s in t.steps)) for t in trajectories]
+    rows = []
+    for i, traj in enumerate(trajectories):
+        base = (sum(returns) - returns[i]) / (k - 1) if reward_baseline and k > 1 else 0.0
+        for s, step in enumerate(traj.steps):
+            if reward_to_go:
+                gain = float(sum(len(later.newly_served) for later in traj.steps[s:]))
+            else:
+                gain = returns[i]
+            rows.append((step.encoding, step.action_index, (gain - base) / k))
+    return rows
+
+
+def dense_task_gradient(trajectories, flat, layer_shapes, reward_baseline=False, reward_to_go=False):
+    return dense_grad(flat, layer_shapes, score_rows(trajectories, reward_baseline, reward_to_go))
+
+
+def dense_meta_update(flat, layer_shapes, batches, cfg):
+    """First-order meta step: each task's outer gradient at its dense adapted
+    vector, averaged and applied to `flat`. batches: (inner, outer) trajectories."""
+    grads = []
+    for inner, outer in batches:
+        g = dense_task_gradient(inner, flat, layer_shapes, cfg.reward_baseline, cfg.reward_to_go)
+        adapted = flat + cfg.inner_lr * g
+        grads.append(
+            dense_task_gradient(outer, adapted, layer_shapes, cfg.reward_baseline, cfg.reward_to_go)
+        )
+    return flat + cfg.meta_lr * (sum(grads) / len(grads))

@@ -232,6 +232,29 @@ class TestCli:
         with open(out2 / "adapt_curve.csv") as fh:
             assert len(list(csv.reader(fh))) == 1  # header only
 
+    def test_adapt_checkpoint_holds_the_folded_vector(self, tmp_path, capsys):
+        # without the baseline every step has a nonzero gradient; one rollout
+        # of 2 slots gives rank-2 head updates, factored on the 8 x 8 head,
+        # so the third step leaves one pending for the checkpoint to fold
+        text = TOY_CONFIG.replace("hidden_sizes = 8\n", "hidden_sizes = 8\nreward_baseline = false\n")
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(text.replace("inner_rollouts = 3\n", "inner_rollouts = 1\n"))
+        out = tmp_path / "run1"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        before, _ = policy_net.load_params(out / "checkpoint.bin")
+        out2 = tmp_path / "run2"
+        assert main([
+            "adapt", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+            "--task-seed", "77", "--steps", "3", "--out", str(out2),
+        ]) == 0
+        spec = load_spec(cfg, environ={})
+        want, _ = meta_rl.adapt(before, spec.task(77, 77), 3, spec.learning, spec.scenario,
+                                kind=spec.kind, master_seed=spec.master_seed)
+        after, _ = policy_net.load_params(out2 / "adapted_checkpoint.bin")
+        assert isinstance(want, policy_net.PolicyParams)
+        assert np.array_equal(after.flat, want.flat)
+        assert not np.array_equal(after.flat, before.flat)
+
     def test_eval_reports_bounded_reliability(self, tmp_path, capsys):
         cfg = self._write_toy(tmp_path)
         out = tmp_path / "run"

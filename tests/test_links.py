@@ -205,6 +205,21 @@ class TestCrossingTable:
         assert not links.visible[0, 0] and not links.h[0, 0]
         assert links.visible[0, 1] and links.h[0, 1]
 
+    def test_first_slot_fills_only_its_users_rows(self):
+        # 400 cells: the full table would be 14 x 400 x 400 entries (38 MB)
+        scenario = env.default_scenario(cells_per_side=20)
+        task = env.sample_task(scenario.grid, seed=3)
+        state = env.reset(task, scenario)
+        state = dataclasses.replace(state, user_cells=state.user_cells[:-2] + state.user_cells[:2])
+        env._crossings.cache_clear()
+        links = env.slot_links(state, scenario)
+        filled = env._crossings(scenario).filled
+        assert set(np.flatnonzero(filled).tolist()) == set(state.user_cells)
+        assert filled.sum() == len(set(state.user_cells)) < scenario.num_users
+        visible, h = direct_links(state, scenario)
+        assert np.array_equal(links.visible, visible)
+        assert np.array_equal(links.h, h)
+
 
 @st.composite
 def rooms(draw):

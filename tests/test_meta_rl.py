@@ -1,8 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_toy_scenario
 from thzvlc import env, meta_rl, policy_net
 from thzvlc.env import EnvState, MovementPattern, Task, Trajectory, TrajectoryStep
@@ -17,7 +21,14 @@ from thzvlc.meta_rl import (
     task_gradient,
     train_baseline_pg,
 )
-from thzvlc.policy_net import PolicyParams, forward, init_params, layer_shapes_for
+from thzvlc.policy_net import (
+    AdaptedParams,
+    PolicyParams,
+    factors_fit,
+    forward,
+    init_params,
+    layer_shapes_for,
+)
 
 
 def dummy_task():
@@ -99,13 +110,13 @@ class TestTaskGradient:
     def test_zero_returns_zero_gradient(self):
         params = init_params(((2, 4), (4, 3)), seed=0)
         trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [0]) for i in range(4)]
-        assert np.all(task_gradient(trajs, params) == 0.0)
+        assert np.all(task_gradient(trajs, params).dense() == 0.0)
 
     def test_identical_returns_with_baseline(self):
         params = init_params(((2, 4), (4, 3)), seed=1)
         trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
         g = task_gradient(trajs, params, reward_baseline=True)
-        assert np.all(g == 0.0)
+        assert np.all(g.dense() == 0.0)
 
     def test_bandit_estimator_unbiased(self):
         # single-state 2-action bandit, rewards 1 and 3
@@ -136,7 +147,7 @@ class TestTaskGradient:
         for s in range(n):
             a = policy_net.sample_action(dist, rng)
             traj = synthetic_trajectory([x], [a], [rewards[a]])
-            samples[s] = task_gradient([traj], params)
+            samples[s] = task_gradient([traj], params).dense()
         mean = samples.mean(axis=0)
         sem = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(mean - exact_grad) <= 3 * sem + 1e-9)
@@ -155,8 +166,8 @@ class TestTaskGradient:
         for s in range(n):
             pair = [policy_net.sample_action(dist, rng) for _ in range(2)]
             trajs = [synthetic_trajectory([x], [a], [rewards[a]]) for a in pair]
-            plain[s] = task_gradient(trajs, params, reward_baseline=False)
-            baselined[s] = task_gradient(trajs, params, reward_baseline=True)
+            plain[s] = task_gradient(trajs, params, reward_baseline=False).dense()
+            baselined[s] = task_gradient(trajs, params, reward_baseline=True).dense()
         diff = baselined.mean(axis=0) - plain.mean(axis=0)
         sem = (baselined - plain).std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(diff) <= 3 * sem + 1e-9)
@@ -172,8 +183,8 @@ class TestTaskGradient:
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", lambda *a: calls.append(a))
         zero = [synthetic_trajectory([[0.1, 0.2]] * 2, [i % 3, 1], [0, 0]) for i in range(3)]
         equal = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
-        assert np.all(task_gradient(zero, params) == 0.0)
-        assert np.all(task_gradient(equal, params, reward_baseline=True) == 0.0)
+        assert np.all(task_gradient(zero, params).dense() == 0.0)
+        assert np.all(task_gradient(equal, params, reward_baseline=True).dense() == 0.0)
         assert calls == []
 
     def test_one_kernel_call_over_nonzero_steps_in_order(self, monkeypatch):
@@ -186,9 +197,9 @@ class TestTaskGradient:
         calls = []
         original = policy_net.accumulate_grad_log_prob
 
-        def spy(params, encodings, action_indices, coeffs, out):
+        def spy(params, encodings, action_indices, coeffs):
             calls.append((np.array(encodings), list(action_indices), list(coeffs)))
-            original(params, encodings, action_indices, coeffs, out)
+            return original(params, encodings, action_indices, coeffs)
 
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", spy)
         g = task_gradient(trajs, params, reward_to_go=True)
@@ -200,7 +211,7 @@ class TestTaskGradient:
         assert coeffs == [1 / 3, 3 / 3]
         want = (policy_net.grad_log_prob(params, np.array([0.1, 0.2]), 0)
                 + 3 * policy_net.grad_log_prob(params, np.array([0.9, 1.0]), 1)) / 3
-        assert np.allclose(g, want, rtol=1e-12, atol=1e-15)
+        assert np.allclose(g.dense(), want, rtol=1e-12, atol=1e-15)
 
 
 class TestInnerUpdate:
@@ -433,3 +444,182 @@ class TestTraining:
                   trajectory_sink=seen.append)
         expected = 2 * cfg.tasks_per_batch * (cfg.inner_rollouts + cfg.outer_rollouts)
         assert len(seen) == expected
+
+
+def assert_rel(got, want, scale=None):
+    """Agreement within 1e-12 of the larger of 1 and `scale` (default: the
+    largest magnitude wanted)."""
+    want = np.asarray(want, dtype=float)
+    if scale is None:
+        scale = np.abs(want).max(initial=0.0)
+    assert np.abs(np.asarray(got) - want).max(initial=0.0) <= 1e-12 * max(scale, 1.0)
+
+
+def break_even(actions, width):
+    """The smallest head-update rank that is folded dense."""
+    return next(r for r in range(width + 1) if not factors_fit(r, actions, width))
+
+
+@st.composite
+def low_rank_cases(draw):
+    """A small net and task data whose inner gradients have S nonzero rows,
+    S drawn from 0, just below, at and above the fold break-even."""
+    n_in = draw(st.integers(1, 4))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    actions = draw(st.integers(1, 12))
+    shapes = layer_shapes_for(n_in, hidden, actions)
+    even = break_even(actions, shapes[-1][0])
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+
+    def trajs(nonzero):
+        # one step each; a zero return gives a zero coefficient, left out of S
+        rewards = [int(rng.integers(1, 4)) for _ in range(nonzero)] + [0]
+        return [
+            synthetic_trajectory([rng.normal(size=n_in)], [rng.integers(actions)], [r])
+            for r in rewards
+        ]
+
+    ranks = st.sampled_from(sorted({0, even - 1, even, even + 2}))
+    batches = [(trajs(draw(ranks)), trajs(draw(ranks))) for _ in range(draw(st.integers(1, 2)))]
+    params = init_params(shapes, draw(st.integers(0, 99)))
+    lr = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    probes = rng.normal(size=(3, n_in))
+    return params, batches, lr, probes
+
+
+class TestLowRankAgainstDense:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(low_rank_cases())
+    def test_factored_policy_equals_the_dense_oracle(self, case):
+        params, batches, lr, probes = case
+        shapes, actions = params.layer_shapes, params.action_count
+        width = shapes[-1][0]
+        cfg = LearningConfig(inner_lr=lr, meta_lr=0.7, reward_baseline=False)
+        results = []
+        for inner, outer in batches:
+            g = task_gradient(inner, params)
+            rank = sum(1 for t in inner if t.total_reward)
+            fits = factors_fit(rank, actions, width)
+            assert (g.head is None) == fits and g.rank == (rank if fits else 0)
+            adapted = inner_update(params, g, lr)
+            assert isinstance(adapted, AdaptedParams) == fits
+            flat = params.flat + lr * oracles.dense_task_gradient(inner, params.flat, shapes)
+            assert_rel(adapted.folded().flat, flat)
+            for x in probes:
+                assert_rel(policy_net._forward_raw(adapted, x)[1], oracles.dense_logits(flat, shapes, x))
+                for a in range(actions):
+                    assert_rel(policy_net.log_prob(adapted, x, a), oracles.dense_log_prob(flat, shapes, x, a))
+            rows = oracles.score_rows(outer + inner, False, False)
+            got = policy_net.accumulate_grad_log_prob(adapted, *map(list, zip(*rows))).dense()
+            scale = sum(np.abs(oracles.dense_grad(flat, shapes, [row])).max() for row in rows)
+            assert_rel(got, oracles.dense_grad(flat, shapes, rows), scale)
+            results.append(TaskBatchResult(dummy_task(), adapted, inner, outer))
+        out = meta_update(params, results, cfg)
+        assert isinstance(out, PolicyParams)
+        assert_rel(out.flat, oracles.dense_meta_update(params.flat, shapes, batches, cfg))
+
+
+class TestChainedUpdates:
+    def _record_updates(self, monkeypatch):
+        seen = []
+        original = meta_rl.inner_update
+
+        def record(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(meta_rl, "inner_update", record)
+        return seen
+
+    def _assert_pending_bounded(self, seen, params):
+        width, actions = params.layer_shapes[-1]
+        for prev, cur in zip([params] + seen, seen):
+            if isinstance(cur, AdaptedParams):
+                assert factors_fit(cur.rank, actions, width)
+                assert isinstance(prev, PolicyParams)  # never stacked on a pending update
+
+    def _dense_chain(self, params, steps, cfg, scenario, trajs_at):
+        """The dense reference: rollouts from dense parameters, the oracle
+        gradient, flat + lr * g."""
+        flat = params.flat
+        means = []
+        for s in range(steps):
+            policy = PolicyParams(flat, params.layer_shapes, params.action_count)
+            trajs = trajs_at(s, policy)
+            means.append(float(np.mean([t.total_reward for t in trajs])))
+            g = oracles.dense_task_gradient(
+                trajs, flat, params.layer_shapes, cfg.reward_baseline, cfg.reward_to_go
+            )
+            flat = flat + cfg.inner_lr * g
+        return flat, means
+
+    @pytest.mark.parametrize("inner_rollouts", [2, 3])
+    def test_adapt_matches_the_dense_chain(self, toy_scenario, monkeypatch, inner_rollouts):
+        # head 8 x 16: factors fit up to rank 5, and a step has up to 2 * rollouts rows
+        cfg = LearningConfig(inner_lr=0.5, inner_rollouts=inner_rollouts, reward_baseline=False,
+                             hidden_sizes=(16,))
+        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
+        params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
+        rollout = meta_rl.make_rollout_fn("mpg", toy_scenario)
+
+        def trajs_at(s, policy):
+            rng = meta_rl._phase_rng(3, s, 0, task.id, 2)
+            return [rollout(task, policy, rng) for _ in range(cfg.inner_rollouts)]
+
+        seen = self._record_updates(monkeypatch)
+        out, curve = adapt(params, task, 6, cfg, toy_scenario, master_seed=3)
+        flat, means = self._dense_chain(params, 6, cfg, toy_scenario, trajs_at)
+        assert isinstance(out, PolicyParams)
+        assert curve == means
+        assert_rel(out.flat, flat)
+        assert not np.allclose(out.flat, params.flat)
+        self._assert_pending_bounded(seen, params)
+        if inner_rollouts == 2:  # a factored step, then a fold of it with the next
+            assert {type(p) for p in seen} == {AdaptedParams, PolicyParams}
+
+    def test_baseline_pg_matches_the_dense_chain(self, toy_scenario, monkeypatch):
+        cfg = tiny_cfg(inner_lr=0.5, inner_rollouts=2, meta_iterations=6, reward_baseline=False,
+                       hidden_sizes=(16,))
+        tasks = TestTraining()._tasks(toy_scenario)
+        params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
+        rollout = meta_rl.make_rollout_fn("mpg", toy_scenario)
+
+        def trajs_at(s, policy):
+            task = tasks[s % len(tasks)]
+            rng = meta_rl._phase_rng(2, s, 0, task.id, 3)
+            return [rollout(task, policy, rng) for _ in range(cfg.inner_rollouts)]
+
+        seen = self._record_updates(monkeypatch)
+        out, metrics = train_baseline_pg(cfg, toy_scenario, tasks, master_seed=2, initial_params=params)
+        flat, means = self._dense_chain(params, 6, cfg, toy_scenario, trajs_at)
+        assert isinstance(out, PolicyParams)
+        assert [m.mean_reward for m in metrics] == means
+        assert_rel(out.flat, flat)
+        self._assert_pending_bounded(seen, params)
+        assert {type(p) for p in seen} == {AdaptedParams, PolicyParams}
+
+
+class TestScenarioInterning:
+    def test_task_phase_compares_scenarios_at_most_once(self, toy_scenario, monkeypatch):
+        # as in a pool worker: every payload unpickles a fresh, equal scenario
+        cfg = tiny_cfg()
+        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
+        params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
+        payload = pickle.dumps(("mpg", toy_scenario, cfg, task, params, 0, 0, 0))
+        monkeypatch.setattr(meta_rl, "_SCENARIOS", {})
+        env._crossings.cache_clear()
+        env._link_table.cache_clear()
+        compares = []
+        original = env.ScenarioConfig.__eq__
+
+        def counting(self, other):
+            compares.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(env.ScenarioConfig, "__eq__", counting)
+        first = meta_rl._run_task_phase(pickle.loads(payload))
+        for _ in range(2):
+            compares.clear()
+            again = meta_rl._run_task_phase(pickle.loads(payload))
+            assert len(compares) <= 1
+            assert np.array_equal(again.adapted.folded().flat, first.adapted.folded().flat)

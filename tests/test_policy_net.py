@@ -172,8 +172,7 @@ def batches(draw):
 def assert_matches_row_sum(params, x, a, c):
     """The batched kernel against the coefficient-weighted per-row gradients."""
     terms = np.array([ci * grad_log_prob(params, xi, ai) for xi, ai, ci in zip(x, a, c)])
-    out = np.zeros(params.size)
-    accumulate_grad_log_prob(params, x, a, c, out)
+    out = accumulate_grad_log_prob(params, x, a, c).dense()
     scale = np.abs(terms).sum(axis=0).max()
     assert np.abs(out - terms.sum(axis=0)).max() <= 1e-12 * scale
 
@@ -197,28 +196,32 @@ class TestBatchedGradient:
         c[::5] = 0.0
         assert_matches_row_sum(params, rng.normal(size=(n_rows, 3)), a, c)
 
-    def test_adds_into_out(self):
+    def test_factored_below_break_even_dense_above(self):
+        # rank 4 factors of an 8 x 8 matrix hold as many entries as it
+        assert policy_net.factors_fit(3, 8, 8) and not policy_net.factors_fit(4, 8, 8)
+        # head 4 x 8: factors of rank S hold S * 12 entries against 32
         params = small_net(seed=7)
-        x = np.array([[0.5, 0.1, -0.4]])
-        out = np.ones(params.size)
-        accumulate_grad_log_prob(params, x, [1], [2.0], out)
-        assert np.allclose(out, 1.0 + 2.0 * grad_log_prob(params, x[0], 1), rtol=0, atol=1e-15)
+        rng = np.random.default_rng(8)
+        for n_rows, factored in ((1, True), (2, True), (3, False), (9, False)):
+            x = rng.normal(size=(n_rows, 3))
+            g = accumulate_grad_log_prob(params, x, [1] * n_rows, [2.0] * n_rows)
+            assert (g.head is None) == factored
+            assert g.rank == (n_rows if factored else 0)
+            want = sum(2.0 * grad_log_prob(params, xi, 1) for xi in x)
+            assert np.allclose(g.dense(), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [-1, 4, 99])
     def test_out_of_range_action_refused(self, bad):
         params = small_net()
-        out = np.zeros(params.size)
         with pytest.raises(ValueError, match="action index"):
-            accumulate_grad_log_prob(params, np.zeros((3, 3)), [0, bad, 1], [1.0, 1.0, 1.0], out)
-        assert not out.any()
+            accumulate_grad_log_prob(params, np.zeros((3, 3)), [0, bad, 1], [1.0, 1.0, 1.0])
 
     def test_mismatched_rows_refused(self):
         params = small_net()
-        out = np.zeros(params.size)
         with pytest.raises(ValueError):
-            accumulate_grad_log_prob(params, np.zeros((2, 3)), [0], [1.0, 1.0], out)
+            accumulate_grad_log_prob(params, np.zeros((2, 3)), [0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            accumulate_grad_log_prob(params, np.zeros((2, 4)), [0, 1], [1.0, 1.0], out)
+            accumulate_grad_log_prob(params, np.zeros((2, 4)), [0, 1], [1.0, 1.0])
 
 
 class TestSampleAction:
