@@ -127,12 +127,6 @@ class AdaptedParams:
     h: np.ndarray
 
     def __post_init__(self):
-        base_body, _, base_bias = _parts(self.base.flat, self.base.layer_shapes)
-        width, actions = self.base.layer_shapes[-1]
-        if self.body.shape != base_body.shape or self.bias.shape != base_bias.shape:
-            raise ValueError("adapted layers do not match the base layout")
-        if self.d.shape != (len(self.d), actions) or self.h.shape != (len(self.d), width):
-            raise ValueError("head factors must be (S, action count) and (S, width)")
         if not np.isfinite(self.lr):
             raise ValueError("policy parameters must be finite")
         for a in (self.body, self.bias, self.d, self.h):
@@ -155,10 +149,6 @@ class AdaptedParams:
     @property
     def size(self) -> int:
         return self.base.size
-
-    @property
-    def rank(self) -> int:
-        return len(self.d)
 
     def folded(self) -> PolicyParams:
         """The dense parameters of this policy."""
@@ -406,14 +396,16 @@ def config_digest(text: str) -> str:
 
 
 def save_params(
-    path, params: PolicyParams, config_hash: str = "", kind: str = "", scenario_hash: str = ""
+    path, params: Policy, config_hash: str = "", kind: str = "", scenario_hash: str = ""
 ) -> None:
     """Checkpoint layout: one JSON header line, then raw float64 bytes.
 
     `kind` names the policy head (`mpg` or `dmpg`) and `scenario_hash` the
     simulated world, so a loader can refuse a checkpoint trained for another
-    head or room. The file is replaced atomically.
+    head or room. The payload is the folded vector. The file is replaced
+    atomically.
     """
+    params = params.folded()
     header = {
         "layer_shapes": [list(s) for s in params.layer_shapes],
         "action_count": params.action_count,

@@ -535,7 +535,7 @@ class TestChainedUpdates:
         width, actions = params.layer_shapes[-1]
         for prev, cur in zip([params] + seen, seen):
             if isinstance(cur, AdaptedParams):
-                assert factors_fit(cur.rank, actions, width)
+                assert factors_fit(len(cur.d), actions, width)
                 assert isinstance(prev, PolicyParams)  # never stacked on a pending update
 
     def _dense_chain(self, params, steps, cfg, scenario, trajs_at):

@@ -272,6 +272,17 @@ class TestCheckpoint:
         assert loaded.layer_shapes == params.layer_shapes
         assert header["config_hash"] == "abcd"
 
+    def test_adapted_policy_saves_its_folded_vector(self, tmp_path):
+        params = small_net(seed=9)
+        grad = accumulate_grad_log_prob(params, np.ones((1, 3)), [2], [1.5])
+        adapted = policy_net.ascend(params, grad, 0.3)
+        assert isinstance(adapted, policy_net.AdaptedParams)
+        path = tmp_path / "ckpt.bin"
+        save_params(path, adapted)
+        loaded, _ = load_params(path)
+        assert np.array_equal(loaded.flat, adapted.folded().flat)
+        assert not np.array_equal(loaded.flat, params.flat)
+
     def test_corrupt_payload_rejected(self, tmp_path):
         params = small_net(seed=9)
         path = tmp_path / "ckpt.bin"
