@@ -55,6 +55,13 @@ GOLDEN = {
     ),
 }
 
+# `thzvlc simulate --periods 5`: the untrained policy's rollouts over the
+# task stream, one rng per period
+SIMULATE = {
+    "toy_mpg": (TOY_MPG, "2269392947eea48ffea3f1e161943949b97febfa6cdd820497c888fec685a710"),
+    "readme_dmpg": (README_DMPG, "9be94bf263fe9cad424e42cb21d95a442498ccea846047e169b43608cf5a3d70"),
+}
+
 CHECKPOINTS = {
     "toy_mpg_learning": "ad3dcf7c6e9c92fa35639cb5435410b9e4a1bdafe2f3057d75cc52973c935966",
 }
@@ -78,3 +85,13 @@ def test_golden_run_digests(name, tmp_path, capsys):
             data = (np.round(flat, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
         digest[f] = hashlib.sha256(data).hexdigest()
     assert digest == expected
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_golden_simulate_digest(name, tmp_path, capsys):
+    text, trajectories_sha = SIMULATE[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert harness.main(["simulate", "--config", str(cfg), "--periods", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == trajectories_sha
