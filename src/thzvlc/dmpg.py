@@ -16,7 +16,7 @@ import numpy as np
 
 from . import association, env, meta_rl
 from .env import JointAction, ScenarioConfig, Task, Trajectory
-from .policy_net import PolicyParams
+from .policy_net import Policy
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,18 @@ def vap_decoder(actions: tuple[VapAction, ...], scenario: ScenarioConfig):
 
 def rollout_vap(
     task: Task,
-    params: PolicyParams,
+    params: Policy,
     actions: tuple[VapAction, ...],
     scenario: ScenarioConfig,
     rng: np.random.Generator,
-    realization: env.MobilityRealization | None = None,
-) -> Trajectory:
-    """One period under the VAP-selection policy with per-slot matching."""
+    count: int,
+) -> list[Trajectory]:
+    """`count` periods of one task under the VAP-selection policy with
+    per-slot matching, in lockstep, from one draw of the rng."""
     return meta_rl.rollout_period(
-        task, params, vap_decoder(actions, scenario), scenario, rng, realization
+        [task] * count,
+        params,
+        vap_decoder(actions, scenario),
+        scenario,
+        meta_rl.draw_uniforms(rng, count, scenario),
     )

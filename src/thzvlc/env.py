@@ -436,43 +436,20 @@ def evaluate_service(
     )
 
 
-def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-    """One Markov transition for every user.
+def next_cells(pattern: MovementPattern, cells, draws: np.ndarray) -> np.ndarray:
+    """One Markov transition for every user, from the users' uniform draws.
 
     Each user's next cell is the first whose running row sum exceeds its
-    uniform draw (the last cell when rounding leaves the sum below it).
+    draw (the last cell when rounding leaves the sum below it). `cells` and
+    `draws` may carry leading row axes, one row per period.
     """
-    draws = rng.random(len(cells))
-    cumulative = pattern.cumulative[list(cells)]
-    nxt = np.minimum((cumulative <= draws[:, None]).sum(axis=1), cumulative.shape[1] - 1)
-    return tuple(nxt.tolist())
+    cumulative = pattern.cumulative[cells]
+    return np.minimum((cumulative <= draws[..., None]).sum(axis=-1), cumulative.shape[-1] - 1)
 
 
-def step(
-    state: EnvState,
-    action: JointAction,
-    task: Task,
-    scenario: ScenarioConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[EnvState, set[int]]:
-    """Evaluate service at the current positions, then move the users.
-
-    With no rng supplied the transition draw is seeded by (task seed, slot),
-    making the step a deterministic function of its arguments.
-    """
-    if state.slot_index >= scenario.slots_per_period:
-        raise ValueError("cannot step past the end of the period")
-    outcome = evaluate_service(state, action, scenario)
-    if rng is None:
-        rng = np.random.default_rng([task.rng_seed, state.slot_index])
-    next_cells = sample_next_cells(task.pattern, state.user_cells, rng)
-    next_state = EnvState(
-        user_cells=next_cells,
-        user_heights=state.user_heights,
-        served=outcome.served_after,
-        slot_index=state.slot_index + 1,
-    )
-    return next_state, set(outcome.newly_served)
+def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    """`next_cells` of one period, one draw per user from the rng."""
+    return tuple(next_cells(pattern, list(cells), rng.random(len(cells))).tolist())
 
 
 def period_reliability(traj: Trajectory) -> int:

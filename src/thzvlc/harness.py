@@ -397,6 +397,16 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
                     )
 
 
+def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list[Task], rngs) -> list:
+    """One period per task, each drawn from its own rng, in lockstep."""
+    sc = spec.scenario
+    uniforms = np.array([meta_rl.draw_uniforms(rng, 1, sc)[0] for rng in rngs])
+    return meta_rl.rollout_period(
+        tasks, params, meta_rl.make_decoder(spec.kind, sc), sc,
+        uniforms.reshape(len(tasks), sc.slots_per_period, 1 + sc.num_users),
+    )
+
+
 def evaluate_policy(
     params: policy_net.PolicyParams,
     spec: ExperimentSpec,
@@ -404,16 +414,11 @@ def evaluate_policy(
     seed_purpose: int = 13,
 ) -> tuple[float, list]:
     """Roll a frozen policy on fresh tasks; returns avg reliability per user."""
-    rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
     seeds = derive_task_seeds(spec.master_seed, periods, purpose=seed_purpose)
-    trajectories = []
-    total = 0
-    for i, s in enumerate(seeds):
-        task = spec.task(s, 10_000 + i)
-        rng = np.random.default_rng([spec.master_seed, 17, i])
-        traj = rollout(task, params, rng)
-        trajectories.append(traj)
-        total += traj.total_reward
+    tasks = [spec.task(s, 10_000 + i) for i, s in enumerate(seeds)]
+    rngs = [np.random.default_rng([spec.master_seed, 17, i]) for i in range(periods)]
+    trajectories = rollout_periods(params, spec, tasks, rngs)
+    total = sum(traj.total_reward for traj in trajectories)
     avg = total / (spec.scenario.num_users * periods) if periods else 0.0
     return avg, trajectories
 
@@ -592,13 +597,10 @@ def _cmd_simulate(spec: ExperimentSpec, args) -> int:
         params = _load_checkpoint(args.checkpoint, spec)
     else:
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
-    rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
-    tasks = build_task_stream(spec)
-    trajectories = []
-    for i in range(args.periods):
-        task = tasks[i % len(tasks)]
-        rng = np.random.default_rng([spec.master_seed, 19, i])
-        trajectories.append(rollout(task, params, rng))
+    stream = build_task_stream(spec)
+    tasks = [stream[i % len(stream)] for i in range(args.periods)]
+    rngs = [np.random.default_rng([spec.master_seed, 19, i]) for i in range(args.periods)]
+    trajectories = rollout_periods(params, spec, tasks, rngs)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectories(out_dir, trajectories, spec.scenario)

@@ -77,83 +77,119 @@ class IterationMetrics:
 # Rollouts
 
 
+def draw_uniforms(rng: np.random.Generator, count: int, scenario: ScenarioConfig) -> np.ndarray:
+    """The draws of `count` periods, shaped (count, slots, 1 + users).
+
+    Per slot the action draw comes first, then one move draw per user: the
+    order in which the periods would take them one after another.
+    """
+    return rng.random((count, scenario.slots_per_period, 1 + scenario.num_users))
+
+
 def rollout_period(
-    task: Task,
-    params: PolicyParams,
+    tasks,
+    params: Policy,
     decode,
     scenario: ScenarioConfig,
-    rng: np.random.Generator,
-    realization: env.MobilityRealization | None = None,
-) -> Trajectory:
-    """One period: per slot, sample an action index, decode it, serve, move.
+    uniforms: np.ndarray,
+) -> list[Trajectory]:
+    """One period per task, all advanced slot by slot together.
 
-    `decode(index, state, links)` turns the sampled index and the slot state
-    into the JointAction that is evaluated; `links` are the state's
-    `env.slot_links`, computed once per slot for the decoder and the service
-    evaluation. The rng is drawn by the action sample and then by the users'
-    moves, unless a fixed realization supplies them.
+    Row b rolls tasks[b] on uniforms[b] (see `draw_uniforms`): per slot,
+    the action index is the inverse-CDF draw of the policy at
+    uniforms[b, t, 0], `decode(index, state, links)` turns it into the
+    JointAction that is evaluated, and the users move by uniforms[b, t, 1:].
+    What rows share is worked out once: a reset per task, an encoding per
+    distinct state, a `policy_net.forward` per block of at most the head's
+    input width of distinct encodings (so no temporary outgrows the head
+    weight), an `env.slot_links` per distinct (cells, heights) and a decode
+    and service evaluation per distinct (state, index).
     """
-    state = env.reset(task, scenario)
-    if realization is not None:
-        state = env.state_at_slot(realization, 0, state.served)
-    steps = []
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != (len(tasks), scenario.slots_per_period, 1 + scenario.num_users):
+        raise ValueError("need one (slots, 1 + users) block of uniforms per task")
+    groups: dict[int, list[int]] = {}  # the rows of each task
+    for b, task in enumerate(tasks):
+        groups.setdefault(id(task), []).append(b)
+    states: list[env.EnvState] = [None] * len(tasks)
+    for group in groups.values():
+        start = env.reset(tasks[group[0]], scenario)
+        for b in group:
+            states[b] = start
+    width = params.layer_shapes[-1][0]
+    links: dict[tuple, env.SlotLinks] = {}
+    served: dict[tuple, tuple[env.JointAction, env.ServiceOutcome]] = {}
+    steps: list[list[TrajectoryStep]] = [[] for _ in tasks]
     for t in range(scenario.slots_per_period):
-        enc = policy_net.encode_state(state, scenario)
-        dist = policy_net.forward(params, enc)
-        idx = policy_net.sample_action(dist, rng)
-        links = env.slot_links(state, scenario)
-        action = decode(idx, state, links)
-        outcome = env.evaluate_service(state, action, scenario, links)
-        if realization is not None:
-            next_cells = realization.cells[t + 1]
-        else:
-            next_cells = env.sample_next_cells(task.pattern, state.user_cells, rng)
-        steps.append(
-            TrajectoryStep(
-                state=state,
-                encoding=enc,
-                action_index=idx,
-                action=action,
-                newly_served=outcome.newly_served,
-                localized=outcome.localized,
-                tx_ok=outcome.tx_ok,
+        distinct = {state: i for i, state in enumerate(dict.fromkeys(states))}
+        x = np.array([policy_net.encode_state(state, scenario) for state in distinct])
+        x.setflags(write=False)  # rows are shared by the steps of equal states
+        rows = [distinct[state] for state in states]
+        indices = [0] * len(states)
+        for lo in range(0, len(x), width):
+            cum = policy_net.forward(params, x[lo : lo + width])
+            np.cumsum(cum, axis=1, out=cum)
+            for b, r in enumerate(rows):
+                if lo <= r < lo + width:
+                    indices[b] = policy_net.inverse_cdf(cum[r - lo], u[b, t, 0])
+
+        for b, (state, idx) in enumerate(zip(states, indices)):
+            key = (state, idx)
+            if key not in served:
+                where = (state.user_cells, state.user_heights)
+                if where not in links:
+                    links[where] = env.slot_links(state, scenario)
+                action = decode(idx, state, links[where])
+                served[key] = action, env.evaluate_service(state, action, scenario, links[where])
+            action, outcome = served[key]
+            steps[b].append(
+                TrajectoryStep(
+                    state=state,
+                    encoding=x[distinct[state]],
+                    action_index=idx,
+                    action=action,
+                    newly_served=outcome.newly_served,
+                    localized=outcome.localized,
+                    tx_ok=outcome.tx_ok,
+                )
             )
-        )
-        state = env.EnvState(
-            user_cells=next_cells,
-            user_heights=state.user_heights,
-            served=outcome.served_after,
-            slot_index=t + 1,
-        )
-    return Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
+
+        cells = np.array([state.user_cells for state in states])
+        for group in groups.values():
+            cells[group] = env.next_cells(tasks[group[0]].pattern, cells[group], u[group, t, 1:])
+        states = [
+            env.EnvState(
+                user_cells=tuple(moved),
+                user_heights=state.user_heights,
+                served=served[(state, idx)][1].served_after,
+                slot_index=t + 1,
+            )
+            for state, idx, moved in zip(states, indices, cells.tolist())
+        ]
+    return [
+        Trajectory(task_id=task.id, steps=tuple(row), final_state=state)
+        for task, row, state in zip(tasks, steps, states)
+    ]
+
+
+def joint_decoder(space: JointActionSpace):
+    """Decoder for `rollout_period`: the joint action of the sampled index."""
+    return lambda idx, state, links: space[idx]
 
 
 def rollout_joint(
     task: Task,
-    params: PolicyParams,
+    params: Policy,
     space: JointActionSpace,
     scenario: ScenarioConfig,
     rng: np.random.Generator,
-    realization: env.MobilityRealization | None = None,
-) -> Trajectory:
-    """One period under the joint VAP-selection/association policy."""
-    return rollout_period(
-        task, params, lambda idx, state, links: space[idx], scenario, rng, realization
-    )
-
-
-def collect_trajectories(
-    task: Task,
-    params: PolicyParams,
     count: int,
-    rng: np.random.Generator,
-    scenario: ScenarioConfig,
-    space: JointActionSpace | None = None,
 ) -> list[Trajectory]:
-    """`count` independent joint-action rollouts drawn from one rng stream."""
-    if space is None:
-        space = env.enumerate_joint_actions(scenario)
-    return [rollout_joint(task, params, space, scenario, rng) for _ in range(count)]
+    """`count` periods of one task under the joint VAP-selection/association
+    policy, in lockstep, from one draw of the rng."""
+    return rollout_period(
+        [task] * count, params, joint_decoder(space), scenario, draw_uniforms(rng, count, scenario)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +327,34 @@ def meta_update(
 # Training loops
 
 
-def make_rollout_fn(kind: str, scenario: ScenarioConfig):
+def make_decoder(kind: str, scenario: ScenarioConfig):
+    """The `rollout_period` decoder of the joint (`mpg`) or VAP-only (`dmpg`) head."""
+    if kind == "mpg":
+        return joint_decoder(env.enumerate_joint_actions(scenario))
+    if kind == "dmpg":
+        from . import dmpg
+
+        return dmpg.vap_decoder(dmpg.enumerate_vap_actions(scenario.num_vaps), scenario)
+    raise ValueError(f"unknown rollout kind {kind!r}")
+
+
+def rollout_phase(
+    kind: str,
+    task: Task,
+    params: Policy,
+    scenario: ScenarioConfig,
+    rng: np.random.Generator,
+    count: int,
+) -> list[Trajectory]:
+    """`count` rollouts of one task phase through the head's entry point."""
     if kind == "mpg":
         space = env.enumerate_joint_actions(scenario)
-        return lambda task, params, rng: rollout_joint(task, params, space, scenario, rng)
+        return rollout_joint(task, params, space, scenario, rng, count)
     if kind == "dmpg":
         from . import dmpg
 
         actions = dmpg.enumerate_vap_actions(scenario.num_vaps)
-        return lambda task, params, rng: dmpg.rollout_vap(task, params, actions, scenario, rng)
+        return dmpg.rollout_vap(task, params, actions, scenario, rng, count)
     raise ValueError(f"unknown rollout kind {kind!r}")
 
 
@@ -327,13 +382,12 @@ _SCENARIOS: dict[ScenarioConfig, ScenarioConfig] = {}
 def _run_task_phase(payload) -> TaskBatchResult:
     (kind, scenario, cfg, task, params, master_seed, iteration, slot) = payload
     scenario = _SCENARIOS.setdefault(scenario, scenario)
-    rollout = make_rollout_fn(kind, scenario)
     rng_inner = _phase_rng(master_seed, iteration, slot, task.id, 0)
-    inner = [rollout(task, params, rng_inner) for _ in range(cfg.inner_rollouts)]
+    inner = rollout_phase(kind, task, params, scenario, rng_inner, cfg.inner_rollouts)
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
     rng_outer = _phase_rng(master_seed, iteration, slot, task.id, 1)
-    outer = [rollout(task, adapted, rng_outer) for _ in range(cfg.outer_rollouts)]
+    outer = rollout_phase(kind, task, adapted, scenario, rng_outer, cfg.outer_rollouts)
     return TaskBatchResult(task=task, adapted=adapted, inner_trajs=inner, outer_trajs=outer)
 
 
@@ -418,11 +472,10 @@ def adapt(
     computed from (pre-update), so curve[0] is the starting policy's level.
     The returned parameters are dense.
     """
-    rollout = make_rollout_fn(kind, scenario)
     curve: list[float] = []
     for s in range(steps):
         rng = _phase_rng(master_seed, s, 0, task.id, 2)
-        trajs = [rollout(task, params, rng) for _ in range(cfg.inner_rollouts)]
+        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
         curve.append(float(np.mean([t.total_reward for t in trajs])))
         g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
         params = inner_update(params, g, cfg.inner_lr)
@@ -450,13 +503,12 @@ def train_baseline_pg(
     params = initial_params
     if params is None:
         params = new_policy(kind, scenario, cfg, master_seed)
-    rollout = make_rollout_fn(kind, scenario)
     metrics: list[IterationMetrics] = []
     for it in range(cfg.meta_iterations):
         start = time.perf_counter()
         task = tasks[it % len(tasks)]
         rng = _phase_rng(master_seed, it, 0, task.id, 3)
-        trajs = [rollout(task, params, rng) for _ in range(cfg.inner_rollouts)]
+        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
         g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
         params = inner_update(params, g, cfg.inner_lr)
         rewards = np.array([t.total_reward for t in trajs], dtype=float)

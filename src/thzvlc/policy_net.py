@@ -275,7 +275,7 @@ def _layers(params: Policy) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple 
 
 
 def _forward_raw(params: Policy, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Hidden activations (tanh) and the final logits."""
+    """Hidden activations (tanh) and the final logits of one encoding."""
     layers, pending = _layers(params)
     activations = [np.asarray(encoding, dtype=float)]
     for w, b in layers[:-1]:
@@ -288,16 +288,44 @@ def _forward_raw(params: Policy, encoding: np.ndarray) -> tuple[list[np.ndarray]
     return activations, logits
 
 
-def forward(params: Policy, encoding: np.ndarray) -> np.ndarray:
-    """Action distribution; softmax stabilized by max subtraction."""
-    if len(encoding) != params.layer_shapes[0][0]:
+def _forward_rows(layers, pending, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Hidden activations and logits of a 2-D batch, one `X @ W.T` per layer.
+
+    A pending head update enters as lr * (x_last @ h_p.T) @ d_p. A row's
+    logits may differ from its one-row `_forward_raw` in the last bits.
+    """
+    activations = [x]
+    for w, b in layers[:-1]:
+        activations.append(np.tanh(activations[-1] @ w.T + b))
+    w, b = layers[-1]
+    last = activations[-1]
+    logits = last @ w.T
+    logits += b
+    if pending is not None:
+        lr, d, h = pending
+        logits += (lr * (last @ h.T)) @ d
+    return activations, logits
+
+
+def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
+    """Action distribution of one encoding, or one per row of a 2-D batch.
+
+    Softmax stabilized by max subtraction, in the logits' buffer, so a batch
+    of n rows holds one (n, action count) array.
+    """
+    x = np.asarray(encodings, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != params.layer_shapes[0][0]:
         raise ValueError("encoding length does not match the input layer")
-    _, logits = _forward_raw(params, encoding)
-    if not np.isfinite(logits).all():
+    if x.ndim == 1:
+        _, z = _forward_raw(params, x)
+    else:
+        _, z = _forward_rows(*_layers(params), x)
+    if not np.isfinite(z).all():
         raise ValueError("non-finite logits; check the parameter vector")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> float:
@@ -348,17 +376,10 @@ def accumulate_grad_log_prob(
     hidden = _views(body, params.layer_shapes[:-1])
     for lo in range(0, n_rows, width):  # one block when factored: then n_rows < width
         rows = slice(lo, lo + width)
-        activations = [x[rows]]
-        for w, b in layers[:-1]:
-            activations.append(np.tanh(activations[-1] @ w.T + b))
-        w, b = layers[-1]
+        # d log pi / d logits = one_hot(action) - probs, built in the logits' buffer
+        activations, delta = _forward_rows(layers, pending, x[rows])
+        w = layers[-1][0]
         last = activations[-1]
-        # d log pi / d logits = one_hot(action) - probs, built in one buffer
-        delta = last @ w.T
-        delta += b
-        if pending is not None:
-            lr, pd, ph = pending
-            delta += (lr * (last @ ph.T)) @ pd
         delta -= delta.max(axis=1, keepdims=True)
         np.exp(delta, out=delta)
         delta /= -delta.sum(axis=1, keepdims=True)
@@ -373,6 +394,7 @@ def accumulate_grad_log_prob(
             continue
         back = delta @ w
         if pending is not None:
+            lr, pd, ph = pending
             back += (lr * (delta @ pd.T)) @ ph
         delta = back * (1.0 - last**2)
         for layer in range(len(hidden) - 1, -1, -1):
@@ -384,11 +406,15 @@ def accumulate_grad_log_prob(
     return Gradient(body, bias, d, h, head)
 
 
+def inverse_cdf(cum: np.ndarray, u: float) -> int:
+    """Index of the first running sum above u: a categorical draw from the
+    uniform u (the last index when rounding leaves the total below it)."""
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+
+
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Categorical draw by inverse CDF; reproducible given the rng state."""
-    cum = np.cumsum(dist)
-    u = rng.random()
-    return int(min(np.searchsorted(cum, u, side="right"), len(dist) - 1))
+    return inverse_cdf(np.cumsum(dist), rng.random())
 
 
 def config_digest(text: str) -> str:

@@ -313,3 +313,90 @@ def dense_meta_update(flat, layer_shapes, batches, cfg):
             dense_task_gradient(outer, adapted, layer_shapes, cfg.reward_baseline, cfg.reward_to_go)
         )
     return flat + cfg.meta_lr * (sum(grads) / len(grads))
+
+
+# --- one period at a time -------------------------------------------------------
+
+
+def move(pattern, cells, rng):
+    """Every user's next cell, one uniform draw per user in user order: the
+    first cell whose running row sum exceeds the draw, else the last."""
+    import numpy as np
+
+    last = pattern.transition.shape[1] - 1
+    out = []
+    for cell, u in zip(cells, rng.random(len(cells))):
+        running = np.cumsum(pattern.transition[cell])
+        out.append(min(int(np.searchsorted(running, u, side="right")), last))
+    return tuple(out)
+
+
+def step(state, action, task, scenario, rng=None):
+    """Evaluate service at the current positions, then move the users.
+
+    The single-step transition the package once exported. With no rng the
+    move draw is seeded by (task seed, slot), making the step a
+    deterministic function of its arguments. Returns (next state, set of
+    newly served users).
+    """
+    import numpy as np
+
+    from thzvlc import env
+
+    if state.slot_index >= scenario.slots_per_period:
+        raise ValueError("cannot step past the end of the period")
+    outcome = env.evaluate_service(state, action, scenario)
+    if rng is None:
+        rng = np.random.default_rng([task.rng_seed, state.slot_index])
+    next_state = env.EnvState(
+        user_cells=move(task.pattern, state.user_cells, rng),
+        user_heights=state.user_heights,
+        served=outcome.served_after,
+        slot_index=state.slot_index + 1,
+    )
+    return next_state, set(outcome.newly_served)
+
+
+def rollout(task, params, decode, scenario, rng, realization=None):
+    """One period, one slot after the other, as the package rolled a period
+    before it advanced a batch in lockstep.
+
+    Per slot: encode the state, one forward pass of that encoding, an
+    inverse-CDF action draw from the rng, the slot's links, decode, serve,
+    then the users' move draws from the rng, unless a fixed realization
+    supplies the moves.
+    """
+    from thzvlc import env, policy_net
+
+    state = env.reset(task, scenario)
+    if realization is not None:
+        state = env.state_at_slot(realization, 0, state.served)
+    steps = []
+    for t in range(scenario.slots_per_period):
+        enc = policy_net.encode_state(state, scenario)
+        idx = policy_net.sample_action(policy_net.forward(params, enc), rng)
+        links = env.slot_links(state, scenario)
+        action = decode(idx, state, links)
+        outcome = env.evaluate_service(state, action, scenario, links)
+        if realization is not None:
+            next_cells = realization.cells[t + 1]
+        else:
+            next_cells = move(task.pattern, state.user_cells, rng)
+        steps.append(
+            env.TrajectoryStep(
+                state=state,
+                encoding=enc,
+                action_index=idx,
+                action=action,
+                newly_served=outcome.newly_served,
+                localized=outcome.localized,
+                tx_ok=outcome.tx_ok,
+            )
+        )
+        state = env.EnvState(
+            user_cells=next_cells,
+            user_heights=state.user_heights,
+            served=outcome.served_after,
+            slot_index=t + 1,
+        )
+    return env.Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)

@@ -3,10 +3,11 @@ from math import comb
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_toy_scenario
 from thzvlc import association, env, meta_rl
 from thzvlc.association import check_period_feasible
-from thzvlc.dmpg import enumerate_vap_actions, rollout_vap
+from thzvlc.dmpg import enumerate_vap_actions, rollout_vap, vap_decoder
 from thzvlc.meta_rl import LearningConfig, meta_train
 
 
@@ -42,7 +43,8 @@ class TestDmpgStep:
         for seed in seeds:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
             task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality_radius)
-            yield actions, rollout_vap(task, params, actions, scenario, np.random.default_rng(seed))
+            for traj in rollout_vap(task, params, actions, scenario, np.random.default_rng(seed), 2):
+                yield actions, traj
 
     def test_no_localized_users_zero_reward(self):
         sc = make_toy_scenario(fov_deg=5.0)
@@ -65,11 +67,10 @@ class TestDmpgStep:
             best, _ = env.brute_force_oracle(task, toy_scenario, 0)
             real = env.sample_realization(task, toy_scenario, 0)
             params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=seed)
-            actions = enumerate_vap_actions(toy_scenario.num_vaps)
+            decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
             for k in range(4):
-                traj = rollout_vap(
-                    task, params, actions, toy_scenario,
-                    np.random.default_rng(k), realization=real,
+                traj = oracles.rollout(
+                    task, params, decode, toy_scenario, np.random.default_rng(k), realization=real
                 )
                 assert traj.total_reward <= best
 
@@ -81,7 +82,7 @@ class TestRolloutVap:
         actions = enumerate_vap_actions(toy_scenario.num_vaps)
         for seed in range(6):
             task = env.sample_task(toy_scenario.grid, seed=seed, locality_radius=1)
-            traj = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed))
+            [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
             ]
@@ -97,7 +98,7 @@ class TestRolloutVap:
         actions = enumerate_vap_actions(toy_scenario.num_vaps)
         for seed in range(8):
             task = env.sample_task(toy_scenario.grid, seed=seed, locality_radius=1)
-            traj = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed))
+            [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
             served = set()
             for step in traj.steps:
                 for u, _ in step.action.assignments:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_scenario
-from thzvlc import env
+from oracles import step
+from thzvlc import env, meta_rl
 from thzvlc.env import (
     EnvState,
     JointAction,
@@ -21,7 +22,6 @@ from thzvlc.env import (
     period_reliability,
     reset,
     sample_task,
-    step,
 )
 
 
@@ -165,28 +165,6 @@ class TestStep:
 
 
 class TestPeriodReliability:
-    def _traj_from_rollout(self, scenario, task, action_indices, rng):
-        space = enumerate_joint_actions(scenario)
-        state = reset(task, scenario)
-        steps = []
-        for idx in action_indices:
-            action = space[idx]
-            out = evaluate_service(state, action, scenario)
-            nxt, _ = step(state, action, task, scenario, rng)
-            steps.append(
-                TrajectoryStep(
-                    state=state,
-                    encoding=np.zeros(1),
-                    action_index=idx,
-                    action=action,
-                    newly_served=out.newly_served,
-                    localized=out.localized,
-                    tx_ok=out.tx_ok,
-                )
-            )
-            state = nxt
-        return Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
-
     def test_empty_service(self, toy_scenario):
         task = identity_task(toy_scenario)
         state = reset(task, toy_scenario)
@@ -233,9 +211,9 @@ class TestPeriodReliability:
         rng = np.random.default_rng(22)
         task = sample_task(toy_scenario.grid, seed=2, locality_radius=1)
         space = enumerate_joint_actions(toy_scenario)
-        for _ in range(25):
-            idxs = [int(rng.integers(len(space))) for _ in range(toy_scenario.slots_per_period)]
-            traj = self._traj_from_rollout(toy_scenario, task, idxs, rng)
+        cfg = meta_rl.LearningConfig(hidden_sizes=(8,))
+        params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)
+        for traj in meta_rl.rollout_joint(task, params, space, toy_scenario, rng, 25):
             assert period_reliability(traj) == sum(traj.final_state.served)
             assert period_reliability(traj) <= min(
                 toy_scenario.num_users,

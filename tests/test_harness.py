@@ -455,9 +455,8 @@ class TestAtomicArtifacts:
         out = tmp_path / "out"
         out.mkdir()
         task = spec.task(1, 1)
-        rollout = meta_rl.make_rollout_fn(spec.kind, spec.scenario)
-        trajs = [rollout(task, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0),
-                         np.random.default_rng(i)) for i in range(3)]
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
+        trajs = meta_rl.rollout_phase(spec.kind, task, params, spec.scenario, np.random.default_rng(0), 3)
         harness.write_trajectories(out, trajs[:1], spec.scenario)
         before = (out / "trajectories.csv").read_bytes()
         # the third period breaks the writer after two periods of rows

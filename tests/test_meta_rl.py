@@ -14,7 +14,7 @@ from thzvlc.meta_rl import (
     LearningConfig,
     TaskBatchResult,
     adapt,
-    collect_trajectories,
+    rollout_joint,
     inner_update,
     meta_train,
     meta_update,
@@ -83,18 +83,20 @@ def trajectories_equal(a, b):
 
 
 class TestCollectTrajectories:
+    """`rollout_joint(..., count)`: one phase's rollouts of one task."""
+
     def test_count_zero(self, toy_scenario):
         task = env.sample_task(toy_scenario.grid, seed=0, locality_radius=0)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
-        out = collect_trajectories(task, params, 0, np.random.default_rng(0), toy_scenario, space)
+        out = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 0)
         assert out == []
 
     def test_horizon(self, toy_scenario):
         task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
-        trajs = collect_trajectories(task, params, 3, np.random.default_rng(0), toy_scenario, space)
+        trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 3)
         assert len(trajs) == 3
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
@@ -102,8 +104,97 @@ class TestCollectTrajectories:
         task = env.sample_task(toy_scenario.grid, seed=2, locality_radius=0)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
-        trajs = collect_trajectories(task, params, 5, np.random.default_rng(0), toy_scenario, space)
+        trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 5)
         assert all(trajectories_equal(trajs[0], t) for t in trajs[1:])
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A toy room, a dense or adapted (pending) policy whose head is at most
+    4 wide, so batches above 4 distinct encodings take more than one row
+    block, and a seed for tasks and draws."""
+    kind = draw(st.sampled_from(("mpg", "dmpg")))
+    scenario = make_toy_scenario(num_users=draw(st.sampled_from((2, 3))))
+    seed = draw(st.integers(0, 2**16))
+    params = meta_rl.new_policy(kind, scenario, LearningConfig(hidden_sizes=(4,)), seed)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        zero = policy_net.Gradient.zero(params.layer_shapes)
+        grad = policy_net.Gradient(
+            rng.normal(size=zero.body.shape), rng.normal(size=zero.bias.shape),
+            rng.normal(size=(1, params.action_count)), rng.normal(size=(1, 4)),
+        )
+        params = policy_net.ascend(params, grad, 0.7)
+        assert isinstance(params, AdaptedParams)
+    return kind, scenario, params, seed
+
+
+def assert_same_rollouts(got, want):
+    """Step for step: states, encodings, action indices, actions and outcomes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.task_id == b.task_id and len(a.steps) == len(b.steps)
+        for sa, sb in zip(a.steps, b.steps):
+            assert sa.state == sb.state
+            assert np.array_equal(sa.encoding, sb.encoding)
+            assert sa.action_index == sb.action_index
+            assert sa.action == sb.action
+            assert (sa.newly_served, sa.localized, sa.tx_ok) == (sb.newly_served, sb.localized, sb.tx_ok)
+        assert a.final_state == b.final_state
+
+
+class TestLockstep:
+    """A lockstep batch equals its rows rolled one period at a time by the
+    reference loop, and leaves the rng where those rollouts leave it."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lockstep_cases(), st.sampled_from((0, 1)), st.integers(0, 9))
+    def test_phase_equals_sequential_rollouts(self, case, locality, count):
+        kind, scenario, params, seed = case
+        task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality, task_id=seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count)
+        decode = meta_rl.make_decoder(kind, scenario)
+        want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
+        assert_same_rollouts(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lockstep_cases(), st.lists(st.integers(0, 3), max_size=11))
+    def test_evaluation_batch_equals_sequential_rollouts(self, case, picks):
+        # tasks from a pool of four (moving and static), repeats allowed, one rng per row
+        kind, scenario, params, seed = case
+        pool = [
+            env.sample_task(scenario.grid, seed=seed + i, locality_radius=i % 2, task_id=i)
+            for i in range(4)
+        ]
+        tasks = [pool[i] for i in picks]
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
+        draws = [meta_rl.draw_uniforms(rng, 1, scenario) for rng in rngs]
+        decode = meta_rl.make_decoder(kind, scenario)
+        shape = (len(tasks), scenario.slots_per_period, 1 + scenario.num_users)
+        got = meta_rl.rollout_period(tasks, params, decode, scenario, np.array(draws).reshape(shape))
+        ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
+        want = [oracles.rollout(t, params, decode, scenario, r) for t, r in zip(tasks, ref_rngs)]
+        assert_same_rollouts(got, want)
+        for a, b in zip(rngs, ref_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_draws_are_the_sequential_draw_order(self, toy_scenario):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        block = meta_rl.draw_uniforms(rng, 10, toy_scenario)
+        for row in block:
+            for slot in row:
+                assert slot[0] == ref.random()
+                assert np.array_equal(slot[1:], ref.random(toy_scenario.num_users))
+
+    def test_uniforms_must_match_the_batch(self, toy_scenario):
+        params = meta_rl.new_policy("mpg", toy_scenario, LearningConfig(hidden_sizes=(4,)), 0)
+        task = env.sample_task(toy_scenario.grid, seed=0)
+        decode = meta_rl.make_decoder("mpg", toy_scenario)
+        uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
+        with pytest.raises(ValueError, match="uniforms"):
+            meta_rl.rollout_period([task] * 3, params, decode, toy_scenario, uniforms)
 
 
 class TestTaskGradient:
@@ -292,10 +383,10 @@ class TestMetaUpdate:
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=0)
         rng = np.random.default_rng(1)
-        inner = collect_trajectories(task, params, 3, rng, toy_scenario, space)
+        inner = rollout_joint(task, params, space, toy_scenario, rng, 3)
         g = task_gradient(inner, params, cfg.reward_baseline)
         adapted = inner_update(params, g, cfg.inner_lr)
-        outer = collect_trajectories(task, adapted, 3, rng, toy_scenario, space)
+        outer = rollout_joint(task, adapted, space, toy_scenario, rng, 3)
         res = TaskBatchResult(task=task, adapted=adapted, inner_trajs=inner, outer_trajs=outer)
         out = meta_update(params, [res], cfg)
         assert np.linalg.norm(out.flat - params.flat) < 1e-6
@@ -560,11 +651,12 @@ class TestChainedUpdates:
                              hidden_sizes=(16,))
         task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        rollout = meta_rl.make_rollout_fn("mpg", toy_scenario)
+        decode = meta_rl.make_decoder("mpg", toy_scenario)
 
         def trajs_at(s, policy):
             rng = meta_rl._phase_rng(3, s, 0, task.id, 2)
-            return [rollout(task, policy, rng) for _ in range(cfg.inner_rollouts)]
+            return [oracles.rollout(task, policy, decode, toy_scenario, rng)
+                    for _ in range(cfg.inner_rollouts)]
 
         seen = self._record_updates(monkeypatch)
         out, curve = adapt(params, task, 6, cfg, toy_scenario, master_seed=3)
@@ -582,12 +674,13 @@ class TestChainedUpdates:
                        hidden_sizes=(16,))
         tasks = TestTraining()._tasks(toy_scenario)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        rollout = meta_rl.make_rollout_fn("mpg", toy_scenario)
+        decode = meta_rl.make_decoder("mpg", toy_scenario)
 
         def trajs_at(s, policy):
             task = tasks[s % len(tasks)]
             rng = meta_rl._phase_rng(2, s, 0, task.id, 3)
-            return [rollout(task, policy, rng) for _ in range(cfg.inner_rollouts)]
+            return [oracles.rollout(task, policy, decode, toy_scenario, rng)
+                    for _ in range(cfg.inner_rollouts)]
 
         seen = self._record_updates(monkeypatch)
         out, metrics = train_baseline_pg(cfg, toy_scenario, tasks, master_seed=2, initial_params=params)
