@@ -87,7 +87,7 @@ def draw_uniforms(rng: np.random.Generator, count: int, scenario: ScenarioConfig
 
 
 def rollout_period(
-    tasks,
+    tasks: list[Task],
     params: Policy,
     decode,
     scenario: ScenarioConfig,
