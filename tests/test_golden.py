@@ -95,3 +95,53 @@ def test_golden_simulate_digest(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert harness.main(["simulate", "--config", str(cfg), "--periods", "5", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == trajectories_sha
+
+
+def _rounded_payload(path) -> bytes:
+    """A checkpoint's float64 payload, rounded as the learning pin rounds it."""
+    flat = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+    return (np.round(flat, 10) + 0.0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def learned_toy(tmp_path_factory):
+    """The toy learning run's config file and checkpoint."""
+    root = tmp_path_factory.mktemp("learned_toy")
+    cfg = root / "run.cfg"
+    cfg.write_text(TOY_MPG_LEARNING)
+    assert harness.main(["train", "--config", str(cfg), "--out", str(root / "train")]) == 0
+    return cfg, root / "train" / "checkpoint.bin"
+
+
+# `thzvlc eval --periods 4` and `thzvlc adapt --steps 3` from the toy
+# learning run's checkpoint
+EVAL = {
+    "trajectories.csv": "b044dbb07f709f05b507fdc0bc1ec7e2bbbad5f176e7130e601145eda2aebd8f",
+    "summary.json": "65b6137eff7b9959cf8ecddbce1340523685f4561b01e393a5a52766320f2ba1",
+}
+
+ADAPT = {
+    "adapt_curve.csv": "aa196df1c7ec2a237877231ea88364473e4c11680687a64aec244c527b53fd38",
+    "adapted_checkpoint.bin": "a1e3f5c654b1617edb4735292955fd09fa275fd3de5cf2a1ddc950a7d5cbf7ec",
+}
+
+
+def test_golden_eval_digests(learned_toy, tmp_path, capsys):
+    cfg, checkpoint = learned_toy
+    out = tmp_path / "out"
+    argv = ["eval", "--config", str(cfg), "--checkpoint", str(checkpoint), "--periods", "4"]
+    assert harness.main(argv + ["--out", str(out)]) == 0
+    digest = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in EVAL}
+    assert digest == EVAL
+
+
+def test_golden_adapt_digests(learned_toy, tmp_path, capsys):
+    cfg, checkpoint = learned_toy
+    out = tmp_path / "out"
+    argv = ["adapt", "--config", str(cfg), "--checkpoint", str(checkpoint), "--steps", "3"]
+    assert harness.main(argv + ["--out", str(out)]) == 0
+    digest = {
+        "adapt_curve.csv": hashlib.sha256((out / "adapt_curve.csv").read_bytes()).hexdigest(),
+        "adapted_checkpoint.bin": hashlib.sha256(_rounded_payload(out / "adapted_checkpoint.bin")).hexdigest(),
+    }
+    assert digest == ADAPT
