@@ -19,7 +19,7 @@ from math import comb, perm
 import numpy as np
 
 from . import channel
-from .geometry import Point3, RoomGrid, below_top, crossings, make_grid
+from .geometry import Point3, RoomGrid, below_top, crossings
 from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
@@ -92,47 +92,6 @@ def ring_positions(count: int, room_side: float, z: float, phase: float = 0.0) -
         ang = phase + 2.0 * math.pi * i / ring
         pts.append(Point3(cx + radius * math.cos(ang), cy + radius * math.sin(ang), z))
     return tuple(pts[:count])
-
-
-def default_scenario(
-    num_users: int = 20,
-    num_vaps: int = 7,
-    num_sbs: int = 7,
-    room_side: float = 6.0,
-    ceiling_z: float = 3.0,
-    cells_per_side: int = 6,
-    slots_per_period: int = 3,
-    num_periods: int = 20,
-    fov_semi_angle_deg: float = 75.0,
-    bandwidth_hz: float = 1.0e10,
-    slot_duration_s: float = 0.01,
-    absorption_per_m: float = 0.01,
-) -> ScenarioConfig:
-    """Reference indoor scenario: 6 m x 6 m room, ceiling units at 3 m."""
-    radio = RadioParams(
-        carrier_freq_hz=1.0e12,
-        bandwidth_hz=bandwidth_hz,
-        tx_power_w=1.0,
-        absorption_per_m=absorption_per_m,
-        noise_density_w_per_hz=channel.dbm_per_hz_to_w_per_hz(-174.0),
-        image_size_bits=20.0e6,
-        slot_duration_s=slot_duration_s,
-    )
-    optics = OpticsParams(fov_semi_angle_rad=math.radians(fov_semi_angle_deg))
-    return ScenarioConfig(
-        room_side=room_side,
-        ceiling_z=ceiling_z,
-        vap_positions=ring_positions(num_vaps, room_side, ceiling_z, phase=0.0),
-        sbs_positions=ring_positions(num_sbs, room_side, ceiling_z, phase=math.pi / 6.0),
-        num_users=num_users,
-        user_height_range=(1.4, 1.9),
-        body_radius=0.2,
-        grid=make_grid(room_side, cells_per_side),
-        slots_per_period=slots_per_period,
-        num_periods=num_periods,
-        radio=radio,
-        optics=optics,
-    )
 
 
 @dataclass(frozen=True)
@@ -452,13 +411,6 @@ def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.
     return tuple(next_cells(pattern, list(cells), rng.random(len(cells))).tolist())
 
 
-def period_reliability(traj: Trajectory) -> int:
-    """Number of distinct users served during the period."""
-    if not traj.steps:
-        raise ValueError("trajectory must span at least one slot")
-    return traj.total_reward
-
-
 @dataclass(frozen=True)
 class MobilityRealization:
     """Pre-drawn user paths: cells[t] holds every user's cell at slot t."""
@@ -522,21 +474,6 @@ class JointActionSpace:
         for i in range(self._len):
             yield self[i]
 
-    def index(self, action: JointAction) -> int:
-        vap_rank = _rank_combination(action.vap_set, self.num_vaps)
-        if self.num_users <= self.num_sbs:
-            if len(action.assignments) != self.num_users:
-                raise ValueError("expected a full association of every user")
-            stations = tuple(s for _, s in action.assignments)
-            assoc_rank = _rank_permutation(stations, self.num_sbs)
-        else:
-            if len(action.assignments) != self.num_sbs:
-                raise ValueError("expected a full association of every SBS")
-            by_sbs = sorted(action.assignments, key=lambda p: p[1])
-            users = tuple(u for u, _ in by_sbs)
-            assoc_rank = _rank_permutation(users, self.num_users)
-        return vap_rank * self._assoc_count + assoc_rank
-
 
 def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     out = []
@@ -550,17 +487,6 @@ def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rank_combination(combo: tuple[int, ...], n: int) -> int:
-    k = len(combo)
-    rank = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        for x in range(prev + 1, c):
-            rank += comb(n - 1 - x, k - 1 - i)
-        prev = c
-    return rank
-
-
 def _unrank_permutation(rank: int, n: int, k: int) -> tuple[int, ...]:
     avail = list(range(n))
     out = []
@@ -569,17 +495,6 @@ def _unrank_permutation(rank: int, n: int, k: int) -> tuple[int, ...]:
         idx, rank = divmod(rank, block)
         out.append(avail.pop(idx))
     return tuple(out)
-
-
-def _rank_permutation(values: tuple[int, ...], n: int) -> int:
-    avail = list(range(n))
-    k = len(values)
-    rank = 0
-    for i, v in enumerate(values):
-        idx = avail.index(v)
-        rank += idx * perm(n - 1 - i, k - 1 - i)
-        avail.pop(idx)
-    return rank
 
 
 def enumerate_joint_actions(scenario: ScenarioConfig, cap: int = JOINT_ACTION_CAP) -> JointActionSpace:

@@ -260,14 +260,10 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
         return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
 
     try:
+        # keys named as RadioParams fields pass through; the noise is in dBm/Hz
         radio = env.RadioParams(
-            carrier_freq_hz=rd["carrier_freq_hz"],
-            bandwidth_hz=rd["bandwidth_hz"],
-            tx_power_w=rd["tx_power_w"],
-            absorption_per_m=rd["absorption_per_m"],
+            **{k: v for k, v in rd.items() if k != "noise_density_dbm_per_hz"},
             noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(rd["noise_density_dbm_per_hz"]),
-            image_size_bits=rd["image_size_bits"],
-            slot_duration_s=rd["slot_duration_s"],
         )
         optics = env.OpticsParams(fov_semi_angle_rad=math.radians(op["fov_semi_angle_deg"]))
         scenario = ScenarioConfig(
@@ -284,37 +280,20 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             radio=radio,
             optics=optics,
         )
-        ln = values["learning"]
-        learning = LearningConfig(
-            inner_lr=ln["inner_lr"],
-            meta_lr=ln["meta_lr"],
-            inner_rollouts=ln["inner_rollouts"],
-            outer_rollouts=ln["outer_rollouts"],
-            meta_iterations=ln["meta_iterations"],
-            tasks_per_batch=ln["tasks_per_batch"],
-            reward_baseline=ln["reward_baseline"],
-            reward_to_go=ln["reward_to_go"],
-            meta_order=ln["meta_order"],
-            hidden_sizes=tuple(ln["hidden_sizes"]),
-        )
+        learning = LearningConfig(**values["learning"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     algorithm = values["run"]["algorithm"]
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"run.algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if algorithm in ("mpg", "pg"):
-        try:
-            env.enumerate_joint_actions(scenario)  # raises above the action cap
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     workers = values["run"]["workers"]
     if workers < 1:
         raise ConfigError(f"run.workers must be >= 1, got {workers}")
     eval_periods = values["run"]["eval_periods"]
     if eval_periods < 1:
         raise ConfigError(f"run.eval_periods must be >= 1, got {eval_periods}")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         values=values,
         scenario=scenario,
         learning=learning,
@@ -323,6 +302,11 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
         output_dir=values["run"]["output_dir"],
         workers=workers,
     )
+    try:
+        meta_rl.policy_head(spec.kind, scenario)  # the joint head refuses rooms above the action cap
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return spec
 
 
 def load_spec(path: str | Path | None, environ=None, overrides: dict | None = None) -> ExperimentSpec:
@@ -397,12 +381,22 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
                     )
 
 
-def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list[Task], rngs) -> list:
-    """One period per task, each drawn from its own rng, in lockstep."""
+def write_summary(out_dir: Path, summary: dict) -> None:
+    with atomic_open(out_dir / "summary.json") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list[Task], purpose: int) -> list:
+    """One period per task, in lockstep; period i draws from the rng keyed
+    by (master seed, purpose, i)."""
     sc = spec.scenario
-    uniforms = np.array([meta_rl.draw_uniforms(rng, 1, sc)[0] for rng in rngs])
+    uniforms = np.array([
+        meta_rl.draw_uniforms(np.random.default_rng([spec.master_seed, purpose, i]), 1, sc)[0]
+        for i in range(len(tasks))
+    ])
     return meta_rl.rollout_period(
-        tasks, params, meta_rl.make_decoder(spec.kind, sc), sc,
+        tasks, params, meta_rl.policy_head(spec.kind, sc).decode, sc,
         uniforms.reshape(len(tasks), sc.slots_per_period, 1 + sc.num_users),
     )
 
@@ -416,8 +410,7 @@ def evaluate_policy(
     """Roll a frozen policy on fresh tasks; returns avg reliability per user."""
     seeds = derive_task_seeds(spec.master_seed, periods, purpose=seed_purpose)
     tasks = [spec.task(s, 10_000 + i) for i, s in enumerate(seeds)]
-    rngs = [np.random.default_rng([spec.master_seed, 17, i]) for i in range(periods)]
-    trajectories = rollout_periods(params, spec, tasks, rngs)
+    trajectories = rollout_periods(params, spec, tasks, 17)
     total = sum(traj.total_reward for traj in trajectories)
     avg = total / (spec.scenario.num_users * periods) if periods else 0.0
     return avg, trajectories
@@ -432,8 +425,7 @@ class RunMetrics:
 
 def run(spec: ExperimentSpec) -> RunMetrics:
     """Train as the experiment spec describes, then evaluate and write artifacts."""
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(spec)
     tasks = build_task_stream(spec)
     started = time.perf_counter()
 
@@ -466,9 +458,7 @@ def run(spec: ExperimentSpec) -> RunMetrics:
         "config_hash": spec.config_hash,
         "total_wall_clock_s": time.perf_counter() - started,
     }
-    with atomic_open(out_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_summary(out_dir, summary)
     with atomic_open(out_dir / "config.txt") as fh:
         fh.write(spec.canonical_text)
     return RunMetrics(iterations=metrics, avg_reliability_per_user=avg, summary=summary)
@@ -478,26 +468,37 @@ def run(spec: ExperimentSpec) -> RunMetrics:
 # CLI
 
 
+# flag -> the [run] key it overrides, plus its argparse options; every
+# command takes these
+RUN_FLAGS = {
+    "--seed": ("master_seed", {"type": int}),
+    "--algo": ("algorithm", {"choices": ALGORITHMS}),
+    "--out": ("output_dir", {}),
+    "--workers": ("workers", {"type": int}),
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="config file path (defaults apply if omitted)")
-    parser.add_argument("--seed", type=int, default=None, help="override run.master_seed")
-    parser.add_argument("--algo", choices=ALGORITHMS, default=None, help="override run.algorithm")
-    parser.add_argument("--out", default=None, help="override run.output_dir")
-    parser.add_argument("--workers", type=int, default=None, help="override run.workers")
+    for flag, (key, options) in RUN_FLAGS.items():
+        parser.add_argument(flag, default=None, help=f"override run.{key}", **options)
     parser.add_argument("--print-config", action="store_true", help="print the canonical config and exit")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    overrides = {}
-    if args.seed is not None:
-        overrides[("run", "master_seed")] = args.seed
-    if args.algo is not None:
-        overrides[("run", "algorithm")] = args.algo
-    if args.out is not None:
-        overrides[("run", "output_dir")] = args.out
-    if args.workers is not None:
-        overrides[("run", "workers")] = args.workers
-    return load_spec(args.config, overrides=overrides)
+    given = {("run", key): getattr(args, flag[2:]) for flag, (key, _) in RUN_FLAGS.items()}
+    return load_spec(args.config, overrides={k: v for k, v in given.items() if v is not None})
+
+
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
+def _output_dir(spec: ExperimentSpec) -> Path:
+    out_dir = Path(spec.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
@@ -510,7 +511,7 @@ def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
             f"checkpoint {path} takes {params.layer_shapes[0][0]} inputs; "
             f"the spec's {spec.scenario.num_users} users need {inputs}"
         )
-    actions = meta_rl.action_count_for(spec.kind, spec.scenario)
+    actions = len(meta_rl.policy_head(spec.kind, spec.scenario).actions)
     if params.action_count != actions:
         raise ConfigError(
             f"checkpoint {path} has {params.action_count} actions; "
@@ -540,14 +541,14 @@ def _cmd_train(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_adapt(spec: ExperimentSpec, args) -> int:
+    _check_count("--steps", args.steps, 0)
     params = _load_checkpoint(args.checkpoint, spec)
     task = spec.task(args.task_seed, args.task_seed)
     adapted, curve = meta_rl.adapt(
         params, task, args.steps, spec.learning, spec.scenario, kind=spec.kind,
         master_seed=spec.master_seed,
     )
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(spec)
     policy_net.save_params(
         out_dir / "adapted_checkpoint.bin", adapted, spec.config_hash, spec.kind, spec.scenario_hash
     )
@@ -560,24 +561,13 @@ def _cmd_adapt(spec: ExperimentSpec, args) -> int:
     return 0
 
 
-def _check_periods(args) -> None:
-    if args.periods < 1:
-        raise ConfigError(f"--periods must be >= 1, got {args.periods}")
-
-
 def _cmd_eval(spec: ExperimentSpec, args) -> int:
-    _check_periods(args)
+    _check_count("--periods", args.periods, 1)
     params = _load_checkpoint(args.checkpoint, spec)
     avg, trajectories = evaluate_policy(params, spec, args.periods)
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(spec)
     write_trajectories(out_dir, trajectories, spec.scenario)
-    with atomic_open(out_dir / "summary.json") as fh:
-        json.dump(
-            {"avg_reliability_per_user": avg, "eval_periods": args.periods},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_summary(out_dir, {"avg_reliability_per_user": avg, "eval_periods": args.periods})
     print(f"avg reliability per user {avg:.4f} over {args.periods} periods")
     return 0
 
@@ -592,24 +582,21 @@ def _cmd_oracle(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_simulate(spec: ExperimentSpec, args) -> int:
-    _check_periods(args)
+    _check_count("--periods", args.periods, 1)
     if args.checkpoint:
         params = _load_checkpoint(args.checkpoint, spec)
     else:
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
     stream = build_task_stream(spec)
     tasks = [stream[i % len(stream)] for i in range(args.periods)]
-    rngs = [np.random.default_rng([spec.master_seed, 19, i]) for i in range(args.periods)]
-    trajectories = rollout_periods(params, spec, tasks, rngs)
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectories(out_dir, trajectories, spec.scenario)
+    trajectories = rollout_periods(params, spec, tasks, 19)
+    write_trajectories(_output_dir(spec), trajectories, spec.scenario)
     total = sum(t.total_reward for t in trajectories)
     print(f"simulated {args.periods} periods, total reward {total}; log in {spec.output_dir}")
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thzvlc",
         description="Indoor THz/VLC VR network simulator and trainers",
@@ -644,8 +631,11 @@ def main(argv=None) -> int:
     p_sim.add_argument("--checkpoint", default=None)
     p_sim.add_argument("--periods", type=int, default=3)
     p_sim.set_defaults(func=_cmd_simulate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         if args.print_config:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class IterationMetrics:
     mean_reward: float
     std_reward: float
     wall_clock_s: float
+
+    @classmethod
+    def of(cls, iteration: int, trajectories: list[Trajectory], start: float) -> IterationMetrics:
+        """The returns' mean and spread, timed from `start` (a perf_counter reading)."""
+        rewards = np.array([t.total_reward for t in trajectories], dtype=float)
+        return cls(iteration, float(rewards.mean()), float(rewards.std()), time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +219,7 @@ def task_gradient(
     if not trajectories:
         raise ValueError("need at least one trajectory")
     k = len(trajectories)
-    returns = np.array([float(t.total_reward) for t in trajectories])
-    if reward_baseline and k > 1:
-        baselines = (returns.sum() - returns) / (k - 1)
-    else:
-        baselines = np.zeros(k)
-
+    returns, baselines = _returns_and_baselines(trajectories, reward_baseline)
     encodings, actions, weights = [], [], []
     for ti, traj in enumerate(trajectories):
         if reward_to_go:
@@ -233,6 +235,16 @@ def task_gradient(
     if not weights:
         return Gradient.zero(params.layer_shapes)
     return policy_net.accumulate_grad_log_prob(params, encodings, actions, weights)
+
+
+def _returns_and_baselines(trajectories: list[Trajectory], leave_one_out: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each trajectory's return and its baseline: the mean return of the
+    others when `leave_one_out` (and there are others), else zero."""
+    returns = np.array([float(t.total_reward) for t in trajectories])
+    k = len(returns)
+    if leave_one_out and k > 1:
+        return returns, (returns.sum() - returns) / (k - 1)
+    return returns, np.zeros(k)
 
 
 def inner_update(params: Policy, gradient: Gradient | np.ndarray, lr: float) -> Policy:
@@ -268,17 +280,12 @@ def _adapted_objective(
     """
     g = task_gradient(result.inner_trajs, base, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(base, g, cfg.inner_lr)
-    returns = np.array([float(t.total_reward) for t in result.outer_trajs])
-    k = len(returns)
-    if cfg.reward_baseline and k > 1:
-        baselines = (returns.sum() - returns) / (k - 1)
-    else:
-        baselines = np.zeros(k)
+    returns, baselines = _returns_and_baselines(result.outer_trajs, cfg.reward_baseline)
     total = 0.0
     for traj, ret, base_val in zip(result.outer_trajs, returns, baselines):
         lw = _trajectory_log_prob(adapted, traj) - _trajectory_log_prob(result.adapted, traj)
         total += float(np.exp(lw)) * (ret - base_val)
-    return total / k
+    return total / len(returns)
 
 
 def meta_update(
@@ -327,14 +334,28 @@ def meta_update(
 # Training loops
 
 
-def make_decoder(kind: str, scenario: ScenarioConfig):
-    """The `rollout_period` decoder of the joint (`mpg`) or VAP-only (`dmpg`) head."""
+class PolicyHead(NamedTuple):
+    """What rolls a head: its phase entry point, taking (task, params,
+    actions, scenario, rng, count); its `rollout_period` decoder; and its
+    action table, one entry per output of the policy."""
+
+    rollout: Callable[..., list[Trajectory]]
+    decode: Callable
+    actions: JointActionSpace | tuple
+
+
+def policy_head(kind: str, scenario: ScenarioConfig) -> PolicyHead:
+    """The joint (`mpg`) head, or the VAP-only (`dmpg`) head with its slot
+    matching. Entry points are looked up per call, so wrapping them in
+    their modules takes effect."""
     if kind == "mpg":
-        return joint_decoder(env.enumerate_joint_actions(scenario))
+        space = env.enumerate_joint_actions(scenario)
+        return PolicyHead(rollout_joint, joint_decoder(space), space)
     if kind == "dmpg":
         from . import dmpg
 
-        return dmpg.vap_decoder(dmpg.enumerate_vap_actions(scenario.num_vaps), scenario)
+        actions = dmpg.enumerate_vap_actions(scenario.num_vaps)
+        return PolicyHead(dmpg.rollout_vap, dmpg.vap_decoder(actions, scenario), actions)
     raise ValueError(f"unknown rollout kind {kind!r}")
 
 
@@ -347,25 +368,8 @@ def rollout_phase(
     count: int,
 ) -> list[Trajectory]:
     """`count` rollouts of one task phase through the head's entry point."""
-    if kind == "mpg":
-        space = env.enumerate_joint_actions(scenario)
-        return rollout_joint(task, params, space, scenario, rng, count)
-    if kind == "dmpg":
-        from . import dmpg
-
-        actions = dmpg.enumerate_vap_actions(scenario.num_vaps)
-        return dmpg.rollout_vap(task, params, actions, scenario, rng, count)
-    raise ValueError(f"unknown rollout kind {kind!r}")
-
-
-def action_count_for(kind: str, scenario: ScenarioConfig) -> int:
-    if kind == "mpg":
-        return len(env.enumerate_joint_actions(scenario))
-    if kind == "dmpg":
-        from math import comb
-
-        return comb(scenario.num_vaps, 3)
-    raise ValueError(f"unknown rollout kind {kind!r}")
+    head = policy_head(kind, scenario)
+    return head.rollout(task, params, head.actions, scenario, rng, count)
 
 
 def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase: int):
@@ -393,7 +397,7 @@ def _run_task_phase(payload) -> TaskBatchResult:
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:
     shapes = policy_net.layer_shapes_for(
-        policy_net.encoding_dim(scenario), cfg.hidden_sizes, action_count_for(kind, scenario)
+        policy_net.encoding_dim(scenario), cfg.hidden_sizes, len(policy_head(kind, scenario).actions)
     )
     return policy_net.init_params(shapes, seed)
 
@@ -434,18 +438,8 @@ def meta_train(
                 results = list(pool.map(_run_task_phase, payloads))
 
             params = meta_update(params, results, cfg)
-
-            rewards = np.array(
-                [t.total_reward for res in results for t in res.outer_trajs], dtype=float
-            )
-            metrics.append(
-                IterationMetrics(
-                    iteration=it,
-                    mean_reward=float(rewards.mean()),
-                    std_reward=float(rewards.std()),
-                    wall_clock_s=time.perf_counter() - start,
-                )
-            )
+            outer = [t for res in results for t in res.outer_trajs]
+            metrics.append(IterationMetrics.of(it, outer, start))
             if trajectory_sink is not None:
                 for res in results:
                     for traj in res.inner_trajs + res.outer_trajs:
@@ -454,6 +448,34 @@ def meta_train(
         if pool is not None:
             pool.shutdown()
     return params, metrics
+
+
+def _policy_gradient(
+    params: Policy,
+    tasks: list[Task],
+    phase: int,
+    cfg: LearningConfig,
+    scenario: ScenarioConfig,
+    kind: str,
+    master_seed: int,
+    trajectory_sink,
+) -> tuple[PolicyParams, list[IterationMetrics]]:
+    """Plain policy-gradient steps, step i on tasks[i]: its rollouts, their
+    gradient and one inner-rate ascent. Step i draws from the rng keyed by
+    (master seed, i, 0, task id, phase); its metrics are those of the
+    rollouts it was computed from. The returned parameters are dense."""
+    metrics: list[IterationMetrics] = []
+    for it, task in enumerate(tasks):
+        start = time.perf_counter()
+        rng = _phase_rng(master_seed, it, 0, task.id, phase)
+        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
+        g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
+        params = inner_update(params, g, cfg.inner_lr)
+        metrics.append(IterationMetrics.of(it, trajs, start))
+        if trajectory_sink is not None:
+            for traj in trajs:
+                trajectory_sink(traj)
+    return params.folded(), metrics
 
 
 def adapt(
@@ -472,17 +494,10 @@ def adapt(
     computed from (pre-update), so curve[0] is the starting policy's level.
     The returned parameters are dense.
     """
-    curve: list[float] = []
-    for s in range(steps):
-        rng = _phase_rng(master_seed, s, 0, task.id, 2)
-        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
-        curve.append(float(np.mean([t.total_reward for t in trajs])))
-        g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
-        params = inner_update(params, g, cfg.inner_lr)
-        if trajectory_sink is not None:
-            for traj in trajs:
-                trajectory_sink(traj)
-    return params.folded(), curve
+    adapted, metrics = _policy_gradient(
+        params, [task] * steps, 2, cfg, scenario, kind, master_seed, trajectory_sink
+    )
+    return adapted, [m.mean_reward for m in metrics]
 
 
 def train_baseline_pg(
@@ -503,24 +518,5 @@ def train_baseline_pg(
     params = initial_params
     if params is None:
         params = new_policy(kind, scenario, cfg, master_seed)
-    metrics: list[IterationMetrics] = []
-    for it in range(cfg.meta_iterations):
-        start = time.perf_counter()
-        task = tasks[it % len(tasks)]
-        rng = _phase_rng(master_seed, it, 0, task.id, 3)
-        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
-        g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
-        params = inner_update(params, g, cfg.inner_lr)
-        rewards = np.array([t.total_reward for t in trajs], dtype=float)
-        metrics.append(
-            IterationMetrics(
-                iteration=it,
-                mean_reward=float(rewards.mean()),
-                std_reward=float(rewards.std()),
-                wall_clock_s=time.perf_counter() - start,
-            )
-        )
-        if trajectory_sink is not None:
-            for traj in trajs:
-                trajectory_sink(traj)
-    return params.folded(), metrics
+    stream = [tasks[it % len(tasks)] for it in range(cfg.meta_iterations)]
+    return _policy_gradient(params, stream, 3, cfg, scenario, kind, master_seed, trajectory_sink)

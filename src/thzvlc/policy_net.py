@@ -274,25 +274,11 @@ def _layers(params: Policy) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple 
     return layers, (params.lr, params.d, params.h)
 
 
-def _forward_raw(params: Policy, encoding: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Hidden activations (tanh) and the final logits of one encoding."""
-    layers, pending = _layers(params)
-    activations = [np.asarray(encoding, dtype=float)]
-    for w, b in layers[:-1]:
-        activations.append(np.tanh(w @ activations[-1] + b))
-    w, b = layers[-1]
-    logits = w @ activations[-1] + b
-    if pending is not None:
-        lr, d, h = pending
-        logits += (lr * (h @ activations[-1])) @ d
-    return activations, logits
-
-
 def _forward_rows(layers, pending, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations and logits of a 2-D batch, one `X @ W.T` per layer.
 
     A pending head update enters as lr * (x_last @ h_p.T) @ d_p. A row's
-    logits may differ from its one-row `_forward_raw` in the last bits.
+    logits may differ in the last bits with the rows batched beside it.
     """
     activations = [x]
     for w, b in layers[:-1]:
@@ -311,15 +297,14 @@ def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
     """Action distribution of one encoding, or one per row of a 2-D batch.
 
     Softmax stabilized by max subtraction, in the logits' buffer, so a batch
-    of n rows holds one (n, action count) array.
+    of n rows holds one (n, action count) array. One encoding runs as a
+    batch of one row.
     """
     x = np.asarray(encodings, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != params.layer_shapes[0][0]:
         raise ValueError("encoding length does not match the input layer")
-    if x.ndim == 1:
-        _, z = _forward_raw(params, x)
-    else:
-        _, z = _forward_rows(*_layers(params), x)
+    _, z = _forward_rows(*_layers(params), np.atleast_2d(x))
+    z = z[0] if x.ndim == 1 else z
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits; check the parameter vector")
     z -= z.max(axis=-1, keepdims=True)
@@ -329,7 +314,7 @@ def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
 
 
 def log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> float:
-    _, logits = _forward_raw(params, encoding)
+    _, (logits,) = _forward_rows(*_layers(params), np.asarray(encoding, dtype=float)[None])
     z = logits - logits.max()
     return float(z[action_index] - np.log(np.exp(z).sum()))
 
@@ -452,6 +437,9 @@ def load_params(path) -> tuple[PolicyParams, dict]:
     if not line.endswith(b"\n"):
         raise ValueError(f"checkpoint {path} is truncated")
     header = json.loads(line.decode())
+    for field in ("action_count", "layer_shapes", "param_count"):
+        if not isinstance(header, dict) or field not in header:
+            raise ValueError(f"checkpoint {path} header has no {field!r} field")
     expected = 8 * header["param_count"]
     if len(raw) < expected:
         raise ValueError(f"checkpoint {path} is truncated")

@@ -6,8 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from thzvlc import channel, env
+from thzvlc import channel, env, harness
 from thzvlc.geometry import Point3, make_grid
+
+
+def reference_scenario(**keys):
+    """The config schema's reference room, with these [scenario] keys set."""
+    overrides = {("scenario", key): value for key, value in keys.items()}
+    return harness.load_spec(None, environ={}, overrides=overrides).scenario
 
 
 def make_toy_scenario(
@@ -21,16 +27,8 @@ def make_toy_scenario(
     room_side=6.0,
     ceiling=3.0,
 ):
-    """Small joint-action scenario; defaults give C(4,3) * 2! = 8 actions."""
-    radio = channel.RadioParams(
-        carrier_freq_hz=1.0e12,
-        bandwidth_hz=1.0e10,
-        tx_power_w=1.0,
-        absorption_per_m=0.01,
-        noise_density_w_per_hz=channel.dbm_per_hz_to_w_per_hz(-174.0),
-        image_size_bits=2.0e7,
-        slot_duration_s=0.01,
-    )
+    """Small joint-action scenario with the reference radio; defaults give
+    C(4,3) * 2! = 8 actions."""
     return env.ScenarioConfig(
         room_side=room_side,
         ceiling_z=ceiling,
@@ -42,7 +40,7 @@ def make_toy_scenario(
         grid=make_grid(room_side, cells_per_side),
         slots_per_period=slots_per_period,
         num_periods=4,
-        radio=radio,
+        radio=reference_scenario().radio,
         optics=channel.OpticsParams(fov_semi_angle_rad=math.radians(fov_deg)),
     )
 
@@ -54,12 +52,4 @@ def toy_scenario():
 
 @pytest.fixture
 def default_radio():
-    return channel.RadioParams(
-        carrier_freq_hz=1.0e12,
-        bandwidth_hz=1.0e10,
-        tx_power_w=1.0,
-        absorption_per_m=0.01,
-        noise_density_w_per_hz=channel.dbm_per_hz_to_w_per_hz(-174.0),
-        image_size_bits=2.0e7,
-        slot_duration_s=0.01,
-    )
+    return reference_scenario().radio

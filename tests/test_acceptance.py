@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 import oracles
-from conftest import make_toy_scenario
+from conftest import make_toy_scenario, reference_scenario
 from thzvlc import env, harness, meta_rl
 from thzvlc.association import check_period_feasible, hungarian_max, solve_period_association
 from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
@@ -348,7 +348,7 @@ def test_criterion_7_meta_adaptation():
 
 def test_criterion_8_dmpg_scalability():
     # full-size dual-method run: 20 users, 7 VAPs, 7 SBSs, 3 slots
-    big = env.default_scenario(num_users=20)
+    big = reference_scenario(num_users=20)
     tasks = [env.sample_task(big.grid, seed=s, locality_radius=1, task_id=s) for s in range(10)]
     cfg = LearningConfig(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=5,
@@ -360,7 +360,7 @@ def test_criterion_8_dmpg_scalability():
     big_ok = len(metrics) == 200 and big_time < 1800
 
     # paired per-iteration timing at 8 users on identical seeds and config
-    mid = env.default_scenario(num_users=8)
+    mid = reference_scenario(num_users=8)
     mid_tasks = [env.sample_task(mid.grid, seed=s, locality_radius=1, task_id=s) for s in range(2)]
     pair_cfg = LearningConfig(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=2, outer_rollouts=1,

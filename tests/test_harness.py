@@ -327,6 +327,16 @@ class TestCli:
             assert err.startswith("error:") and "--periods" in err
             assert not out.exists()
 
+    def test_adapt_negative_steps_rejected(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        out = tmp_path / "adapt"
+        assert main(["adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--steps", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --steps must be >= 0, got -1\n"
+        assert not out.exists()
+
     def _checkpoint(self, tmp_path, algo, **overrides):
         """A fresh policy for the toy scenario under `algo`, saved to disk."""
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
@@ -447,6 +457,21 @@ class TestCli:
         err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
                              "--out", str(tmp_path / "o")], capsys)
         assert err == f"error: checkpoint {ckpt} is truncated\n"
+
+
+    def test_checkpoint_header_missing_a_field_named(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        payload = ckpt.read_bytes().split(b"\n", 1)[1]
+        for header, field in ((b"{}", "action_count"), (b"[]", "action_count"),
+                              (b'{"action_count": 8, "layer_shapes": []}', "param_count")):
+            ckpt.write_bytes(header + b"\n" + payload)
+            for command in (["eval"], ["simulate"], ["adapt", "--steps", "1"]):
+                out = tmp_path / "o"
+                err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
+                                     "--out", str(out)], capsys)
+                assert err == f"error: checkpoint {ckpt} header has no {field!r} field\n"
+                assert not out.exists()
 
 
 class TestAtomicArtifacts:

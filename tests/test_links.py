@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_toy_scenario
+from conftest import make_toy_scenario, reference_scenario
 from thzvlc import channel, env
 from thzvlc.geometry import BodyOccupancy, below_top, blocked, crossings
 
@@ -207,7 +207,7 @@ class TestCrossingTable:
 
     def test_first_slot_fills_only_its_users_rows(self):
         # 400 cells: the full table would be 14 x 400 x 400 entries (38 MB)
-        scenario = env.default_scenario(cells_per_side=20)
+        scenario = reference_scenario(cells_per_side=20)
         task = env.sample_task(scenario.grid, seed=3)
         state = env.reset(task, scenario)
         state = dataclasses.replace(state, user_cells=state.user_cells[:-2] + state.user_cells[:2])

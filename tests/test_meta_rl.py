@@ -154,7 +154,7 @@ class TestLockstep:
         task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count)
-        decode = meta_rl.make_decoder(kind, scenario)
+        decode = meta_rl.policy_head(kind, scenario).decode
         want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
         assert_same_rollouts(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -171,7 +171,7 @@ class TestLockstep:
         tasks = [pool[i] for i in picks]
         rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
         draws = [meta_rl.draw_uniforms(rng, 1, scenario) for rng in rngs]
-        decode = meta_rl.make_decoder(kind, scenario)
+        decode = meta_rl.policy_head(kind, scenario).decode
         shape = (len(tasks), scenario.slots_per_period, 1 + scenario.num_users)
         got = meta_rl.rollout_period(tasks, params, decode, scenario, np.array(draws).reshape(shape))
         ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
@@ -191,7 +191,7 @@ class TestLockstep:
     def test_uniforms_must_match_the_batch(self, toy_scenario):
         params = meta_rl.new_policy("mpg", toy_scenario, LearningConfig(hidden_sizes=(4,)), 0)
         task = env.sample_task(toy_scenario.grid, seed=0)
-        decode = meta_rl.make_decoder("mpg", toy_scenario)
+        decode = meta_rl.policy_head("mpg", toy_scenario).decode
         uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
         with pytest.raises(ValueError, match="uniforms"):
             meta_rl.rollout_period([task] * 3, params, decode, toy_scenario, uniforms)
@@ -597,7 +597,7 @@ class TestLowRankAgainstDense:
             flat = params.flat + lr * oracles.dense_task_gradient(inner, params.flat, shapes)
             assert_rel(adapted.folded().flat, flat)
             for x in probes:
-                assert_rel(policy_net._forward_raw(adapted, x)[1], oracles.dense_logits(flat, shapes, x))
+                assert_rel(policy_net._forward_rows(*policy_net._layers(adapted), x[None])[1][0], oracles.dense_logits(flat, shapes, x))
                 for a in range(actions):
                     assert_rel(policy_net.log_prob(adapted, x, a), oracles.dense_log_prob(flat, shapes, x, a))
             rows = oracles.score_rows(outer + inner, False, False)
@@ -651,7 +651,7 @@ class TestChainedUpdates:
                              hidden_sizes=(16,))
         task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        decode = meta_rl.make_decoder("mpg", toy_scenario)
+        decode = meta_rl.policy_head("mpg", toy_scenario).decode
 
         def trajs_at(s, policy):
             rng = meta_rl._phase_rng(3, s, 0, task.id, 2)
@@ -674,7 +674,7 @@ class TestChainedUpdates:
                        hidden_sizes=(16,))
         tasks = TestTraining()._tasks(toy_scenario)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        decode = meta_rl.make_decoder("mpg", toy_scenario)
+        decode = meta_rl.policy_head("mpg", toy_scenario).decode
 
         def trajs_at(s, policy):
             task = tasks[s % len(tasks)]

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +302,17 @@ class TestCheckpoint:
         for cut in (3, 8, len(data) - data.index(b"\n") - 1, len(data) - 5):
             path.write_bytes(data[:-cut])
             with pytest.raises(ValueError, match="is truncated"):
+                load_params(path)
+
+    def test_header_missing_a_field_named(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_params(path, small_net(seed=9))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        for field in ("action_count", "layer_shapes", "param_count"):
+            fields = json.loads(header)
+            del fields[field]
+            path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+            with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} header has no '{field}' field")):
                 load_params(path)
 
     def test_header_records_kind(self, tmp_path):

@@ -1,11 +1,19 @@
-"""The benchmark tracer (`perfbench/spans.py`) wraps package functions by
-name, so each name it lists must exist; a missing one would only fail when
-a traced run starts."""
+"""Checks that tie the package to what names it from outside.
 
+The benchmark tracer (`perfbench/spans.py`) wraps package functions by
+name, so each name it lists must exist; a missing one would only fail when
+a traced run starts. The README's `## CLI` block and the CLI parser must
+name the same commands and flags, so neither drops or gains a flag
+silently."""
+
+import argparse
 import importlib
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def traced_targets() -> dict:
@@ -25,3 +33,39 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"thzvlc.{module_name}"), attr, None))
     ]
     assert missing == []
+
+
+def readme_cli_lines() -> dict:
+    """command -> the flags on its line of the README's `## CLI` block."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        assert words[0] == "thzvlc"
+        lines[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return lines
+
+
+def parser_flags() -> dict:
+    """command -> (every flag its parser takes, those only it takes)."""
+    from thzvlc import harness
+
+    parser = harness._parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    common = {"--config", "--print-config", *harness.RUN_FLAGS}
+    flags = {}
+    for command, p in sub.choices.items():
+        taken = {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        assert common <= taken, command
+        flags[command] = (taken, taken - common)
+    return flags
+
+
+def test_readme_cli_block_matches_the_parser():
+    readme, parser = readme_cli_lines(), parser_flags()
+    assert set(readme) == set(parser)
+    for command, shown in readme.items():
+        taken, own = parser[command]
+        assert shown <= taken, (command, shown - taken)
+        assert own <= shown, (command, own - shown)
