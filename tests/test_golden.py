@@ -1,9 +1,11 @@
-"""Golden runs: the sha256 of each run's metrics.csv and trajectories.csv.
+"""Golden runs: the sha256 of each run's metrics.csv and trajectories.csv,
+and of what `simulate`, `eval` and `adapt` write.
 
 The learning pin also pins the trained parameters: the float64 payload of
 checkpoint.bin after its JSON header line (whose config hash covers the
 output directory), rounded to 1e-10 so that the summation order of another
-CPU's BLAS kernels cannot move the digest.
+CPU's BLAS kernels cannot move the digest. The adapted checkpoint is pinned
+the same way.
 
 A refactor that is meant to keep behaviour must keep these bytes. A change
 that moves them on purpose updates the digests here and says in CHANGES.md
@@ -67,6 +69,12 @@ CHECKPOINTS = {
 }
 
 
+def _rounded_payload(path) -> bytes:
+    """A checkpoint's float64 payload after its JSON header line, rounded to 1e-10."""
+    flat = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+    return (np.round(flat, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_digests(name, tmp_path, capsys):
     text, metrics_sha, trajectories_sha = GOLDEN[name]
@@ -79,10 +87,7 @@ def test_golden_run_digests(name, tmp_path, capsys):
         expected["checkpoint.bin"] = CHECKPOINTS[name]
     digest = {}
     for f in expected:
-        data = (out / f).read_bytes()
-        if f == "checkpoint.bin":
-            flat = np.frombuffer(data.split(b"\n", 1)[1], dtype="<f8")
-            data = (np.round(flat, 10) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        data = _rounded_payload(out / f) if f == "checkpoint.bin" else (out / f).read_bytes()
         digest[f] = hashlib.sha256(data).hexdigest()
     assert digest == expected
 
@@ -95,12 +100,6 @@ def test_golden_simulate_digest(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert harness.main(["simulate", "--config", str(cfg), "--periods", "5", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == trajectories_sha
-
-
-def _rounded_payload(path) -> bytes:
-    """A checkpoint's float64 payload, rounded as the learning pin rounds it."""
-    flat = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f8")
-    return (np.round(flat, 10) + 0.0).tobytes()
 
 
 @pytest.fixture(scope="module")
