@@ -18,24 +18,6 @@ from . import env
 
 
 @dataclass(frozen=True)
-class DualVars:
-    """Nonnegative per-user multipliers and the subgradient step size."""
-
-    lambdas: tuple[float, ...]
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step size must be positive")
-        if any(lv < 0 for lv in self.lambdas):
-            raise ValueError("dual variables must be nonnegative")
-
-
-def zero_duals(num_users: int, step: float = 0.1) -> DualVars:
-    return DualVars(lambdas=(0.0,) * num_users, step=step)
-
-
-@dataclass(frozen=True)
 class AssignmentSolution:
     """Partial one-to-one matching (row, column) with its total weight."""
 
@@ -192,16 +174,10 @@ def slot_assign(
     return AssignmentSolution(matching=matching, objective_value=sol.objective_value)
 
 
-def dual_update(duals: DualVars, served_counts, step: float | None = None) -> DualVars:
-    """Projected subgradient step on the once-per-period constraint."""
-    phi = duals.step if step is None else step
-    if phi <= 0:
-        raise ValueError("step size must be positive")
-    new = tuple(
-        max(0.0, lam - phi * (1.0 - float(count)))
-        for lam, count in zip(duals.lambdas, served_counts)
-    )
-    return DualVars(lambdas=new, step=duals.step)
+def dual_update(lambdas: np.ndarray, served_counts, step: float) -> np.ndarray:
+    """Projected subgradient step on the once-per-period constraint: each
+    user's multiplier moves by step * (count - 1) and is clipped at zero."""
+    return np.maximum(0.0, lambdas - step * (1.0 - np.asarray(served_counts, dtype=float)))
 
 
 def check_period_feasible(per_slot, num_users: int, num_sbs: int) -> bool:
@@ -252,11 +228,13 @@ def solve_period_association(
     """
     if len(vap_sequence) != scenario.slots_per_period:
         raise ValueError("need one VAP set per slot")
+    if step <= 0:
+        raise ValueError("step size must be positive")
     slots = scenario.slots_per_period
     loc, feas = service_tables(vap_sequence, realization, scenario)
     pools = [[j for j in range(scenario.num_users) if loc[t][j]] for t in range(slots)]
 
-    duals = zero_duals(scenario.num_users, step)
+    lambdas = np.zeros(scenario.num_users)
     best: tuple[tuple[tuple[int, int], ...], ...] | None = None
     best_count = -1
 
@@ -268,7 +246,7 @@ def solve_period_association(
             if not pool:
                 round_slots.append(())
                 continue
-            weights = feas[t][:, pool] - np.asarray(duals.lambdas)[pool]
+            weights = feas[t][:, pool] - lambdas[pool]
             sol = hungarian_max(weights, allow_skip=True)
             matched = tuple((i, pool[col]) for i, col in sol.matching)
             round_slots.append(matched)
@@ -295,7 +273,7 @@ def solve_period_association(
             best_count = len(seen)
             best = tuple(feasible)
 
-        duals = dual_update(duals, counts)
+        lambdas = dual_update(lambdas, counts, step)
 
     assert best is not None
     return best

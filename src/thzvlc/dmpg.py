@@ -9,7 +9,6 @@ period solver is `association.solve_period_association`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -19,29 +18,19 @@ from .env import JointAction, ScenarioConfig, Task, Trajectory
 from .policy_net import Policy
 
 
-@dataclass(frozen=True)
-class VapAction:
-    """One 3-subset of VAPs plus its index in the lexicographic enumeration."""
-
-    vap_set: tuple[int, int, int]
-    action_index: int
-
-
-def enumerate_vap_actions(num_vaps: int) -> tuple[VapAction, ...]:
-    """All C(V, 3) subsets in lexicographic order."""
+def enumerate_vap_actions(num_vaps: int) -> tuple[tuple[int, int, int], ...]:
+    """All C(V, 3) VAP subsets in lexicographic order; a subset's position
+    is its action index."""
     if num_vaps < 3:
         raise ValueError("need at least 3 VAPs")
-    return tuple(
-        VapAction(vap_set=c, action_index=i)
-        for i, c in enumerate(combinations(range(num_vaps), 3))
-    )
+    return tuple(combinations(range(num_vaps), 3))
 
 
-def vap_decoder(actions: tuple[VapAction, ...], scenario: ScenarioConfig):
+def vap_decoder(actions: tuple[tuple[int, int, int], ...], scenario: ScenarioConfig):
     """Decoder for `meta_rl.rollout_period`: the VAP subset plus its slot matching."""
 
     def decode(idx: int, state: env.EnvState, links: env.SlotLinks) -> JointAction:
-        vap_set = actions[idx].vap_set
+        vap_set = actions[idx]
         solution = association.slot_assign(state, vap_set, scenario, links)
         pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
         return JointAction(vap_set=vap_set, assignments=pairs)
@@ -52,7 +41,7 @@ def vap_decoder(actions: tuple[VapAction, ...], scenario: ScenarioConfig):
 def rollout_vap(
     task: Task,
     params: Policy,
-    actions: tuple[VapAction, ...],
+    actions: tuple[tuple[int, int, int], ...],
     scenario: ScenarioConfig,
     rng: np.random.Generator,
     count: int,

@@ -39,7 +39,6 @@ class ScenarioConfig:
     body_radius: float
     grid: RoomGrid
     slots_per_period: int
-    num_periods: int
     radio: RadioParams
     optics: OpticsParams
 

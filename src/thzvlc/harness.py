@@ -77,7 +77,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "tasks_per_batch": ("int", 20),
         "reward_baseline": ("bool", True),
         "reward_to_go": ("bool", False),
-        "meta_order": ("str", "first_order"),
         "hidden_sizes": ("int_tuple", (64, 64)),
     },
     "tasks": {
@@ -276,7 +275,6 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             body_radius=sc["body_radius"],
             grid=make_grid(sc["room_side"], sc["cells_per_side"]),
             slots_per_period=sc["slots_per_period"],
-            num_periods=values["tasks"]["count"],
             radio=radio,
             optics=optics,
         )

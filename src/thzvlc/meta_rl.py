@@ -4,9 +4,8 @@ Each meta iteration runs two phases per task: a task-learning step
 (REINFORCE gradient on K rollouts, one ascent step with the inner rate)
 and a meta-learning step (gradient of the post-adaptation objective on K'
 rollouts, applied to the shared initialization with the meta rate). The
-default meta gradient is the first-order approximation; a finite-difference
-second-order mode exists for small networks so tests can bound the
-approximation error.
+meta gradient is the first-order approximation; the tests bound its error
+against a finite-difference second-order reference.
 
 Reproducibility: every rollout draws from an rng stream keyed by
 (master seed, iteration, batch slot, task id, phase), so results are
@@ -26,8 +25,6 @@ from . import env, policy_net
 from .env import JointActionSpace, ScenarioConfig, Task, Trajectory, TrajectoryStep
 from .policy_net import Gradient, Policy, PolicyParams
 
-FD_PARAM_GUARD = 2000
-
 
 @dataclass(frozen=True)
 class LearningConfig:
@@ -41,9 +38,7 @@ class LearningConfig:
     tasks_per_batch: int = 20
     reward_baseline: bool = True
     reward_to_go: bool = False
-    meta_order: str = "first_order"
     hidden_sizes: tuple[int, ...] = (64, 64)
-    fd_epsilon: float = 1e-5
 
     def __post_init__(self):
         if self.inner_lr <= 0 or self.meta_lr <= 0:
@@ -52,15 +47,12 @@ class LearningConfig:
             raise ValueError("rollout counts must be >= 1")
         if self.meta_iterations < 0 or self.tasks_per_batch < 1:
             raise ValueError("meta_iterations must be >= 0 and tasks_per_batch >= 1")
-        if self.meta_order not in ("first_order", "fd_second_order"):
-            raise ValueError(f"unknown meta_order {self.meta_order!r}")
 
 
 @dataclass
 class TaskBatchResult:
     """Everything one task contributes to a meta update."""
 
-    task: Task
     adapted: Policy
     inner_trajs: list[Trajectory]
     outer_trajs: list[Trajectory]
@@ -219,7 +211,11 @@ def task_gradient(
     if not trajectories:
         raise ValueError("need at least one trajectory")
     k = len(trajectories)
-    returns, baselines = _returns_and_baselines(trajectories, reward_baseline)
+    returns = np.array([float(t.total_reward) for t in trajectories])
+    if reward_baseline and k > 1:
+        baselines = (returns.sum() - returns) / (k - 1)
+    else:
+        baselines = np.zeros(k)
     encodings, actions, weights = [], [], []
     for ti, traj in enumerate(trajectories):
         if reward_to_go:
@@ -237,97 +233,30 @@ def task_gradient(
     return policy_net.accumulate_grad_log_prob(params, encodings, actions, weights)
 
 
-def _returns_and_baselines(trajectories: list[Trajectory], leave_one_out: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each trajectory's return and its baseline: the mean return of the
-    others when `leave_one_out` (and there are others), else zero."""
-    returns = np.array([float(t.total_reward) for t in trajectories])
-    k = len(returns)
-    if leave_one_out and k > 1:
-        return returns, (returns.sum() - returns) / (k - 1)
-    return returns, np.zeros(k)
-
-
-def inner_update(params: Policy, gradient: Gradient | np.ndarray, lr: float) -> Policy:
+def inner_update(params: Policy, gradient: Gradient, lr: float) -> Policy:
     """One gradient-ascent step; returns new parameters.
 
     A factored head update stays pending on the shared parameters while it
-    can (`policy_net.ascend`); a dense flat gradient vector is also taken.
+    can (`policy_net.ascend`).
     """
-    if isinstance(gradient, np.ndarray):
-        if gradient.shape != (params.size,):
-            raise ValueError("gradient shape does not match the parameter vector")
-        gradient = Gradient.of_flat(gradient, params.layer_shapes)
     return policy_net.ascend(params, gradient, lr)
-
-
-def _trajectory_log_prob(params: Policy, traj: Trajectory) -> float:
-    return sum(
-        policy_net.log_prob(params, s.encoding, s.action_index) for s in traj.steps
-    )
-
-
-def _adapted_objective(
-    base: PolicyParams, result: TaskBatchResult, cfg: LearningConfig
-) -> float:
-    """Post-adaptation return estimate as a smooth function of `base`.
-
-    Re-adapts from `base` on the frozen inner trajectories, then importance-
-    weights the frozen outer trajectories from their sampling policy to the
-    re-adapted one. Returns are centered with the same leave-one-out baseline
-    the gradient estimator uses, so differentiating this surrogate and the
-    first-order path estimate the same quantity on the same data. At the
-    original parameters the weights are exactly 1.
-    """
-    g = task_gradient(result.inner_trajs, base, cfg.reward_baseline, cfg.reward_to_go)
-    adapted = inner_update(base, g, cfg.inner_lr)
-    returns, baselines = _returns_and_baselines(result.outer_trajs, cfg.reward_baseline)
-    total = 0.0
-    for traj, ret, base_val in zip(result.outer_trajs, returns, baselines):
-        lw = _trajectory_log_prob(adapted, traj) - _trajectory_log_prob(result.adapted, traj)
-        total += float(np.exp(lw)) * (ret - base_val)
-    return total / len(returns)
 
 
 def meta_update(
     params: PolicyParams, task_results: list[TaskBatchResult], cfg: LearningConfig
 ) -> PolicyParams:
-    """Meta step on the shared initialization from a batch of task results.
-
-    first_order: the post-adaptation gradient of each task, evaluated at its
-    adapted parameters, applied to the shared ones in one fold (one copy of
-    the head weight, one gemm over every task's factors). fd_second_order:
-    central finite differences of the adapted objective along every
-    coordinate (small networks only), which keeps the chain term through
-    the inner update.
+    """First-order meta step on the shared initialization from a batch of
+    task results: the post-adaptation gradient of each task, evaluated at
+    its adapted parameters, applied to the shared ones in one fold (one copy
+    of the head weight, one gemm over every task's factors).
     """
     if not task_results:
         raise ValueError("need at least one task result")
-    n = len(task_results)
-    if cfg.meta_order == "first_order":
-        grads = [
-            task_gradient(res.outer_trajs, res.adapted, cfg.reward_baseline, cfg.reward_to_go)
-            for res in task_results
-        ]
-        return policy_net.fold(params, grads, cfg.meta_lr)
-
-    if params.size > FD_PARAM_GUARD:
-        raise ValueError(
-            f"fd_second_order supports at most {FD_PARAM_GUARD} parameters, got {params.size}"
-        )
-    if cfg.reward_to_go:
-        raise ValueError("fd_second_order supports whole-trajectory returns only")
-    eps = cfg.fd_epsilon
-    grad = np.zeros_like(params.flat)
-    for i in range(params.size):
-        for sign in (1.0, -1.0):
-            shifted = params.flat.copy()
-            shifted[i] += sign * eps
-            probe = PolicyParams(
-                flat=shifted, layer_shapes=params.layer_shapes, action_count=params.action_count
-            )
-            value = sum(_adapted_objective(probe, res, cfg) for res in task_results)
-            grad[i] += sign * value / (2.0 * eps)
-    return inner_update(params, grad / n, cfg.meta_lr)
+    grads = [
+        task_gradient(res.outer_trajs, res.adapted, cfg.reward_baseline, cfg.reward_to_go)
+        for res in task_results
+    ]
+    return policy_net.fold(params, grads, cfg.meta_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +321,7 @@ def _run_task_phase(payload) -> TaskBatchResult:
     adapted = inner_update(params, g, cfg.inner_lr)
     rng_outer = _phase_rng(master_seed, iteration, slot, task.id, 1)
     outer = rollout_phase(kind, task, adapted, scenario, rng_outer, cfg.outer_rollouts)
-    return TaskBatchResult(task=task, adapted=adapted, inner_trajs=inner, outer_trajs=outer)
+    return TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
 
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:

@@ -93,13 +93,6 @@ class Gradient:
         body = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in layer_shapes[:-1]))
         return cls(body, np.zeros(actions), np.empty((0, actions)), np.empty((0, width)))
 
-    @classmethod
-    def of_flat(cls, flat: np.ndarray, layer_shapes) -> Gradient:
-        """A dense flat gradient vector, split into views."""
-        body, head, bias = _parts(flat, layer_shapes)
-        width, actions = layer_shapes[-1]
-        return cls(body, bias, np.empty((0, actions)), np.empty((0, width)), head)
-
     def dense(self) -> np.ndarray:
         """The flat gradient vector: the factors folded into the head weight."""
         head = self.d.T @ self.h
@@ -440,6 +433,16 @@ def load_params(path) -> tuple[PolicyParams, dict]:
     for field in ("action_count", "layer_shapes", "param_count"):
         if not isinstance(header, dict) or field not in header:
             raise ValueError(f"checkpoint {path} header has no {field!r} field")
+    for field in ("action_count", "param_count"):
+        if type(header[field]) is not int:
+            raise ValueError(f"checkpoint {path} header field {field!r} is not an int: {header[field]!r}")
+    shapes = header["layer_shapes"]
+    if not (isinstance(shapes, list) and shapes and all(
+        isinstance(s, list) and len(s) == 2 and all(type(n) is int for n in s) for s in shapes
+    )):
+        raise ValueError(
+            f"checkpoint {path} header field 'layer_shapes' is not a list of int pairs: {shapes!r}"
+        )
     expected = 8 * header["param_count"]
     if len(raw) < expected:
         raise ValueError(f"checkpoint {path} is truncated")

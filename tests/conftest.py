@@ -39,7 +39,6 @@ def make_toy_scenario(
         body_radius=0.2,
         grid=make_grid(room_side, cells_per_side),
         slots_per_period=slots_per_period,
-        num_periods=4,
         radio=reference_scenario().radio,
         optics=channel.OpticsParams(fov_semi_angle_rad=math.radians(fov_deg)),
     )

@@ -8,7 +8,6 @@ from conftest import make_toy_scenario
 from thzvlc import association, env
 from thzvlc.association import (
     AssignmentSolution,
-    DualVars,
     check_period_feasible,
     dual_update,
     hungarian_max,
@@ -115,34 +114,32 @@ class TestHungarianMax:
 
 class TestDualUpdate:
     def test_unserved_user_decreases_lambda(self):
-        duals = DualVars(lambdas=(0.5,), step=0.1)
-        assert dual_update(duals, [0]).lambdas == (0.4,)
+        assert dual_update(np.array([0.5]), [0], 0.1).tolist() == [0.4]
 
     def test_served_once_unchanged(self):
-        duals = DualVars(lambdas=(0.5,), step=0.1)
-        assert dual_update(duals, [1]).lambdas == (0.5,)
+        assert dual_update(np.array([0.5]), [1], 0.1).tolist() == [0.5]
 
     def test_projection_clamps_at_zero(self):
-        duals = DualVars(lambdas=(0.05,), step=0.1)
-        assert dual_update(duals, [0]).lambdas == (0.0,)
+        assert dual_update(np.array([0.05]), [0], 0.1).tolist() == [0.0]
 
     def test_multiply_served_increases_lambda(self):
-        duals = DualVars(lambdas=(0.0,), step=0.1)
-        got = dual_update(duals, [3])
-        assert got.lambdas == pytest.approx((0.2,))
+        got = dual_update(np.array([0.0]), [3], 0.1)
+        assert got.tolist() == pytest.approx([0.2])
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(34)
         for _ in range(200):
-            duals = DualVars(lambdas=tuple(rng.uniform(0, 1, 4)), step=float(rng.uniform(0.01, 1)))
+            lambdas, step = rng.uniform(0, 1, 4), float(rng.uniform(0.01, 1))
             counts = rng.integers(0, 4, 4)
-            assert min(dual_update(duals, counts).lambdas) >= 0.0
+            assert dual_update(lambdas, counts, step).min() >= 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DualVars(lambdas=(-0.1,), step=0.1)
-        with pytest.raises(ValueError):
-            DualVars(lambdas=(0.0,), step=0.0)
+    def test_validation(self, toy_scenario):
+        task = env.sample_task(toy_scenario.grid, seed=3, locality_radius=1)
+        real = env.sample_realization(task, toy_scenario, 0)
+        vaps = [(0, 1, 2)] * toy_scenario.slots_per_period
+        for step in (0.0, -0.1):
+            with pytest.raises(ValueError, match="step size must be positive"):
+                solve_period_association(vaps, real, toy_scenario, step=step)
 
 
 class TestSlotAssign:

@@ -15,15 +15,13 @@ class TestEnumerateVapActions:
     def test_minimum_size(self):
         actions = enumerate_vap_actions(3)
         assert len(actions) == 1
-        assert actions[0].vap_set == (0, 1, 2)
+        assert actions[0] == (0, 1, 2)
 
     def test_seven_vaps(self):
         assert len(enumerate_vap_actions(7)) == 35
 
     def test_four_vap_listing(self):
-        got = [a.vap_set for a in enumerate_vap_actions(4)]
-        assert got == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        assert [a.action_index for a in enumerate_vap_actions(4)] == [0, 1, 2, 3]
+        assert enumerate_vap_actions(4) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
     def test_too_few_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +53,7 @@ class TestDmpgStep:
     def test_matches_external_composition(self, toy_scenario):
         for actions, traj in self._rollouts(toy_scenario, range(6), 1):
             for step in traj.steps:
-                vap_set = actions[step.action_index].vap_set
+                vap_set = actions[step.action_index]
                 sol = association.slot_assign(step.state, vap_set, toy_scenario)
                 assert step.action.vap_set == vap_set
                 assert step.action.assignments == tuple(sorted((u, s) for s, u in sol.matching))

@@ -211,6 +211,21 @@ class TestCli:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "tx_power_w" in capsys.readouterr().err
 
+    def test_removed_meta_order_key_refused(self, tmp_path, capsys, monkeypatch):
+        # the meta update is first-order only; the old selector key is unknown now
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[learning]\ninner_lr = 0.1\nmeta_order = first_order\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: line 3: unknown key 'meta_order' in section [learning]\n"
+        monkeypatch.setenv("THZVLC_LEARNING__META_ORDER", "first_order")
+        assert main(["train", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: environment variable THZVLC_LEARNING__META_ORDER: "
+            "unknown config key learning.meta_order\n"
+        )
+        assert not out.exists()
+
     def _write_toy(self, tmp_path):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text(TOY_CONFIG)
@@ -471,6 +486,24 @@ class TestCli:
                 err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
                                      "--out", str(out)], capsys)
                 assert err == f"error: checkpoint {ckpt} header has no {field!r} field\n"
+                assert not out.exists()
+
+    def test_checkpoint_header_field_of_wrong_type_named(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        header, payload = ckpt.read_bytes().split(b"\n", 1)
+        for field, value, kind in (
+            ("param_count", "x", "an int"), ("param_count", None, "an int"),
+            ("layer_shapes", 5, "a list of int pairs"),
+            ("layer_shapes", [[8, "4"], [4, 3]], "a list of int pairs"),
+        ):
+            fields = {**json.loads(header), field: value}
+            ckpt.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+            for command in (["eval"], ["simulate"], ["adapt", "--steps", "1"]):
+                out = tmp_path / "o"
+                err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
+                                     "--out", str(out)], capsys)
+                assert err == f"error: checkpoint {ckpt} header field {field!r} is not {kind}: {value!r}\n"
                 assert not out.exists()
 
 

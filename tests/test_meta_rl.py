@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_toy_scenario
 from thzvlc import env, meta_rl, policy_net
-from thzvlc.env import EnvState, MovementPattern, Task, Trajectory, TrajectoryStep
+from thzvlc.env import EnvState, Trajectory, TrajectoryStep
 from thzvlc.meta_rl import (
     LearningConfig,
     TaskBatchResult,
@@ -29,10 +29,6 @@ from thzvlc.policy_net import (
     init_params,
     layer_shapes_for,
 )
-
-
-def dummy_task():
-    return Task(pattern=MovementPattern(np.eye(1)), rng_seed=0, id=0)
 
 
 def dummy_state(num_users=3):
@@ -308,17 +304,20 @@ class TestTaskGradient:
 class TestInnerUpdate:
     def test_zero_gradient_fixed_point(self):
         params = init_params(((2, 3),), seed=0)
-        out = inner_update(params, np.zeros(params.size), 0.1)
+        g = oracles.flat_gradient(np.zeros(params.size), params.layer_shapes)
+        out = inner_update(params, g, 0.1)
         assert np.array_equal(out.flat, params.flat)
 
     def test_zero_rate_fixed_point(self):
         params = init_params(((2, 3),), seed=0)
-        out = inner_update(params, np.ones(params.size), 0.0)
+        g = oracles.flat_gradient(np.ones(params.size), params.layer_shapes)
+        out = inner_update(params, g, 0.0)
         assert np.array_equal(out.flat, params.flat)
 
     def test_unit_gradient_shift(self):
         params = init_params(((2, 3),), seed=0)
-        out = inner_update(params, np.ones(params.size), 0.1)
+        g = oracles.flat_gradient(np.ones(params.size), params.layer_shapes)
+        out = inner_update(params, g, 0.1)
         assert np.allclose(out.flat - params.flat, 0.1, atol=1e-15)
 
     def test_ascent_improves_bandit(self):
@@ -335,6 +334,7 @@ class TestInnerUpdate:
         g = np.zeros(params.size)
         for a in range(2):
             g += dist[a] * rewards[a] * policy_net.grad_log_prob(params, x, a)
+        g = oracles.flat_gradient(g, shapes)
         for lr in (0.01, 0.05, 0.1):
             assert exact_value(inner_update(params, g, lr)) >= exact_value(params)
 
@@ -358,9 +358,7 @@ def make_fixture_result(rng, cfg, shapes=((3, 4), (4, 3))):
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
     outer = random_trajs(4)
-    return params, TaskBatchResult(
-        task=dummy_task(), adapted=adapted, inner_trajs=inner, outer_trajs=outer
-    )
+    return params, TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
 
 
 class TestMetaUpdate:
@@ -368,9 +366,7 @@ class TestMetaUpdate:
         cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2)
         params = init_params(((2, 3),), seed=0)
         trajs = [synthetic_trajectory([[0.0, 0.1]], [i % 3], [0]) for i in range(3)]
-        res = TaskBatchResult(
-            task=dummy_task(), adapted=params, inner_trajs=trajs, outer_trajs=trajs
-        )
+        res = TaskBatchResult(adapted=params, inner_trajs=trajs, outer_trajs=trajs)
         out = meta_update(params, [res], cfg)
         assert np.array_equal(out.flat, params.flat)
 
@@ -387,7 +383,7 @@ class TestMetaUpdate:
         g = task_gradient(inner, params, cfg.reward_baseline)
         adapted = inner_update(params, g, cfg.inner_lr)
         outer = rollout_joint(task, adapted, space, toy_scenario, rng, 3)
-        res = TaskBatchResult(task=task, adapted=adapted, inner_trajs=inner, outer_trajs=outer)
+        res = TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
         out = meta_update(params, [res], cfg)
         assert np.linalg.norm(out.flat - params.flat) < 1e-6
 
@@ -401,30 +397,14 @@ class TestMetaUpdate:
             )
             params, res = make_fixture_result(rng, cfg)
             first = meta_update(params, [res], cfg)
-            cfg_fd = LearningConfig(
-                inner_lr=0.05, meta_lr=0.01, inner_rollouts=6, outer_rollouts=4,
-                reward_baseline=True, meta_order="fd_second_order",
-            )
-            fd = meta_update(params, [res], cfg_fd)
+            fd = oracles.fd_meta_update(params.flat, params.layer_shapes, [res], cfg)
             da = first.flat - params.flat
-            db = fd.flat - params.flat
+            db = fd - params.flat
             denom = np.linalg.norm(da) * np.linalg.norm(db)
             if denom == 0:
                 continue
             cos.append(float(da @ db) / denom)
         assert cos and min(cos) > 0.8
-
-    def test_fd_guard(self):
-        cfg = LearningConfig(meta_order="fd_second_order")
-        params = init_params(((60, 60),), seed=0)  # 3660 params
-        res = TaskBatchResult(
-            task=dummy_task(),
-            adapted=params,
-            inner_trajs=[synthetic_trajectory([np.zeros(60)], [0], [1])],
-            outer_trajs=[synthetic_trajectory([np.zeros(60)], [0], [1])],
-        )
-        with pytest.raises(ValueError, match="fd_second_order"):
-            meta_update(params, [res], cfg)
 
 
 class TestAdapt:
@@ -604,7 +584,7 @@ class TestLowRankAgainstDense:
             got = policy_net.accumulate_grad_log_prob(adapted, *map(list, zip(*rows))).dense()
             scale = sum(np.abs(oracles.dense_grad(flat, shapes, [row])).max() for row in rows)
             assert_rel(got, oracles.dense_grad(flat, shapes, rows), scale)
-            results.append(TaskBatchResult(dummy_task(), adapted, inner, outer))
+            results.append(TaskBatchResult(adapted, inner, outer))
         out = meta_update(params, results, cfg)
         assert isinstance(out, PolicyParams)
         assert_rel(out.flat, oracles.dense_meta_update(params.flat, shapes, batches, cfg))

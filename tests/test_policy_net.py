@@ -315,6 +315,20 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} header has no '{field}' field")):
                 load_params(path)
 
+    def test_header_field_of_wrong_type_named(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_params(path, small_net(seed=9))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        for field, value in (
+            ("action_count", None), ("action_count", 3.0), ("param_count", "x"),
+            ("param_count", True), ("layer_shapes", 5), ("layer_shapes", []),
+            ("layer_shapes", [[3, 4, 1]]), ("layer_shapes", [[8, "4"], [4, 3]]),
+        ):
+            fields = {**json.loads(header), field: value}
+            path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+            with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} header field {field!r} is not")):
+                load_params(path)
+
     def test_header_records_kind(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_params(path, small_net(seed=9), kind="dmpg", scenario_hash="0123abcd")

@@ -3,8 +3,8 @@
 The benchmark tracer (`perfbench/spans.py`) wraps package functions by
 name, so each name it lists must exist; a missing one would only fail when
 a traced run starts. The README's `## CLI` block and the CLI parser must
-name the same commands and flags, so neither drops or gains a flag
-silently."""
+name the same commands and flags, and the README's config table and the
+config schema the same keys, so neither drops or gains one silently."""
 
 import argparse
 import importlib
@@ -69,3 +69,35 @@ def test_readme_cli_block_matches_the_parser():
         taken, own = parser[command]
         assert shown <= taken, (command, shown - taken)
         assert own <= shown, (command, own - shown)
+
+
+def readme_config_keys() -> set:
+    """(section, key) of every row of the README's `## Config format` table;
+    a row may list several keys as `a / b`."""
+    section = README.read_text().split("## Config format", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("section", "---"):
+            continue
+        keys.update((cells[0], key.strip()) for key in cells[1].split("/"))
+    return keys
+
+
+def test_readme_config_table_matches_the_schema():
+    from thzvlc import harness
+
+    schema = {(section, key) for section, keys in harness.SCHEMA.items() for key in keys}
+    assert readme_config_keys() == schema
+
+
+def test_learning_config_fields_are_the_learning_keys():
+    """Every `LearningConfig` field is a `[learning]` key, so none is set only
+    from code."""
+    import dataclasses
+
+    from thzvlc import harness
+    from thzvlc.meta_rl import LearningConfig
+
+    fields = [f.name for f in dataclasses.fields(LearningConfig)]
+    assert fields == list(harness.SCHEMA["learning"])
