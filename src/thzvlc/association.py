@@ -1,11 +1,12 @@
-"""User-SBS association: maximum-weight matching, slot by slot and per period.
+"""User-SBS association: one maximum-weight matching per slot.
 
 Per slot, the candidate pool is the localized, not-yet-served users. Each
 (SBS, user) pair carries weight h, the binary transmission feasibility of
 the THz link. The slot subproblem is a rectangular maximum-weight matching
-solved exactly by the Hungarian algorithm. The offline period solver prices
-the serve-at-most-once-per-period coupling with per-user multipliers lambda
-(weights h - lambda) and runs projected-subgradient ascent on them.
+solved exactly by the Hungarian algorithm. Leaving served users out of the
+pool enforces the serve-at-most-once-per-period coupling; the priced period
+solver that enforces it with dual multipliers is the reference in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -138,16 +139,14 @@ def build_slot_problem(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
     scenario: env.ScenarioConfig,
-    links: env.SlotLinks | None = None,
+    links: env.SlotLinks,
 ) -> SlotAssignmentProblem:
     """Collect the slot's candidate users and weigh every (SBS, user) link.
 
-    `links` are the state's `env.slot_links`, computed here when not given.
+    `links` are the state's `env.slot_links`.
     """
     if len(vap_set) != 3:
         raise ValueError("exactly 3 VAPs must be lit")
-    if links is None:
-        links = env.slot_links(state, scenario)
     pool = np.flatnonzero(links.localized(vap_set) & ~np.array(state.served))
     return SlotAssignmentProblem(
         candidates=tuple(pool.tolist()), weights=links.h[:, pool].astype(float)
@@ -158,13 +157,14 @@ def slot_assign(
     state: env.EnvState,
     vap_set: tuple[int, int, int],
     scenario: env.ScenarioConfig,
-    links: env.SlotLinks | None = None,
+    links: env.SlotLinks,
 ) -> AssignmentSolution:
     """One slot's matching of SBSs to localized unserved users.
 
-    Weights are the link feasibility h per (SBS, user); physical blockage
-    counts every body in the room, localized or not. Matching entries are
-    (sbs_index, user_index) with global user indices.
+    Weights are the link feasibility h per (SBS, user) from the state's
+    `env.slot_links`; physical blockage counts every body in the room,
+    localized or not. Matching entries are (sbs_index, user_index) with
+    global user indices.
     """
     problem = build_slot_problem(state, vap_set, scenario, links)
     if not problem.candidates:
@@ -172,12 +172,6 @@ def slot_assign(
     sol = hungarian_max(problem.weights, allow_skip=True)
     matching = tuple((i, problem.candidates[col]) for i, col in sol.matching)
     return AssignmentSolution(matching=matching, objective_value=sol.objective_value)
-
-
-def dual_update(lambdas: np.ndarray, served_counts, step: float) -> np.ndarray:
-    """Projected subgradient step on the once-per-period constraint: each
-    user's multiplier moves by step * (count - 1) and is clipped at zero."""
-    return np.maximum(0.0, lambdas - step * (1.0 - np.asarray(served_counts, dtype=float)))
 
 
 def check_period_feasible(per_slot, num_users: int, num_sbs: int) -> bool:
@@ -193,87 +187,3 @@ def check_period_feasible(per_slot, num_users: int, num_sbs: int) -> bool:
         for j in users:
             serve_count[j] += 1
     return all(c <= 1 for c in serve_count)
-
-
-def service_tables(
-    vap_sequence,
-    realization: env.MobilityRealization,
-    scenario: env.ScenarioConfig,
-) -> tuple[list[list[bool]], list[np.ndarray]]:
-    """Per-slot localization flags and link-feasibility matrices h[t][i, j]."""
-    blank = (False,) * scenario.num_users
-    loc: list[list[bool]] = []
-    feas: list[np.ndarray] = []
-    for t in range(scenario.slots_per_period):
-        links = env.slot_links(env.state_at_slot(realization, t, blank), scenario)
-        loc.append(links.localized(vap_sequence[t]).tolist())
-        feas.append(links.h.astype(float))
-    return loc, feas
-
-
-def solve_period_association(
-    vap_sequence,
-    realization: env.MobilityRealization,
-    scenario: env.ScenarioConfig,
-    dual_iters: int = 50,
-    step: float = 0.1,
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Offline period association given the full mobility outcome.
-
-    Alternates slot-wise Hungarian solves with a dual step on lambda. Each
-    round's slot solutions are repaired into a feasible candidate: a user
-    multiply served keeps only its earliest slot, then freed capacity is
-    greedily rematched to still-unserved feasible users. The best candidate
-    across rounds is returned.
-    """
-    if len(vap_sequence) != scenario.slots_per_period:
-        raise ValueError("need one VAP set per slot")
-    if step <= 0:
-        raise ValueError("step size must be positive")
-    slots = scenario.slots_per_period
-    loc, feas = service_tables(vap_sequence, realization, scenario)
-    pools = [[j for j in range(scenario.num_users) if loc[t][j]] for t in range(slots)]
-
-    lambdas = np.zeros(scenario.num_users)
-    best: tuple[tuple[tuple[int, int], ...], ...] | None = None
-    best_count = -1
-
-    for _ in range(dual_iters):
-        round_slots = []
-        counts = [0] * scenario.num_users
-        for t in range(slots):
-            pool = pools[t]
-            if not pool:
-                round_slots.append(())
-                continue
-            weights = feas[t][:, pool] - lambdas[pool]
-            sol = hungarian_max(weights, allow_skip=True)
-            matched = tuple((i, pool[col]) for i, col in sol.matching)
-            round_slots.append(matched)
-            for _, j in matched:
-                counts[j] += 1
-
-        seen: set[int] = set()
-        feasible = []
-        for t in range(slots):
-            kept = [(i, j) for i, j in round_slots[t] if j not in seen]
-            seen.update(j for _, j in kept)
-            used = {i for i, _ in kept}
-            for i in range(scenario.num_sbs):
-                if i in used:
-                    continue
-                for j in pools[t]:
-                    if j not in seen and feas[t][i, j] > 0:
-                        kept.append((i, j))
-                        used.add(i)
-                        seen.add(j)
-                        break
-            feasible.append(tuple(sorted(kept)))
-        if len(seen) > best_count:
-            best_count = len(seen)
-            best = tuple(feasible)
-
-        lambdas = dual_update(lambdas, counts, step)
-
-    assert best is not None
-    return best

@@ -48,8 +48,9 @@ class RadioParams:
             "image_size_bits",
             "slot_duration_s",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def floor_noise_w(self) -> float:

@@ -4,7 +4,7 @@ The policy picks which 3 VAPs to light; the user-SBS association for that
 slot is the Hungarian matching over localized unserved users. Leaving
 already-served users out of the matching enforces the serve-once-per-period
 rule directly during rollouts, so no prices are needed there; the priced
-period solver is `association.solve_period_association`.
+period solver is the reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -55,6 +55,8 @@ class ScenarioConfig:
         lo, hi = self.user_height_range
         if not 0 < lo <= hi < self.ceiling_z:
             raise ValueError("user height range must lie strictly below the ceiling")
+        if not (math.isfinite(self.body_radius) and self.body_radius >= 0):
+            raise ValueError(f"body_radius must be finite and >= 0, got {self.body_radius!r}")
 
     def __hash__(self) -> int:
         # The per-scenario tables are looked up every slot, and hashing every
@@ -374,14 +376,12 @@ def evaluate_service(
     state: EnvState,
     action: JointAction,
     scenario: ScenarioConfig,
-    links: SlotLinks | None = None,
+    links: SlotLinks,
 ) -> ServiceOutcome:
     """Evaluate one slot at the state's positions, without advancing time.
 
-    `links` are the state's `slot_links`, computed here when not given.
+    `links` are the state's `slot_links`.
     """
-    if links is None:
-        links = slot_links(state, scenario)
     loc = links.localized(action.vap_set).tolist()
     tx = [False] * scenario.num_users
     for j, sbs in action.assignments:

@@ -14,6 +14,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,8 +42,10 @@ class LearningConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
-        if self.inner_lr <= 0 or self.meta_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("inner_lr", "meta_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if min(self.inner_rollouts, self.outer_rollouts) < 1:
             raise ValueError("rollout counts must be >= 1")
         if self.meta_iterations < 0 or self.tasks_per_batch < 1:

@@ -35,6 +35,11 @@ class PolicyParams:
     action_count: int
 
     def __post_init__(self):
+        for i, ((_, width), (n_in, _)) in enumerate(zip(self.layer_shapes, self.layer_shapes[1:])):
+            if width != n_in:
+                raise ValueError(
+                    f"layer_shapes do not chain: layer {i} gives {width} outputs, layer {i + 1} takes {n_in}"
+                )
         expected = sum(n_in * n_out + n_out for n_in, n_out in self.layer_shapes)
         if self.flat.shape != (expected,):
             raise ValueError(f"flat vector has {self.flat.shape}, layout needs ({expected},)")
@@ -225,9 +230,6 @@ def _views(flat: np.ndarray, layer_shapes) -> list[tuple[np.ndarray, np.ndarray]
 
 def init_params(layer_shapes: tuple[tuple[int, int], ...], seed: int) -> PolicyParams:
     """Weights ~ N(0, 1/fan_in), biases zero; deterministic in the seed."""
-    for (_, prev_out), (next_in, _) in zip(layer_shapes, layer_shapes[1:]):
-        if prev_out != next_in:
-            raise ValueError("layer shapes do not chain")
     rng = np.random.default_rng(seed)
     chunks = []
     for n_in, n_out in layer_shapes:
@@ -304,17 +306,6 @@ def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> float:
-    _, (logits,) = _forward_rows(*_layers(params), np.asarray(encoding, dtype=float)[None])
-    z = logits - logits.max()
-    return float(z[action_index] - np.log(np.exp(z).sum()))
-
-
-def grad_log_prob(params: Policy, encoding: np.ndarray, action_index: int) -> np.ndarray:
-    """Exact gradient of log pi(action | encoding) w.r.t. the flat vector."""
-    return accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]).dense()
 
 
 def accumulate_grad_log_prob(
@@ -448,9 +439,12 @@ def load_params(path) -> tuple[PolicyParams, dict]:
         raise ValueError(f"checkpoint {path} is truncated")
     if len(raw) != expected:
         raise ValueError("checkpoint payload size does not match its header")
-    params = PolicyParams(
-        flat=np.frombuffer(raw, dtype="<f8").astype(float),
-        layer_shapes=tuple(tuple(s) for s in header["layer_shapes"]),
-        action_count=header["action_count"],
-    )
+    try:
+        params = PolicyParams(
+            flat=np.frombuffer(raw, dtype="<f8").astype(float),
+            layer_shapes=tuple(tuple(s) for s in header["layer_shapes"]),
+            action_count=header["action_count"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     return params, header

@@ -1,7 +1,10 @@
-"""Independent reference computations used only by the tests.
+"""Reference computations used only by the tests.
 
-Everything here is written directly from the model formulas with plain
-math, deliberately separate from the package code paths it checks.
+Most of this is written directly from the model formulas with plain math,
+deliberately separate from the package code paths it checks. The rest are
+references that no run executes, built on package code: the priced period
+association solver, the one-row policy helpers over the batched gradient
+kernel, and the one-slot-at-a-time step and rollout.
 """
 
 from __future__ import annotations
@@ -136,6 +139,100 @@ def best_period_service(servable, num_users, num_sbs, slots):
                 break
         if ok:
             best = max(best, len(served))
+    return best
+
+
+# --- priced period association ----------------------------------------------------
+
+
+def dual_update(lambdas, served_counts, step):
+    """Projected subgradient step on the once-per-period constraint: each
+    user's multiplier moves by step * (count - 1) and is clipped at zero."""
+    import numpy as np
+
+    return np.maximum(0.0, lambdas - step * (1.0 - np.asarray(served_counts, dtype=float)))
+
+
+def service_tables(vap_sequence, realization, scenario):
+    """Per-slot localization flags and link-feasibility matrices h[t][i, j]."""
+    from thzvlc import env
+
+    blank = (False,) * scenario.num_users
+    loc = []
+    feas = []
+    for t in range(scenario.slots_per_period):
+        links = env.slot_links(env.state_at_slot(realization, t, blank), scenario)
+        loc.append(links.localized(vap_sequence[t]).tolist())
+        feas.append(links.h.astype(float))
+    return loc, feas
+
+
+def solve_period_association(vap_sequence, realization, scenario, dual_iters=50, step=0.1):
+    """Offline period association given the full mobility outcome: the
+    dual-priced form of the serve-once coupling that rollouts enforce by
+    leaving served users out of each slot's matching.
+
+    Alternates slot-wise Hungarian solves (the package's `hungarian_max`)
+    with a dual step on lambda, the per-user multipliers (weights h -
+    lambda). Each round's slot solutions are repaired into a feasible
+    candidate: a user multiply served keeps only its earliest slot, then
+    freed capacity is greedily rematched to still-unserved feasible users.
+    The best candidate across rounds is returned.
+    """
+    import numpy as np
+
+    from thzvlc.association import hungarian_max
+
+    if len(vap_sequence) != scenario.slots_per_period:
+        raise ValueError("need one VAP set per slot")
+    if step <= 0:
+        raise ValueError("step size must be positive")
+    slots = scenario.slots_per_period
+    loc, feas = service_tables(vap_sequence, realization, scenario)
+    pools = [[j for j in range(scenario.num_users) if loc[t][j]] for t in range(slots)]
+
+    lambdas = np.zeros(scenario.num_users)
+    best = None
+    best_count = -1
+
+    for _ in range(dual_iters):
+        round_slots = []
+        counts = [0] * scenario.num_users
+        for t in range(slots):
+            pool = pools[t]
+            if not pool:
+                round_slots.append(())
+                continue
+            weights = feas[t][:, pool] - lambdas[pool]
+            sol = hungarian_max(weights, allow_skip=True)
+            matched = tuple((i, pool[col]) for i, col in sol.matching)
+            round_slots.append(matched)
+            for _, j in matched:
+                counts[j] += 1
+
+        seen = set()
+        feasible = []
+        for t in range(slots):
+            kept = [(i, j) for i, j in round_slots[t] if j not in seen]
+            seen.update(j for _, j in kept)
+            used = {i for i, _ in kept}
+            for i in range(scenario.num_sbs):
+                if i in used:
+                    continue
+                for j in pools[t]:
+                    if j not in seen and feas[t][i, j] > 0:
+                        kept.append((i, j))
+                        used.add(i)
+                        seen.add(j)
+                        break
+            feasible.append(tuple(sorted(kept)))
+        if len(seen) > best_count:
+            best_count = len(seen)
+            best = tuple(feasible)
+
+        lambdas = dual_update(lambdas, counts, step)
+
+    assert best is not None
     return best
 
 
@@ -372,6 +469,29 @@ def flat_gradient(flat, layer_shapes):
     )
 
 
+# --- one-row policy helpers ---------------------------------------------------
+
+
+def log_prob(params, encoding, action_index):
+    """log pi(action | encoding) of one encoding through the package's
+    forward pass, adapted (low-rank pending) policies included."""
+    import numpy as np
+
+    from thzvlc.policy_net import _forward_rows, _layers
+
+    _, (logits,) = _forward_rows(*_layers(params), np.asarray(encoding, dtype=float)[None])
+    z = logits - logits.max()
+    return float(z[action_index] - np.log(np.exp(z).sum()))
+
+
+def grad_log_prob(params, encoding, action_index):
+    """Exact gradient of log pi(action | encoding) w.r.t. the flat vector:
+    the package's batched kernel on one row with coefficient 1."""
+    from thzvlc.policy_net import accumulate_grad_log_prob
+
+    return accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]).dense()
+
+
 # --- one period at a time -------------------------------------------------------
 
 
@@ -402,7 +522,7 @@ def step(state, action, task, scenario, rng=None):
 
     if state.slot_index >= scenario.slots_per_period:
         raise ValueError("cannot step past the end of the period")
-    outcome = env.evaluate_service(state, action, scenario)
+    outcome = env.evaluate_service(state, action, scenario, env.slot_links(state, scenario))
     if rng is None:
         rng = np.random.default_rng([task.rng_seed, state.slot_index])
     next_state = env.EnvState(

@@ -15,10 +15,10 @@ import numpy as np
 import oracles
 from conftest import make_toy_scenario, reference_scenario
 from thzvlc import env, harness, meta_rl
-from thzvlc.association import check_period_feasible, hungarian_max, solve_period_association
+from thzvlc.association import check_period_feasible, hungarian_max
 from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
 from thzvlc.meta_rl import LearningConfig, adapt, meta_train
-from thzvlc.policy_net import PolicyParams, forward, grad_log_prob, init_params, layer_shapes_for
+from thzvlc.policy_net import PolicyParams, forward, init_params, layer_shapes_for
 
 # every trajectory the learning criteria produce is audited on arrival;
 # criterion 9 asserts the tally and that no violation was recorded
@@ -79,8 +79,9 @@ def unseen_hard_tasks(scenario, count=ADAPT_UNSEEN_COUNT):
         task = env.sample_task(scenario.grid, seed=seed, locality_radius=0, task_id=seed)
         best, _ = env.brute_force_oracle(task, scenario, 0)
         state = env.reset(task, scenario)
+        links = env.slot_links(state, scenario)
         mean_reward = np.mean(
-            [len(env.evaluate_service(state, a, scenario).newly_served) for a in space]
+            [len(env.evaluate_service(state, a, scenario, links).newly_served) for a in space]
         )
         if best == scenario.num_users and mean_reward <= 0.4 * best:
             chosen.append(task)
@@ -160,7 +161,7 @@ def test_criterion_2_gradient_fidelity():
         assert params.size <= 2000
         x = rng.normal(size=n_in)
         action = int(rng.integers(n_out))
-        analytic = grad_log_prob(params, x, action)
+        analytic = oracles.grad_log_prob(params, x, action)
         eps = 1e-5
         numeric = np.empty(params.size)
         for i in range(params.size):
@@ -253,7 +254,7 @@ def test_criterion_5_assignment_optimality():
         task = env.sample_task(scenario.grid, seed=7000 + trial, locality_radius=1)
         real = env.sample_realization(task, scenario, 0)
         vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
-        per_slot = solve_period_association(vaps, real, scenario, dual_iters=40)
+        per_slot = oracles.solve_period_association(vaps, real, scenario, dual_iters=40)
         assert check_period_feasible(per_slot, scenario.num_users, scenario.num_sbs)
         got = len({j for slot in per_slot for _, j in slot})
 
@@ -261,11 +262,12 @@ def test_criterion_5_assignment_optimality():
         tables = []
         for t in range(2):
             state = env.state_at_slot(real, t, blank)
+            links = env.slot_links(state, scenario)
             table = [[0] * scenario.num_users for _ in range(scenario.num_sbs)]
             for i in range(scenario.num_sbs):
                 for j in range(scenario.num_users):
                     joint = env.JointAction(vap_set=vaps[t], assignments=((j, i),))
-                    out = env.evaluate_service(state, joint, scenario)
+                    out = env.evaluate_service(state, joint, scenario, links)
                     table[i][j] = int(out.localized[j] and out.tx_ok[j])
             tables.append(table)
         want = oracles.best_period_service(tables, scenario.num_users, scenario.num_sbs, 2)

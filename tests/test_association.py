@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_toy_scenario
 from thzvlc import association, env
+from oracles import dual_update, solve_period_association
 from thzvlc.association import (
     AssignmentSolution,
     check_period_feasible,
-    dual_update,
     hungarian_max,
     slot_assign,
-    solve_period_association,
 )
 from thzvlc.env import EnvState
 
@@ -155,19 +154,19 @@ class TestSlotAssign:
     def test_no_localized_users(self):
         sc = make_toy_scenario(fov_deg=5.0)  # nobody sees 3 VAPs
         state = self._state(sc, [0, 8])
-        sol = slot_assign(state, (0, 1, 2), sc)
+        sol = slot_assign(state, (0, 1, 2), sc, env.slot_links(state, sc))
         assert sol.matching == ()
 
     def test_single_localized_user_matched(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2])
-        sol = slot_assign(state, (0, 1, 2), toy_scenario)
+        sol = slot_assign(state, (0, 1, 2), toy_scenario, env.slot_links(state, toy_scenario))
         users = {j for _, j in sol.matching}
         assert users == {0, 1}
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_served_users_excluded(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2], served=[True, False])
-        sol = slot_assign(state, (0, 1, 2), toy_scenario)
+        sol = slot_assign(state, (0, 1, 2), toy_scenario, env.slot_links(state, toy_scenario))
         assert all(j != 0 for _, j in sol.matching)
 
     def test_unlocalized_body_still_blocks_links(self):
@@ -177,10 +176,10 @@ class TestSlotAssign:
         sc = make_toy_scenario(num_users=3, num_sbs=1, cells_per_side=6, fov_deg=68.0)
         heights = (1.43, 1.88, 1.73)
         blocked = self._state(sc, [17, 16, 33], heights=heights)
-        sol = slot_assign(blocked, (1, 2, 3), sc)
+        sol = slot_assign(blocked, (1, 2, 3), sc, env.slot_links(blocked, sc))
         assert sol.matching == ()
         moved = self._state(sc, [17, 0, 33], heights=heights)
-        sol = slot_assign(moved, (1, 2, 3), sc)
+        sol = slot_assign(moved, (1, 2, 3), sc, env.slot_links(moved, sc))
         assert sol.matching == ((0, 0),)
 
     def test_matched_pairs_always_feasible_links(self, toy_scenario):
@@ -188,11 +187,12 @@ class TestSlotAssign:
         for _ in range(30):
             cells = rng.integers(0, toy_scenario.grid.num_cells, 2)
             state = self._state(toy_scenario, cells, heights=rng.uniform(1.4, 1.9, 2))
-            sol = slot_assign(state, (0, 1, 3), toy_scenario)
+            links = env.slot_links(state, toy_scenario)
+            sol = slot_assign(state, (0, 1, 3), toy_scenario, links)
             for i, j in sol.matching:
                 # only links with h = 1 carry positive weight
                 joint = env.JointAction(vap_set=(0, 1, 3), assignments=((j, i),))
-                assert env.evaluate_service(state, joint, toy_scenario).tx_ok[j]
+                assert env.evaluate_service(state, joint, toy_scenario, links).tx_ok[j]
 
 
 def period_tables(scenario, task, vap_sequence, realization):
@@ -201,11 +201,12 @@ def period_tables(scenario, task, vap_sequence, realization):
     tables = []
     for t in range(scenario.slots_per_period):
         state = env.state_at_slot(realization, t, blank)
+        links = env.slot_links(state, scenario)
         table = [[0] * scenario.num_users for _ in range(scenario.num_sbs)]
         for i in range(scenario.num_sbs):
             for j in range(scenario.num_users):
                 joint = env.JointAction(vap_set=tuple(vap_sequence[t]), assignments=((j, i),))
-                out = env.evaluate_service(state, joint, scenario)
+                out = env.evaluate_service(state, joint, scenario, links)
                 table[i][j] = int(out.localized[j] and out.tx_ok[j])
         tables.append(table)
     return tables
@@ -219,7 +220,7 @@ class TestSolvePeriodAssociation:
         per_slot = solve_period_association([(0, 1, 2)], real, sc, dual_iters=5)
         assert len(per_slot) == 1
         state = env.state_at_slot(real, 0, (False,) * sc.num_users)
-        direct = slot_assign(state, (0, 1, 2), sc)
+        direct = slot_assign(state, (0, 1, 2), sc, env.slot_links(state, sc))
         assert set(per_slot[0]) == set(direct.matching)
 
     def test_feasibility_always(self):

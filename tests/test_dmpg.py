@@ -54,7 +54,8 @@ class TestDmpgStep:
         for actions, traj in self._rollouts(toy_scenario, range(6), 1):
             for step in traj.steps:
                 vap_set = actions[step.action_index]
-                sol = association.slot_assign(step.state, vap_set, toy_scenario)
+                links = env.slot_links(step.state, toy_scenario)
+                sol = association.slot_assign(step.state, vap_set, toy_scenario, links)
                 assert step.action.vap_set == vap_set
                 assert step.action.assignments == tuple(sorted((u, s) for s, u in sol.matching))
 

@@ -98,7 +98,7 @@ class TestReset:
 def find_serving_action(scenario, state, user):
     """First action in enumeration order that serves `user` at this state."""
     for action in enumerate_joint_actions(scenario):
-        out = evaluate_service(state, action, scenario)
+        out = evaluate_service(state, action, scenario, env.slot_links(state, scenario))
         if user in out.newly_served:
             return action
     return None
@@ -119,7 +119,7 @@ class TestStep:
         state = make_state(toy_scenario, cells=[4, 2])
         action = find_serving_action(toy_scenario, state, 0)
         served_state = make_state(toy_scenario, cells=[4, 2], served=[True, False])
-        out = evaluate_service(served_state, action, toy_scenario)
+        out = evaluate_service(served_state, action, toy_scenario, env.slot_links(served_state, toy_scenario))
         assert 0 not in out.newly_served
         assert out.served_after[0]
 
@@ -129,7 +129,7 @@ class TestStep:
         state = make_state(toy_scenario, cells=[0, 2], heights=[1.9, 1.5])
         hits = 0
         for action in enumerate_joint_actions(toy_scenario):
-            out = evaluate_service(state, action, toy_scenario)
+            out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
             if not out.localized[0] and out.tx_ok[0]:
                 assert 0 not in out.newly_served
                 hits += 1
@@ -185,7 +185,7 @@ class TestPeriodReliability:
     def test_saturation_single_slot(self, toy_scenario):
         state = make_state(toy_scenario, cells=[4, 2])
         for action in enumerate_joint_actions(toy_scenario):
-            out = evaluate_service(state, action, toy_scenario)
+            out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
             if len(out.newly_served) == toy_scenario.num_users:
                 traj = Trajectory(
                     task_id=0,
@@ -297,9 +297,8 @@ class TestBruteForceOracle:
         best, seq = brute_force_oracle(task, sc)
         assert len(seq) == 1
         state = reset(task, sc)
-        could = any(
-            evaluate_service(state, a, sc).newly_served for a in enumerate_joint_actions(sc)
-        )
+        links = env.slot_links(state, sc)
+        could = any(evaluate_service(state, a, sc, links).newly_served for a in enumerate_joint_actions(sc))
         assert (best >= 1) == could
 
     def test_reward_bound(self, toy_scenario):
@@ -339,7 +338,7 @@ class TestBruteForceOracle:
         total = 0
         for t, action in enumerate(seq):
             state = env.state_at_slot(real, t, served)
-            out = evaluate_service(state, action, toy_scenario)
+            out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
             total += len(out.newly_served)
             served = out.served_after
         assert total == best
@@ -351,7 +350,7 @@ class TestBruteForceOracle:
             for t in range(toy_scenario.slots_per_period):
                 state = env.state_at_slot(real, t, served)
                 action = space[int(rng.integers(len(space)))]
-                out = evaluate_service(state, action, toy_scenario)
+                out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
                 total += len(out.newly_served)
                 served = out.served_after
             assert total <= best

@@ -211,6 +211,31 @@ class TestCli:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "tx_power_w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value, field", [
+        *[(f"RADIO__{key.upper()}", value, key) for key, value in (
+            ("carrier_freq_hz", "nan"), ("carrier_freq_hz", "inf"), ("bandwidth_hz", "nan"),
+            ("tx_power_w", "inf"), ("absorption_per_m", "nan"), ("image_size_bits", "inf"),
+            ("slot_duration_s", "nan"),
+        )],
+        ("RADIO__NOISE_DENSITY_DBM_PER_HZ", "nan", "noise_density_w_per_hz"),
+        ("RADIO__NOISE_DENSITY_DBM_PER_HZ", "inf", "noise_density_w_per_hz"),
+        ("SCENARIO__BODY_RADIUS", "nan", "body_radius"),
+        ("SCENARIO__BODY_RADIUS", "inf", "body_radius"),
+        ("SCENARIO__BODY_RADIUS", "-1", "body_radius"),
+        ("LEARNING__INNER_LR", "nan", "inner_lr"),
+        ("LEARNING__INNER_LR", "inf", "inner_lr"),
+        ("LEARNING__META_LR", "nan", "meta_lr"),
+        ("LEARNING__META_LR", "-inf", "meta_lr"),
+    ])
+    def test_non_finite_or_negative_value_named(self, tmp_path, capsys, monkeypatch, name, value, field):
+        cfg = self._write_toy(tmp_path)
+        monkeypatch.setenv(f"THZVLC_{name}", value)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert not out.exists()
+
     def test_removed_meta_order_key_refused(self, tmp_path, capsys, monkeypatch):
         # the meta update is first-order only; the old selector key is unknown now
         cfg = tmp_path / "old.cfg"
@@ -505,6 +530,18 @@ class TestCli:
                                      "--out", str(out)], capsys)
                 assert err == f"error: checkpoint {ckpt} header field {field!r} is not {kind}: {value!r}\n"
                 assert not out.exists()
+
+    def test_checkpoint_layers_that_do_not_chain_named(self, tmp_path, capsys):
+        # input width and action count fit the spec; the hidden widths do not meet
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        header = {**json.loads(ckpt.read_bytes().split(b"\n", 1)[0]),
+                  "layer_shapes": [[8, 4], [5, 8]], "param_count": 84}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(84).astype("<f8").tobytes())
+        err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--out", str(tmp_path / "o")], capsys)
+        assert err == (f"error: checkpoint {ckpt}: layer_shapes do not chain: "
+                       "layer 0 gives 4 outputs, layer 1 takes 5\n")
 
 
 class TestAtomicArtifacts:

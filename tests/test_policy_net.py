@@ -14,7 +14,6 @@ from thzvlc.policy_net import (
     accumulate_grad_log_prob,
     encode_state,
     forward,
-    grad_log_prob,
     init_params,
     layer_shapes_for,
     load_params,
@@ -22,6 +21,7 @@ from thzvlc.policy_net import (
     save_params,
 )
 from conftest import make_toy_scenario
+from oracles import grad_log_prob
 
 
 def small_net(seed=0, shapes=((3, 8), (8, 4))):

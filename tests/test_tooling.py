@@ -4,11 +4,15 @@ The benchmark tracer (`perfbench/spans.py`) wraps package functions by
 name, so each name it lists must exist; a missing one would only fail when
 a traced run starts. The README's `## CLI` block and the CLI parser must
 name the same commands and flags, and the README's config table and the
-config schema the same keys, so neither drops or gains one silently."""
+config schema the same keys, so neither drops or gains one silently. And
+every public definition of the package must be named by package or
+benchmark code, so code that no run reaches cannot stay there."""
 
 import argparse
+import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,3 +105,42 @@ def test_learning_config_fields_are_the_learning_keys():
 
     fields = [f.name for f in dataclasses.fields(LearningConfig)]
     assert fields == list(harness.SCHEMA["learning"])
+
+
+def _mentions(tree) -> Counter:
+    """How often each name, attribute or string constant occurs in `tree`;
+    docstrings do not count."""
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                docs.add(id(body[0].value))
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            found[node.value] += 1
+    return found
+
+
+def test_every_public_definition_is_used():
+    """Each public top-level function or class of the package is named by
+    package or benchmark code outside its own definition, so code that no
+    run reaches does not stay in the package."""
+    package = sorted((ROOT / "src" / "thzvlc").glob("*.py"))
+    readers = [*package, *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in readers}
+    everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == _mentions(node)[node.name]
+    ]
+    assert unused == []
