@@ -9,21 +9,11 @@ period solver is the reference in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from . import association, env, meta_rl
 from .env import JointAction, ScenarioConfig, Task, Trajectory
 from .policy_net import Policy
-
-
-def enumerate_vap_actions(num_vaps: int) -> tuple[tuple[int, int, int], ...]:
-    """All C(V, 3) VAP subsets in lexicographic order; a subset's position
-    is its action index."""
-    if num_vaps < 3:
-        raise ValueError("need at least 3 VAPs")
-    return tuple(combinations(range(num_vaps), 3))
 
 
 def vap_decoder(actions: tuple[tuple[int, int, int], ...], scenario: ScenarioConfig):

@@ -12,9 +12,11 @@ while a slot is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
-from math import comb, perm
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
+from itertools import combinations
+from math import perm
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
 JOINT_ACTION_CAP = 2_000_000
+
+# `brute_force_oracle` refuses to search more action sequences than this.
+ORACLE_SEQUENCE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,17 @@ class ScenarioConfig:
             raise ValueError("at least 3 VAPs are required")
         if not self.sbs_positions:
             raise ValueError("at least 1 SBS is required")
-        for p in self.vap_positions + self.sbs_positions:
-            if p.z != self.ceiling_z:
-                raise ValueError("all VAPs and SBSs must sit at the ceiling height")
+        for key, value in (("room_side", self.room_side), ("ceiling", self.ceiling_z)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"scenario.{key} must be finite and > 0, got {value!r}")
+        for key in ("vap_positions", "sbs_positions"):
+            for p in getattr(self, key):
+                if p.z != self.ceiling_z:
+                    raise ValueError("all VAPs and SBSs must sit at the ceiling height")
+                if not (0 <= p.x <= self.room_side and 0 <= p.y <= self.room_side):
+                    raise ValueError(
+                        f"scenario.{key}: ({p.x!r}, {p.y!r}) lies outside the {self.room_side!r} m room"
+                    )
         if self.num_users < 1 or self.slots_per_period < 1:
             raise ValueError("num_users and slots_per_period must be >= 1")
         lo, hi = self.user_height_range
@@ -58,20 +71,21 @@ class ScenarioConfig:
         if not (math.isfinite(self.body_radius) and self.body_radius >= 0):
             raise ValueError(f"body_radius must be finite and >= 0, got {self.body_radius!r}")
 
-    def __hash__(self) -> int:
-        # The per-scenario tables are looked up every slot, and hashing every
-        # field (unit positions, cell centres, ...) costs more than the
-        # lookup, so the hash is worked out once. Pickles leave it out: a
-        # hash need not agree between processes.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    @cached_property
+    def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], _LinkTable]]:
+        """The crossing table and the link table of each tuple of user
+        heights, built on first use (see `slot_links`).
+
+        A run keeps revisiting the same heights, as they are fixed per task;
+        the bound keeps an evaluation over many fresh tasks from growing the
+        cache without end. Pickles leave the tables out.
+        """
+        link_table = partial(_LinkTable, self.grid.num_cells, self.num_vaps + self.num_sbs)
+        return _Crossings(self), lru_cache(maxsize=1024)(link_table)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        state.pop("tables", None)
         return state
 
     @property
@@ -83,7 +97,7 @@ class ScenarioConfig:
         return len(self.sbs_positions)
 
 
-def ring_positions(count: int, room_side: float, z: float, phase: float = 0.0) -> tuple[Point3, ...]:
+def ring_positions(count: int, room_side: float, z: float, phase: float) -> tuple[Point3, ...]:
     """One unit at the room center plus count-1 on a ring of radius side/3."""
     cx = cy = room_side / 2.0
     pts = [Point3(cx, cy, z)]
@@ -105,6 +119,8 @@ class MovementPattern:
         t = self.transition
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("transition must be a square matrix")
+        if not np.isfinite(t).all():
+            raise ValueError("transition entries must be finite")
         if (t < 0).any():
             raise ValueError("transition entries must be nonnegative")
         if np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
@@ -204,11 +220,7 @@ def user_point(state: EnvState, grid: RoomGrid, user: int) -> Point3:
 
 
 def sample_task(
-    grid: RoomGrid,
-    seed: int,
-    concentration: float = 1.0,
-    locality_radius: int = 1,
-    task_id: int | None = None,
+    grid: RoomGrid, seed: int, concentration: float, locality_radius: int, task_id: int
 ) -> Task:
     """Draw a movement pattern: Dirichlet rows over Chebyshev-neighbor cells.
 
@@ -233,7 +245,7 @@ def sample_task(
             matrix[idx, neighbors[0]] = 1.0
         else:
             matrix[idx, neighbors] = rng.dirichlet([concentration] * len(neighbors))
-    return Task(pattern=MovementPattern(matrix), rng_seed=seed, id=seed if task_id is None else task_id)
+    return Task(pattern=MovementPattern(matrix), rng_seed=seed, id=task_id)
 
 
 def reset(task: Task, scenario: ScenarioConfig) -> EnvState:
@@ -305,12 +317,6 @@ class _Crossings:
         return tuple(a[cells][:, :, cells].transpose(1, 0, 2) for a in (self.meets, self.lo, self.hi))
 
 
-@lru_cache(maxsize=8)
-def _crossings(scenario: ScenarioConfig) -> _Crossings:
-    """One table per scenario (14 units x 36**2 cell pairs: about 0.3 MB when full)."""
-    return _Crossings(scenario)
-
-
 class _LinkTable:
     """The blockage-free link terms of one task's user heights.
 
@@ -321,10 +327,9 @@ class _LinkTable:
     flag is the budget of a clear link, and a blocked link never delivers.
     """
 
-    def __init__(self, scenario: ScenarioConfig, heights: tuple[float, ...]):
+    def __init__(self, cells: int, units: int, heights: tuple[float, ...]):
         self.heights = np.array(heights)
-        units = scenario.num_vaps + scenario.num_sbs
-        self.free = np.full((len(heights), scenario.grid.num_cells, units), -1, dtype=np.int8)
+        self.free = np.full((len(heights), cells, units), -1, dtype=np.int8)
 
     def fill(self, state: EnvState, scenario: ScenarioConfig, user: int) -> np.ndarray:
         point = user_point(state, scenario.grid, user)
@@ -339,26 +344,14 @@ class _LinkTable:
         return self.free[user, state.user_cells[user]]
 
 
-@lru_cache(maxsize=1024)
-def _link_table(scenario: ScenarioConfig, heights: tuple[float, ...]) -> _LinkTable:
-    """The table shared by every state of the tasks with these heights.
-
-    Heights are fixed per task and a run keeps revisiting the same cells, so
-    the blockage-free terms are worked out once per (user, cell). The bound
-    keeps an evaluation over many fresh tasks from growing the cache
-    without end.
-    """
-    return _LinkTable(scenario, heights)
-
-
 def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
     """The state's VAP visibility and SBS feasibility.
 
     The blockage test's XY stage comes from the scenario's crossing table;
     only its z stage runs here, with every other body counted.
     """
-    cross = _crossings(scenario)
-    table = _link_table(scenario, state.user_heights)
+    cross, link_table = scenario.tables
+    table = link_table(state.user_heights)
     users = np.arange(scenario.num_users)
     cells = np.array(state.user_cells)
     free = table.free[users, cells]
@@ -418,7 +411,7 @@ class MobilityRealization:
     heights: tuple[float, ...]
 
 
-def sample_realization(task: Task, scenario: ScenarioConfig, realization_seed: int = 0) -> MobilityRealization:
+def sample_realization(task: Task, scenario: ScenarioConfig, realization_seed: int) -> MobilityRealization:
     """Fix one mobility outcome of the task for replay or exhaustive search."""
     start = reset(task, scenario)
     rng = np.random.default_rng([task.rng_seed, 7919, realization_seed])
@@ -434,24 +427,31 @@ def state_at_slot(real: MobilityRealization, slot: int, served: tuple[bool, ...]
     )
 
 
+def enumerate_vap_actions(num_vaps: int) -> tuple[tuple[int, int, int], ...]:
+    """All C(V, 3) VAP subsets in lexicographic order; a subset's position
+    is its action index."""
+    if num_vaps < 3:
+        raise ValueError("need at least 3 VAPs")
+    return tuple(combinations(range(num_vaps), 3))
+
+
 class JointActionSpace:
     """Deterministically ordered joint actions: every 3-VAP subset crossed
     with every full one-to-one association of the smaller side.
 
     Actions are materialized on demand; index i maps to the i-th pair of the
-    lexicographic VAP combination and lexicographic assignment permutation.
+    VAP subset in `enumerate_vap_actions` order and the lexicographic
+    assignment permutation.
     """
 
     def __init__(self, num_vaps: int, num_users: int, num_sbs: int):
-        if num_vaps < 3:
-            raise ValueError("need at least 3 VAPs")
+        self._vap_sets = enumerate_vap_actions(num_vaps)
         self.num_vaps = num_vaps
         self.num_users = num_users
         self.num_sbs = num_sbs
-        self._vap_count = comb(num_vaps, 3)
         hi, lo = max(num_users, num_sbs), min(num_users, num_sbs)
         self._assoc_count = perm(hi, lo)
-        self._len = self._vap_count * self._assoc_count
+        self._len = len(self._vap_sets) * self._assoc_count
 
     def __len__(self) -> int:
         return self._len
@@ -460,7 +460,7 @@ class JointActionSpace:
         if not 0 <= index < self._len:
             raise IndexError(index)
         vap_rank, assoc_rank = divmod(index, self._assoc_count)
-        vap_set = _unrank_combination(vap_rank, self.num_vaps, 3)
+        vap_set = self._vap_sets[vap_rank]
         if self.num_users <= self.num_sbs:
             stations = _unrank_permutation(assoc_rank, self.num_sbs, self.num_users)
             pairs = tuple((u, s) for u, s in enumerate(stations))
@@ -474,18 +474,6 @@ class JointActionSpace:
             yield self[i]
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    out = []
-    x = 0
-    for i in range(k):
-        while comb(n - 1 - x, k - 1 - i) <= rank:
-            rank -= comb(n - 1 - x, k - 1 - i)
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
 def _unrank_permutation(rank: int, n: int, k: int) -> tuple[int, ...]:
     avail = list(range(n))
     out = []
@@ -496,35 +484,33 @@ def _unrank_permutation(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_joint_actions(scenario: ScenarioConfig, cap: int = JOINT_ACTION_CAP) -> JointActionSpace:
-    """Joint action space, refused when its size would exceed the cap."""
+def enumerate_joint_actions(scenario: ScenarioConfig) -> JointActionSpace:
+    """Joint action space, refused when its size would exceed JOINT_ACTION_CAP."""
     space = JointActionSpace(scenario.num_vaps, scenario.num_users, scenario.num_sbs)
-    if len(space) > cap:
+    if len(space) > JOINT_ACTION_CAP:
         raise ValueError(
-            f"joint action space has {len(space)} actions (cap {cap}); "
+            f"joint action space has {len(space)} actions (cap {JOINT_ACTION_CAP}); "
             "use the dual-method trainer for scenarios this large"
         )
     return space
 
 
 def brute_force_oracle(
-    task: Task,
-    scenario: ScenarioConfig,
-    fixed_realization_seed: int = 0,
-    max_sequences: int = 10_000_000,
+    task: Task, scenario: ScenarioConfig, realization_seed: int
 ) -> tuple[int, tuple[JointAction, ...]]:
     """Best open-loop action sequence against one fixed mobility outcome.
 
-    Exhaustive over action sequences; used as a test oracle only. Returns
+    Exhaustive over action sequences, so for small scenarios only: `thzvlc
+    oracle` runs it, and the tests use it as the reference optimum. Returns
     the maximum period reward and the first sequence attaining it.
     """
     actions = enumerate_joint_actions(scenario)
     t_slots = scenario.slots_per_period
-    if len(actions) ** t_slots > max_sequences:
+    if len(actions) ** t_slots > ORACLE_SEQUENCE_CAP:
         raise ValueError(
-            f"{len(actions)}^{t_slots} sequences exceed the {max_sequences} guard"
+            f"{len(actions)}^{t_slots} sequences exceed the {ORACLE_SEQUENCE_CAP} guard"
         )
-    real = sample_realization(task, scenario, fixed_realization_seed)
+    real = sample_realization(task, scenario, realization_seed)
 
     # Physics ignores the served flags, so each (slot, action) has a fixed
     # servable user set; the search only tracks which users are served.

@@ -218,8 +218,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     return values
 
 
-def apply_env_overrides(values: dict[str, dict[str, object]], environ=None) -> None:
-    environ = os.environ if environ is None else environ
+def apply_env_overrides(values: dict[str, dict[str, object]], environ) -> None:
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
@@ -258,11 +257,20 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             return tuple(Point3(x, y, sc["ceiling"]) for x, y in pts)
         return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
 
+    noise_dbm = rd["noise_density_dbm_per_hz"]
+    if not math.isfinite(noise_dbm):
+        raise ConfigError(f"radio.noise_density_dbm_per_hz must be finite, got {noise_dbm!r}")
+    tk = values["tasks"]
+    if not (math.isfinite(tk["concentration"]) and tk["concentration"] > 0):
+        raise ConfigError(f"tasks.concentration must be finite and > 0, got {tk['concentration']!r}")
+    for key, least in (("count", 1), ("locality_radius", 0)):
+        if tk[key] < least:
+            raise ConfigError(f"tasks.{key} must be >= {least}, got {tk[key]}")
     try:
         # keys named as RadioParams fields pass through; the noise is in dBm/Hz
         radio = env.RadioParams(
             **{k: v for k, v in rd.items() if k != "noise_density_dbm_per_hz"},
-            noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(rd["noise_density_dbm_per_hz"]),
+            noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(noise_dbm),
         )
         optics = env.OpticsParams(fov_semi_angle_rad=math.radians(op["fov_semi_angle_deg"]))
         scenario = ScenarioConfig(
@@ -311,7 +319,7 @@ def load_spec(path: str | Path | None, environ=None, overrides: dict | None = No
     """Read a config file, apply env and explicit overrides, build the spec."""
     text = Path(path).read_text() if path is not None else ""
     values = parse_config_text(text)
-    apply_env_overrides(values, environ)
+    apply_env_overrides(values, os.environ if environ is None else environ)
     for (section, key), value in (overrides or {}).items():
         values[section][key] = value
     return build_spec(values)
@@ -321,13 +329,13 @@ def load_spec(path: str | Path | None, environ=None, overrides: dict | None = No
 # Seed derivation and task streams
 
 
-def derive_task_seeds(master_seed: int, count: int, purpose: int = 11) -> list[int]:
+def derive_task_seeds(master_seed: int, count: int, purpose: int) -> list[int]:
     rng = np.random.default_rng([master_seed, purpose])
     return [int(s) for s in rng.integers(0, 2**31 - 1, count)]
 
 
-def build_task_stream(spec: ExperimentSpec, purpose: int = 11) -> list[Task]:
-    seeds = derive_task_seeds(spec.master_seed, spec.values["tasks"]["count"], purpose)
+def build_task_stream(spec: ExperimentSpec) -> list[Task]:
+    seeds = derive_task_seeds(spec.master_seed, spec.values["tasks"]["count"], 11)
     return [spec.task(s, i) for i, s in enumerate(seeds)]
 
 
@@ -348,8 +356,8 @@ def write_metrics(out_dir: Path, metrics: list[meta_rl.IterationMetrics]) -> Non
             writer.writerow([m.iteration, repr(m.wall_clock_s)])
 
 
-def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConfig, name="trajectories.csv") -> None:
-    with atomic_open(out_dir / name, "w", newline="") as fh:
+def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConfig) -> None:
+    with atomic_open(out_dir / "trajectories.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -400,13 +408,10 @@ def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list
 
 
 def evaluate_policy(
-    params: policy_net.PolicyParams,
-    spec: ExperimentSpec,
-    periods: int,
-    seed_purpose: int = 13,
+    params: policy_net.PolicyParams, spec: ExperimentSpec, periods: int
 ) -> tuple[float, list]:
     """Roll a frozen policy on fresh tasks; returns avg reliability per user."""
-    seeds = derive_task_seeds(spec.master_seed, periods, purpose=seed_purpose)
+    seeds = derive_task_seeds(spec.master_seed, periods, 13)
     tasks = [spec.task(s, 10_000 + i) for i, s in enumerate(seeds)]
     trajectories = rollout_periods(params, spec, tasks, 17)
     total = sum(traj.total_reward for traj in trajectories)

@@ -29,17 +29,18 @@ from .policy_net import Gradient, Policy, PolicyParams
 
 @dataclass(frozen=True)
 class LearningConfig:
-    """Training constants; the inner/outer rollout counts are per task."""
+    """Training constants, one per `[learning]` key (whose reference values
+    are in `harness.SCHEMA`); the inner/outer rollout counts are per task."""
 
-    inner_lr: float = 0.1
-    meta_lr: float = 0.01
-    inner_rollouts: int = 50
-    outer_rollouts: int = 10
-    meta_iterations: int = 200
-    tasks_per_batch: int = 20
-    reward_baseline: bool = True
-    reward_to_go: bool = False
-    hidden_sizes: tuple[int, ...] = (64, 64)
+    inner_lr: float
+    meta_lr: float
+    inner_rollouts: int
+    outer_rollouts: int
+    meta_iterations: int
+    tasks_per_batch: int
+    reward_baseline: bool
+    reward_to_go: bool
+    hidden_sizes: tuple[int, ...]
 
     def __post_init__(self):
         for name in ("inner_lr", "meta_lr"):
@@ -50,6 +51,8 @@ class LearningConfig:
             raise ValueError("rollout counts must be >= 1")
         if self.meta_iterations < 0 or self.tasks_per_batch < 1:
             raise ValueError("meta_iterations must be >= 0 and tasks_per_batch >= 1")
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ValueError(f"learning.hidden_sizes must all be >= 1, got {self.hidden_sizes!r}")
 
 
 @dataclass
@@ -201,15 +204,16 @@ def rollout_joint(
 def task_gradient(
     trajectories: list[Trajectory],
     params: Policy,
-    reward_baseline: bool = False,
-    reward_to_go: bool = False,
+    reward_baseline: bool,
+    reward_to_go: bool,
 ) -> Gradient:
     """REINFORCE estimate: trajectory return times summed score function.
 
-    The optional baseline is the leave-one-out mean return, which keeps the
-    estimator exactly unbiased. reward_to_go swaps the whole-period return
-    for the per-step remaining reward. Steps whose coefficient is zero are
-    left out, so the head-weight factors have one row per other step.
+    reward_baseline subtracts the leave-one-out mean return, which keeps
+    the estimator exactly unbiased. reward_to_go swaps the whole-period
+    return for the per-step remaining reward. Steps whose coefficient is
+    zero are left out, so the head-weight factors have one row per other
+    step.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -286,7 +290,7 @@ def policy_head(kind: str, scenario: ScenarioConfig) -> PolicyHead:
     if kind == "dmpg":
         from . import dmpg
 
-        actions = dmpg.enumerate_vap_actions(scenario.num_vaps)
+        actions = env.enumerate_vap_actions(scenario.num_vaps)
         return PolicyHead(dmpg.rollout_vap, dmpg.vap_decoder(actions, scenario), actions)
     raise ValueError(f"unknown rollout kind {kind!r}")
 
@@ -309,9 +313,9 @@ def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase:
 
 
 # One instance per distinct scenario in this process. A payload unpickled in
-# a pool worker carries a fresh equal ScenarioConfig; looked up here once per
-# task phase, it is swapped for the first one seen, so the per-slot table
-# caches in `env` match it by identity instead of comparing every field.
+# a pool worker carries a fresh equal ScenarioConfig without its tables;
+# looked up here once per task phase, it is swapped for the first one seen,
+# so the link tables of earlier phases serve this one too.
 _SCENARIOS: dict[ScenarioConfig, ScenarioConfig] = {}
 
 
@@ -339,9 +343,10 @@ def meta_train(
     scenario: ScenarioConfig,
     tasks: list[Task],
     kind: str,
-    master_seed: int = 0,
+    *,
+    master_seed: int,
     initial_params: PolicyParams | None = None,
-    workers: int = 1,
+    workers: int,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:
     """Meta training of the joint (`mpg`) or VAP-only (`dmpg`) policy."""
@@ -416,8 +421,8 @@ def adapt(
     steps: int,
     cfg: LearningConfig,
     scenario: ScenarioConfig,
-    kind: str = "mpg",
-    master_seed: int = 0,
+    kind: str,
+    master_seed: int,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[float]]:
     """Task-learning steps only, for specializing to a new movement pattern.
@@ -436,8 +441,8 @@ def train_baseline_pg(
     cfg: LearningConfig,
     scenario: ScenarioConfig,
     tasks: list[Task],
-    kind: str = "mpg",
-    master_seed: int = 0,
+    kind: str,
+    master_seed: int,
     initial_params: PolicyParams | None = None,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:

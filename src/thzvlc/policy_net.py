@@ -390,9 +390,7 @@ def config_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def save_params(
-    path, params: Policy, config_hash: str = "", kind: str = "", scenario_hash: str = ""
-) -> None:
+def save_params(path, params: Policy, config_hash: str, kind: str, scenario_hash: str) -> None:
     """Checkpoint layout: one JSON header line, then raw float64 bytes.
 
     `kind` names the policy head (`mpg` or `dmpg`) and `scenario_hash` the

@@ -16,6 +16,13 @@ def reference_scenario(**keys):
     return harness.load_spec(None, environ={}, overrides=overrides).scenario
 
 
+def reference_learning(**keys):
+    """The config schema's reference learning settings, with these
+    [learning] keys set."""
+    overrides = {("learning", key): value for key, value in keys.items()}
+    return harness.load_spec(None, environ={}, overrides=overrides).learning
+
+
 def make_toy_scenario(
     num_users=2,
     num_sbs=2,

@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 import oracles
-from conftest import make_toy_scenario, reference_scenario
+from conftest import make_toy_scenario, reference_learning, reference_scenario
 from thzvlc import env, harness, meta_rl
 from thzvlc.association import check_period_feasible, hungarian_max
 from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
-from thzvlc.meta_rl import LearningConfig, adapt, meta_train
+from thzvlc.meta_rl import adapt, meta_train
 from thzvlc.policy_net import PolicyParams, forward, init_params, layer_shapes_for
 
 # every trajectory the learning criteria produce is audited on arrival;
@@ -66,7 +66,7 @@ def adaptation_toy():
 
 def frozen_tasks(scenario, seeds):
     return [
-        env.sample_task(scenario.grid, seed=s, locality_radius=0, task_id=s) for s in seeds
+        env.sample_task(scenario.grid, seed=s, concentration=1.0, locality_radius=0, task_id=s) for s in seeds
     ]
 
 
@@ -76,7 +76,7 @@ def unseen_hard_tasks(scenario, count=ADAPT_UNSEEN_COUNT):
     space = env.enumerate_joint_actions(scenario)
     chosen = []
     for seed in range(300, 1000):
-        task = env.sample_task(scenario.grid, seed=seed, locality_radius=0, task_id=seed)
+        task = env.sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
         best, _ = env.brute_force_oracle(task, scenario, 0)
         state = env.reset(task, scenario)
         links = env.slot_links(state, scenario)
@@ -110,7 +110,7 @@ def train_until(target, kind, cfg, scenario, tasks, max_iters, chunk=100, sink=N
         step_cfg = dataclasses.replace(cfg, meta_iterations=min(chunk, max_iters - used))
         params, metrics = meta_train(
             step_cfg, scenario, tasks, kind, master_seed=used, initial_params=params,
-            trajectory_sink=sink,
+            workers=1, trajectory_sink=sink,
         )
         means.extend(m.mean_reward for m in metrics)
         used += step_cfg.meta_iterations
@@ -251,7 +251,8 @@ def test_criterion_5_assignment_optimality():
     start = time.perf_counter()
     mismatches = 0
     for trial in range(200):
-        task = env.sample_task(scenario.grid, seed=7000 + trial, locality_radius=1)
+        task = env.sample_task(scenario.grid, seed=7000 + trial, concentration=1.0, locality_radius=1,
+                               task_id=7000 + trial)
         real = env.sample_realization(task, scenario, 0)
         vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
         per_slot = oracles.solve_period_association(vaps, real, scenario, dual_iters=40)
@@ -286,7 +287,7 @@ def test_criterion_6_small_instance_learning():
     task = frozen_tasks(scenario, [TOY_TASK_SEED])[0]
     best, _ = env.brute_force_oracle(task, scenario, 0)
     assert best > 0
-    cfg = LearningConfig(
+    cfg = reference_learning(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=10,
         meta_iterations=100, tasks_per_batch=1, hidden_sizes=(32,),
     )
@@ -322,11 +323,11 @@ def test_criterion_7_meta_adaptation():
     unseen = unseen_hard_tasks(scenario)
     medians = {}
     for kind, iters in (("mpg", 600), ("dmpg", 400)):
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.1, inner_rollouts=10, outer_rollouts=10,
             meta_iterations=iters, tasks_per_batch=10, hidden_sizes=(64,),
         )
-        meta_params, _ = meta_train(cfg, scenario, train_tasks, kind, master_seed=0,
+        meta_params, _ = meta_train(cfg, scenario, train_tasks, kind, master_seed=0, workers=1,
                                     trajectory_sink=pool_sink(scenario, kind == "dmpg"))
         ratios = []
         for task in unseen:
@@ -351,26 +352,31 @@ def test_criterion_7_meta_adaptation():
 def test_criterion_8_dmpg_scalability():
     # full-size dual-method run: 20 users, 7 VAPs, 7 SBSs, 3 slots
     big = reference_scenario(num_users=20)
-    tasks = [env.sample_task(big.grid, seed=s, locality_radius=1, task_id=s) for s in range(10)]
-    cfg = LearningConfig(
+    tasks = [
+        env.sample_task(big.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(10)
+    ]
+    cfg = reference_learning(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=5,
         meta_iterations=200, tasks_per_batch=5, hidden_sizes=(64, 64),
     )
     start = time.perf_counter()
-    _, metrics = meta_train(cfg, big, tasks, "dmpg", master_seed=0, trajectory_sink=pool_sink(big, True))
+    _, metrics = meta_train(cfg, big, tasks, "dmpg", master_seed=0, workers=1,
+                            trajectory_sink=pool_sink(big, True))
     big_time = time.perf_counter() - start
     big_ok = len(metrics) == 200 and big_time < 1800
 
     # paired per-iteration timing at 8 users on identical seeds and config
     mid = reference_scenario(num_users=8)
-    mid_tasks = [env.sample_task(mid.grid, seed=s, locality_radius=1, task_id=s) for s in range(2)]
-    pair_cfg = LearningConfig(
+    mid_tasks = [
+        env.sample_task(mid.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(2)
+    ]
+    pair_cfg = reference_learning(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=2, outer_rollouts=1,
         meta_iterations=2, tasks_per_batch=1, hidden_sizes=(16,),
     )
-    _, mpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "mpg", master_seed=0,
+    _, mpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "mpg", master_seed=0, workers=1,
                                trajectory_sink=pool_sink(mid, False))
-    _, dmpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "dmpg", master_seed=0,
+    _, dmpg_metrics = meta_train(pair_cfg, mid, mid_tasks, "dmpg", master_seed=0, workers=1,
                                  trajectory_sink=pool_sink(mid, True))
     mpg_iter = float(np.mean([m.wall_clock_s for m in mpg_metrics]))
     dmpg_iter = float(np.mean([m.wall_clock_s for m in dmpg_metrics]))
@@ -430,10 +436,10 @@ def test_criterion_9_structural_invariants(tmp_path):
         tasks = harness.build_task_stream(spec)
         sink = pool_sink(spec.scenario, algo == "dmpg")
         if algo == "pg":
-            meta_rl.train_baseline_pg(spec.learning, spec.scenario, tasks, master_seed=0,
+            meta_rl.train_baseline_pg(spec.learning, spec.scenario, tasks, "mpg", master_seed=0,
                                       trajectory_sink=sink)
         else:
-            meta_train(spec.learning, spec.scenario, tasks, spec.kind, master_seed=0,
+            meta_train(spec.learning, spec.scenario, tasks, spec.kind, master_seed=0, workers=1,
                        trajectory_sink=sink)
     assert AUDIT_COUNT[0] > 100
     report(

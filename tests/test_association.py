@@ -133,7 +133,7 @@ class TestDualUpdate:
             assert dual_update(lambdas, counts, step).min() >= 0.0
 
     def test_validation(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=3, locality_radius=1)
+        task = env.sample_task(toy_scenario.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         real = env.sample_realization(task, toy_scenario, 0)
         vaps = [(0, 1, 2)] * toy_scenario.slots_per_period
         for step in (0.0, -0.1):
@@ -215,7 +215,7 @@ def period_tables(scenario, task, vap_sequence, realization):
 class TestSolvePeriodAssociation:
     def test_single_slot_reduces_to_hungarian(self, toy_scenario):
         sc = make_toy_scenario(slots_per_period=1)
-        task = env.sample_task(sc.grid, seed=3, locality_radius=1)
+        task = env.sample_task(sc.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         real = env.sample_realization(task, sc, 0)
         per_slot = solve_period_association([(0, 1, 2)], real, sc, dual_iters=5)
         assert len(per_slot) == 1
@@ -227,7 +227,7 @@ class TestSolvePeriodAssociation:
         sc = make_toy_scenario(num_users=3, slots_per_period=2)
         rng = np.random.default_rng(36)
         for seed in range(20):
-            task = env.sample_task(sc.grid, seed=seed, locality_radius=1)
+            task = env.sample_task(sc.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             real = env.sample_realization(task, sc, 0)
             vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
             per_slot = solve_period_association(vaps, real, sc, dual_iters=20)
@@ -237,7 +237,8 @@ class TestSolvePeriodAssociation:
         sc = make_toy_scenario(num_users=3, slots_per_period=2)
         rng = np.random.default_rng(37)
         for seed in range(40):
-            task = env.sample_task(sc.grid, seed=100 + seed, locality_radius=1)
+            task = env.sample_task(sc.grid, seed=100 + seed, concentration=1.0, locality_radius=1,
+                                   task_id=100 + seed)
             real = env.sample_realization(task, sc, 0)
             vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
             per_slot = solve_period_association(vaps, real, sc, dual_iters=40)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_toy_scenario
+from conftest import make_toy_scenario, reference_learning
 from thzvlc import association, env, meta_rl
 from thzvlc.association import check_period_feasible
-from thzvlc.dmpg import enumerate_vap_actions, rollout_vap, vap_decoder
-from thzvlc.meta_rl import LearningConfig, meta_train
+from thzvlc.dmpg import rollout_vap, vap_decoder
+from thzvlc.env import enumerate_vap_actions
+from thzvlc.meta_rl import meta_train
 
 
 class TestEnumerateVapActions:
@@ -36,11 +37,12 @@ class TestDmpgStep:
     """One slot of a dmpg rollout: the sampled VAP subset plus its matching."""
 
     def _rollouts(self, scenario, seeds, locality_radius):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         actions = enumerate_vap_actions(scenario.num_vaps)
         for seed in seeds:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
-            task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality_radius)
+            task = env.sample_task(scenario.grid, seed=seed, concentration=1.0,
+                                   locality_radius=locality_radius, task_id=seed)
             for traj in rollout_vap(task, params, actions, scenario, np.random.default_rng(seed), 2):
                 yield actions, traj
 
@@ -60,9 +62,9 @@ class TestDmpgStep:
                 assert step.action.assignments == tuple(sorted((u, s) for s, u in sol.matching))
 
     def test_reward_bounded_by_joint_oracle(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         for seed in range(5):
-            task = env.sample_task(toy_scenario.grid, seed=seed, locality_radius=0)
+            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
             best, _ = env.brute_force_oracle(task, toy_scenario, 0)
             real = env.sample_realization(task, toy_scenario, 0)
             params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=seed)
@@ -76,11 +78,11 @@ class TestDmpgStep:
 
 class TestRolloutVap:
     def test_constraints_hold_on_rollouts(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=0)
         actions = enumerate_vap_actions(toy_scenario.num_vaps)
         for seed in range(6):
-            task = env.sample_task(toy_scenario.grid, seed=seed, locality_radius=1)
+            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
@@ -92,11 +94,11 @@ class TestRolloutVap:
             )
 
     def test_served_user_never_reassigned(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=3)
         actions = enumerate_vap_actions(toy_scenario.num_vaps)
         for seed in range(8):
-            task = env.sample_task(toy_scenario.grid, seed=seed, locality_radius=1)
+            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
             served = set()
             for step in traj.steps:
@@ -107,16 +109,16 @@ class TestRolloutVap:
 
 class TestTrainDmpg:
     def test_metrics_and_determinism(self, toy_scenario):
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.05, inner_rollouts=3, outer_rollouts=2,
             meta_iterations=3, tasks_per_batch=2, hidden_sizes=(8,),
         )
         tasks = [
-            env.sample_task(toy_scenario.grid, seed=s, locality_radius=1, task_id=s)
+            env.sample_task(toy_scenario.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s)
             for s in range(3)
         ]
-        p1, m1 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5)
-        p2, m2 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5)
+        p1, m1 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5, workers=1)
+        p2, m2 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5, workers=1)
         assert len(m1) == 3
         assert np.array_equal(p1.flat, p2.flat)
         assert [m.mean_reward for m in m1] == [m.mean_reward for m in m2]
@@ -124,10 +126,10 @@ class TestTrainDmpg:
 
     def test_action_head_independent_of_user_count(self):
         sc = make_toy_scenario(num_users=3, slots_per_period=1)
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_rollouts=2, outer_rollouts=2, meta_iterations=1,
             tasks_per_batch=1, hidden_sizes=(8,),
         )
-        tasks = [env.sample_task(sc.grid, seed=0, locality_radius=0, task_id=0)]
-        params, _ = meta_train(cfg, sc, tasks, "dmpg", master_seed=0)
+        tasks = [env.sample_task(sc.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)]
+        params, _ = meta_train(cfg, sc, tasks, "dmpg", master_seed=0, workers=1)
         assert params.action_count == comb(sc.num_vaps, 3)

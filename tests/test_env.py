@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_toy_scenario, reference_scenario
+from conftest import make_toy_scenario, reference_learning, reference_scenario
 from oracles import step
 from thzvlc import env, meta_rl
 from thzvlc.env import (
@@ -25,7 +26,7 @@ from thzvlc.env import (
 
 
 def identity_task(scenario, seed=0):
-    return sample_task(scenario.grid, seed=seed, locality_radius=0)
+    return sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
 
 
 def make_state(scenario, cells, heights=None, served=None, slot=0):
@@ -40,33 +41,36 @@ def make_state(scenario, cells, heights=None, served=None, slot=0):
 
 class TestScenarioHash:
     def test_equal_scenarios_hash_alike_and_pickles_drop_the_cache(self):
+        # the cache is the scenario's link tables, built on first use
         scenario = reference_scenario()
-        first = hash(scenario)
-        assert hash(scenario) == first == hash(reference_scenario())
+        tables = scenario.tables
+        assert scenario.tables is tables
+        assert hash(scenario) == hash(reference_scenario())
         copy = pickle.loads(pickle.dumps(scenario))
-        assert "_hash" not in copy.__dict__
-        assert copy == scenario and hash(copy) == first
+        assert "tables" not in copy.__dict__
+        assert copy == scenario and hash(copy) == hash(scenario)
+        assert copy.tables is not tables
         moved = dataclasses.replace(scenario, body_radius=0.3)
-        assert "_hash" not in moved.__dict__ and moved != scenario
+        assert "tables" not in moved.__dict__ and moved != scenario
 
 
 class TestSampleTask:
     def test_locality_zero_is_identity(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=5, locality_radius=0)
+        task = sample_task(toy_scenario.grid, seed=5, concentration=1.0, locality_radius=0, task_id=5)
         assert np.array_equal(task.pattern.transition, np.eye(toy_scenario.grid.num_cells))
 
     def test_rows_are_stochastic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=9, concentration=0.5, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=9, concentration=0.5, locality_radius=1, task_id=9)
         sums = task.pattern.transition.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_deterministic_in_seed(self, toy_scenario):
-        a = sample_task(toy_scenario.grid, seed=42)
-        b = sample_task(toy_scenario.grid, seed=42)
+        a = sample_task(toy_scenario.grid, seed=42, concentration=1.0, locality_radius=1, task_id=42)
+        b = sample_task(toy_scenario.grid, seed=42, concentration=1.0, locality_radius=1, task_id=42)
         assert np.array_equal(a.pattern.transition, b.pattern.transition)
 
     def test_locality_limits_support(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=1, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         n = toy_scenario.grid.cells_per_side
         t = task.pattern.transition
         for idx in range(toy_scenario.grid.num_cells):
@@ -77,9 +81,13 @@ class TestSampleTask:
 
     def test_bad_arguments(self, toy_scenario):
         with pytest.raises(ValueError):
-            sample_task(toy_scenario.grid, seed=0, concentration=0.0)
+            sample_task(toy_scenario.grid, seed=0, concentration=0.0, locality_radius=1, task_id=0)
         with pytest.raises(ValueError):
-            sample_task(toy_scenario.grid, seed=0, locality_radius=-1)
+            sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=-1, task_id=0)
+        # the Dirichlet rows would be NaN, and every user would move to cell 0
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sample_task(toy_scenario.grid, seed=0, concentration=value, locality_radius=1, task_id=0)
 
 
 class TestReset:
@@ -142,7 +150,7 @@ class TestStep:
             step(state, action, identity_task(toy_scenario), toy_scenario)
 
     def test_default_rng_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=8, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=8, concentration=1.0, locality_radius=1, task_id=8)
         state = reset(task, toy_scenario)
         action = enumerate_joint_actions(toy_scenario)[3]
         a1 = step(state, action, task, toy_scenario)
@@ -151,7 +159,7 @@ class TestStep:
 
     def test_served_monotone_within_period(self, toy_scenario):
         rng = np.random.default_rng(21)
-        task = sample_task(toy_scenario.grid, seed=4, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=4, concentration=1.0, locality_radius=1, task_id=4)
         space = enumerate_joint_actions(toy_scenario)
         for _ in range(20):
             state = reset(task, toy_scenario)
@@ -208,9 +216,9 @@ class TestPeriodReliability:
 
     def test_sum_matches_final_popcount(self, toy_scenario):
         rng = np.random.default_rng(22)
-        task = sample_task(toy_scenario.grid, seed=2, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=2, concentration=1.0, locality_radius=1, task_id=2)
         space = enumerate_joint_actions(toy_scenario)
-        cfg = meta_rl.LearningConfig(hidden_sizes=(8,))
+        cfg = reference_learning(hidden_sizes=(8,))
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)
         for traj in meta_rl.rollout_joint(task, params, space, toy_scenario, rng, 25):
             assert traj.total_reward == sum(traj.final_state.served)
@@ -267,10 +275,11 @@ class TestJointActionSpace:
             with pytest.raises(IndexError):
                 space[bad]
 
-    def test_cap_error_mentions_dual(self):
+    def test_cap_error_mentions_dual(self, monkeypatch):
         sc = make_toy_scenario(num_users=2)
+        monkeypatch.setattr(env, "JOINT_ACTION_CAP", 4)
         with pytest.raises(ValueError, match="dual"):
-            enumerate_joint_actions(sc, cap=4)
+            enumerate_joint_actions(sc)
 
 
 class TestJointActionValidation:
@@ -293,8 +302,8 @@ class TestJointActionValidation:
 class TestBruteForceOracle:
     def test_single_slot_existence(self):
         sc = make_toy_scenario(slots_per_period=1)
-        task = sample_task(sc.grid, seed=1, locality_radius=0)
-        best, seq = brute_force_oracle(task, sc)
+        task = sample_task(sc.grid, seed=1, concentration=1.0, locality_radius=0, task_id=1)
+        best, seq = brute_force_oracle(task, sc, 0)
         assert len(seq) == 1
         state = reset(task, sc)
         links = env.slot_links(state, sc)
@@ -303,35 +312,35 @@ class TestBruteForceOracle:
 
     def test_reward_bound(self, toy_scenario):
         for seed in range(4):
-            task = sample_task(toy_scenario.grid, seed=seed, locality_radius=1)
-            best, _ = brute_force_oracle(task, toy_scenario)
+            task = sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
+            best, _ = brute_force_oracle(task, toy_scenario, 0)
             assert 0 <= best <= min(
                 toy_scenario.num_users,
                 toy_scenario.num_sbs * toy_scenario.slots_per_period,
             )
 
     def test_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=6, locality_radius=1)
-        assert brute_force_oracle(task, toy_scenario) == brute_force_oracle(task, toy_scenario)
+        task = sample_task(toy_scenario.grid, seed=6, concentration=1.0, locality_radius=1, task_id=6)
+        assert brute_force_oracle(task, toy_scenario, 0) == brute_force_oracle(task, toy_scenario, 0)
 
     def test_frozen_regression_value(self):
         # exhaustively computed once and pinned; a change here means the
         # world model changed
         sc = make_toy_scenario(fov_deg=70.0)
-        task = sample_task(sc.grid, seed=10, locality_radius=0, task_id=10)
+        task = sample_task(sc.grid, seed=10, concentration=1.0, locality_radius=0, task_id=10)
         best, seq = brute_force_oracle(task, sc, 0)
         assert best == 2
         assert [a.vap_set for a in seq] == [(0, 2, 3), (1, 2, 3)]
 
     def test_guard(self):
         sc = make_toy_scenario(slots_per_period=12)
-        task = sample_task(sc.grid, seed=0, locality_radius=0)
+        task = sample_task(sc.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         with pytest.raises(ValueError, match="guard"):
-            brute_force_oracle(task, sc)
+            brute_force_oracle(task, sc, 0)
 
     def test_oracle_beats_random_play(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=7, locality_radius=0)
-        best, seq = brute_force_oracle(task, toy_scenario)
+        task = sample_task(toy_scenario.grid, seed=7, concentration=1.0, locality_radius=0, task_id=7)
+        best, seq = brute_force_oracle(task, toy_scenario, 0)
         real = env.sample_realization(task, toy_scenario, 0)
         # replay the winning sequence and confirm the claimed reward
         served = (False,) * toy_scenario.num_users
@@ -358,7 +367,7 @@ class TestBruteForceOracle:
 
 class TestRealization:
     def test_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=13, locality_radius=1)
+        task = sample_task(toy_scenario.grid, seed=13, concentration=1.0, locality_radius=1, task_id=13)
         a = env.sample_realization(task, toy_scenario, 5)
         b = env.sample_realization(task, toy_scenario, 5)
         assert a == b

@@ -217,16 +217,27 @@ class TestCli:
             ("tx_power_w", "inf"), ("absorption_per_m", "nan"), ("image_size_bits", "inf"),
             ("slot_duration_s", "nan"),
         )],
-        ("RADIO__NOISE_DENSITY_DBM_PER_HZ", "nan", "noise_density_w_per_hz"),
-        ("RADIO__NOISE_DENSITY_DBM_PER_HZ", "inf", "noise_density_w_per_hz"),
+        *[("RADIO__NOISE_DENSITY_DBM_PER_HZ", value, "radio.noise_density_dbm_per_hz")
+          for value in ("nan", "inf", "-inf")],
         ("SCENARIO__BODY_RADIUS", "nan", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "inf", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "-1", "body_radius"),
+        ("SCENARIO__ROOM_SIDE", "inf", "scenario.room_side"),
+        ("SCENARIO__ROOM_SIDE", "nan", "scenario.room_side"),
+        ("SCENARIO__CEILING", "inf", "scenario.ceiling"),
+        ("SCENARIO__VAP_POSITIONS", "100,100; 2,4; 4,4", "scenario.vap_positions"),
+        ("SCENARIO__SBS_POSITIONS", "2,3; 4,-0.5", "scenario.sbs_positions"),
         ("LEARNING__INNER_LR", "nan", "inner_lr"),
         ("LEARNING__INNER_LR", "inf", "inner_lr"),
         ("LEARNING__META_LR", "nan", "meta_lr"),
         ("LEARNING__META_LR", "-inf", "meta_lr"),
+        ("LEARNING__HIDDEN_SIZES", "0", "learning.hidden_sizes"),
+        ("LEARNING__HIDDEN_SIZES", "8,-1", "learning.hidden_sizes"),
+        *[("TASKS__CONCENTRATION", value, "tasks.concentration") for value in ("nan", "inf", "0", "-1")],
+        ("TASKS__COUNT", "0", "tasks.count"),
+        ("TASKS__LOCALITY_RADIUS", "-1", "tasks.locality_radius"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_or_negative_value_named(self, tmp_path, capsys, monkeypatch, name, value, field):
         cfg = self._write_toy(tmp_path)
         monkeypatch.setenv(f"THZVLC_{name}", value)
@@ -382,7 +393,7 @@ class TestCli:
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
         path = tmp_path / f"{algo}.bin"
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
-        policy_net.save_params(path, params, kind=spec.kind, scenario_hash=spec.scenario_hash)
+        policy_net.save_params(path, params, "", spec.kind, spec.scenario_hash)
         return path
 
     def _refused(self, argv, capsys):
@@ -442,7 +453,7 @@ class TestCli:
         cfg = self._write_toy(tmp_path)
         spec = toy_spec(tmp_path)
         ckpt = tmp_path / "untagged.bin"
-        policy_net.save_params(ckpt, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0))
+        policy_net.save_params(ckpt, meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0), "", "", "")
         err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
                              "--out", str(tmp_path / "o")], capsys)
         assert "untagged" in err
@@ -472,7 +483,7 @@ class TestCli:
         spec = toy_spec(tmp_path)
         ckpt = tmp_path / "unbound.bin"
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
-        policy_net.save_params(ckpt, params, kind=spec.kind)
+        policy_net.save_params(ckpt, params, "", spec.kind, "")
         for command in (["eval", "--periods", "1"], ["simulate", "--periods", "1"],
                         ["adapt", "--steps", "1"]):
             err = self._refused([*command, "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -558,9 +569,12 @@ class TestAtomicArtifacts:
         with pytest.raises(AttributeError):
             harness.write_trajectories(out, [*trajs[1:], None], spec.scenario)
         assert (out / "trajectories.csv").read_bytes() == before
-        with pytest.raises(AttributeError):
-            harness.write_trajectories(out, [*trajs, None], spec.scenario, name="fresh.csv")
         assert sorted(p.name for p in out.iterdir()) == ["trajectories.csv"]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        with pytest.raises(AttributeError):
+            harness.write_trajectories(fresh, [*trajs, None], spec.scenario)
+        assert list(fresh.iterdir()) == []
 
     def test_interrupt_inside_atomic_open_keeps_previous(self, tmp_path):
         path = tmp_path / "checkpoint.bin"

@@ -208,12 +208,11 @@ class TestCrossingTable:
     def test_first_slot_fills_only_its_users_rows(self):
         # 400 cells: the full table would be 14 x 400 x 400 entries (38 MB)
         scenario = reference_scenario(cells_per_side=20)
-        task = env.sample_task(scenario.grid, seed=3)
+        task = env.sample_task(scenario.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         state = env.reset(task, scenario)
         state = dataclasses.replace(state, user_cells=state.user_cells[:-2] + state.user_cells[:2])
-        env._crossings.cache_clear()
         links = env.slot_links(state, scenario)
-        filled = env._crossings(scenario).filled
+        filled = scenario.tables[0].filled
         assert set(np.flatnonzero(filled).tolist()) == set(state.user_cells)
         assert filled.sum() == len(set(state.user_cells)) < scenario.num_users
         visible, h = direct_links(state, scenario)
@@ -293,7 +292,7 @@ class TestNextCells:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 2))
     def test_matches_per_row_cumsum(self, seed, cells_per_side, locality):
         grid = make_toy_scenario(cells_per_side=cells_per_side).grid
-        task = env.sample_task(grid, seed, concentration=0.3, locality_radius=locality)
+        task = env.sample_task(grid, seed, concentration=0.3, locality_radius=locality, task_id=seed)
         rng = np.random.default_rng(seed)
         cells = tuple(int(c) for c in rng.integers(0, grid.num_cells, 8))
         got = env.sample_next_cells(task.pattern, cells, np.random.default_rng([seed, 1]))

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_toy_scenario
+from conftest import make_toy_scenario, reference_learning
 from thzvlc import env, meta_rl, policy_net
 from thzvlc.env import EnvState, Trajectory, TrajectoryStep
 from thzvlc.meta_rl import (
-    LearningConfig,
     TaskBatchResult,
     adapt,
     rollout_joint,
@@ -82,14 +81,14 @@ class TestCollectTrajectories:
     """`rollout_joint(..., count)`: one phase's rollouts of one task."""
 
     def test_count_zero(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=0, locality_radius=0)
+        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
         out = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 0)
         assert out == []
 
     def test_horizon(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1)
+        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
         trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 3)
@@ -97,7 +96,7 @@ class TestCollectTrajectories:
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
     def test_point_mass_deterministic_env_identical(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=2, locality_radius=0)
+        task = env.sample_task(toy_scenario.grid, seed=2, concentration=1.0, locality_radius=0, task_id=2)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
         trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 5)
@@ -112,7 +111,7 @@ def lockstep_cases(draw):
     kind = draw(st.sampled_from(("mpg", "dmpg")))
     scenario = make_toy_scenario(num_users=draw(st.sampled_from((2, 3))))
     seed = draw(st.integers(0, 2**16))
-    params = meta_rl.new_policy(kind, scenario, LearningConfig(hidden_sizes=(4,)), seed)
+    params = meta_rl.new_policy(kind, scenario, reference_learning(hidden_sizes=(4,)), seed)
     if draw(st.booleans()):
         rng = np.random.default_rng(seed)
         zero = policy_net.Gradient.zero(params.layer_shapes)
@@ -147,7 +146,7 @@ class TestLockstep:
     @given(lockstep_cases(), st.sampled_from((0, 1)), st.integers(0, 9))
     def test_phase_equals_sequential_rollouts(self, case, locality, count):
         kind, scenario, params, seed = case
-        task = env.sample_task(scenario.grid, seed=seed, locality_radius=locality, task_id=seed)
+        task = env.sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count)
         decode = meta_rl.policy_head(kind, scenario).decode
@@ -161,7 +160,7 @@ class TestLockstep:
         # tasks from a pool of four (moving and static), repeats allowed, one rng per row
         kind, scenario, params, seed = case
         pool = [
-            env.sample_task(scenario.grid, seed=seed + i, locality_radius=i % 2, task_id=i)
+            env.sample_task(scenario.grid, seed=seed + i, concentration=1.0, locality_radius=i % 2, task_id=i)
             for i in range(4)
         ]
         tasks = [pool[i] for i in picks]
@@ -185,8 +184,8 @@ class TestLockstep:
                 assert np.array_equal(slot[1:], ref.random(toy_scenario.num_users))
 
     def test_uniforms_must_match_the_batch(self, toy_scenario):
-        params = meta_rl.new_policy("mpg", toy_scenario, LearningConfig(hidden_sizes=(4,)), 0)
-        task = env.sample_task(toy_scenario.grid, seed=0)
+        params = meta_rl.new_policy("mpg", toy_scenario, reference_learning(hidden_sizes=(4,)), 0)
+        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=1, task_id=0)
         decode = meta_rl.policy_head("mpg", toy_scenario).decode
         uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
         with pytest.raises(ValueError, match="uniforms"):
@@ -197,12 +196,12 @@ class TestTaskGradient:
     def test_zero_returns_zero_gradient(self):
         params = init_params(((2, 4), (4, 3)), seed=0)
         trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [0]) for i in range(4)]
-        assert np.all(task_gradient(trajs, params).dense() == 0.0)
+        assert np.all(task_gradient(trajs, params, reward_baseline=False, reward_to_go=False).dense() == 0.0)
 
     def test_identical_returns_with_baseline(self):
         params = init_params(((2, 4), (4, 3)), seed=1)
         trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
-        g = task_gradient(trajs, params, reward_baseline=True)
+        g = task_gradient(trajs, params, reward_baseline=True, reward_to_go=False)
         assert np.all(g.dense() == 0.0)
 
     def test_bandit_estimator_unbiased(self):
@@ -234,7 +233,7 @@ class TestTaskGradient:
         for s in range(n):
             a = policy_net.sample_action(dist, rng)
             traj = synthetic_trajectory([x], [a], [rewards[a]])
-            samples[s] = task_gradient([traj], params).dense()
+            samples[s] = task_gradient([traj], params, reward_baseline=False, reward_to_go=False).dense()
         mean = samples.mean(axis=0)
         sem = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(mean - exact_grad) <= 3 * sem + 1e-9)
@@ -253,8 +252,8 @@ class TestTaskGradient:
         for s in range(n):
             pair = [policy_net.sample_action(dist, rng) for _ in range(2)]
             trajs = [synthetic_trajectory([x], [a], [rewards[a]]) for a in pair]
-            plain[s] = task_gradient(trajs, params, reward_baseline=False).dense()
-            baselined[s] = task_gradient(trajs, params, reward_baseline=True).dense()
+            plain[s] = task_gradient(trajs, params, reward_baseline=False, reward_to_go=False).dense()
+            baselined[s] = task_gradient(trajs, params, reward_baseline=True, reward_to_go=False).dense()
         diff = baselined.mean(axis=0) - plain.mean(axis=0)
         sem = (baselined - plain).std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(diff) <= 3 * sem + 1e-9)
@@ -262,7 +261,7 @@ class TestTaskGradient:
     def test_empty_rejected(self):
         params = init_params(((2, 2),), seed=0)
         with pytest.raises(ValueError):
-            task_gradient([], params)
+            task_gradient([], params, reward_baseline=False, reward_to_go=False)
 
     def test_all_zero_coefficients_skip_the_kernel(self, monkeypatch):
         params = init_params(((2, 4), (4, 3)), seed=1)
@@ -270,8 +269,8 @@ class TestTaskGradient:
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", lambda *a: calls.append(a))
         zero = [synthetic_trajectory([[0.1, 0.2]] * 2, [i % 3, 1], [0, 0]) for i in range(3)]
         equal = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
-        assert np.all(task_gradient(zero, params).dense() == 0.0)
-        assert np.all(task_gradient(equal, params, reward_baseline=True).dense() == 0.0)
+        assert np.all(task_gradient(zero, params, reward_baseline=False, reward_to_go=False).dense() == 0.0)
+        assert np.all(task_gradient(equal, params, reward_baseline=True, reward_to_go=False).dense() == 0.0)
         assert calls == []
 
     def test_one_kernel_call_over_nonzero_steps_in_order(self, monkeypatch):
@@ -289,7 +288,7 @@ class TestTaskGradient:
             return original(params, encodings, action_indices, coeffs)
 
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", spy)
-        g = task_gradient(trajs, params, reward_to_go=True)
+        g = task_gradient(trajs, params, reward_to_go=True, reward_baseline=False)
         assert len(calls) == 1
         encodings, actions, coeffs = calls[0]
         # reward-to-go: 1 then 0 for the first trajectory, 0 and 0 for the second
@@ -363,7 +362,7 @@ def make_fixture_result(rng, cfg, shapes=((3, 4), (4, 3))):
 
 class TestMetaUpdate:
     def test_zero_task_gradients_leave_params(self):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2)
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2)
         params = init_params(((2, 3),), seed=0)
         trajs = [synthetic_trajectory([[0.0, 0.1]], [i % 3], [0]) for i in range(3)]
         res = TaskBatchResult(adapted=params, inner_trajs=trajs, outer_trajs=trajs)
@@ -371,16 +370,16 @@ class TestMetaUpdate:
         assert np.array_equal(out.flat, params.flat)
 
     def test_converged_point_mass_update_is_tiny(self, toy_scenario):
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.1, inner_rollouts=3, outer_rollouts=3,
             reward_baseline=False, hidden_sizes=(8,),
         )
-        task = env.sample_task(toy_scenario.grid, seed=3, locality_radius=0)
+        task = env.sample_task(toy_scenario.grid, seed=3, concentration=1.0, locality_radius=0, task_id=3)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=0)
         rng = np.random.default_rng(1)
         inner = rollout_joint(task, params, space, toy_scenario, rng, 3)
-        g = task_gradient(inner, params, cfg.reward_baseline)
+        g = task_gradient(inner, params, cfg.reward_baseline, reward_to_go=False)
         adapted = inner_update(params, g, cfg.inner_lr)
         outer = rollout_joint(task, adapted, space, toy_scenario, rng, 3)
         res = TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
@@ -391,7 +390,7 @@ class TestMetaUpdate:
         rng = np.random.default_rng(40)
         cos = []
         for _ in range(8):
-            cfg = LearningConfig(
+            cfg = reference_learning(
                 inner_lr=0.05, meta_lr=0.01, inner_rollouts=6, outer_rollouts=4,
                 reward_baseline=True,
             )
@@ -409,18 +408,18 @@ class TestMetaUpdate:
 
 class TestAdapt:
     def test_zero_steps(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
-        task = env.sample_task(toy_scenario.grid, seed=0, locality_radius=0)
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        out, curve = adapt(params, task, 0, cfg, toy_scenario)
+        out, curve = adapt(params, task, 0, cfg, toy_scenario, kind="mpg", master_seed=0)
         assert curve == []
         assert np.array_equal(out.flat, params.flat)
 
     def test_curve_length(self, toy_scenario):
-        cfg = LearningConfig(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
-        task = env.sample_task(toy_scenario.grid, seed=0, locality_radius=1)
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
+        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=1, task_id=0)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        _, curve = adapt(params, task, 4, cfg, toy_scenario)
+        _, curve = adapt(params, task, 4, cfg, toy_scenario, kind="mpg", master_seed=0)
         assert len(curve) == 4
 
 
@@ -430,13 +429,13 @@ def tiny_cfg(**kw):
         meta_iterations=3, tasks_per_batch=2, hidden_sizes=(8,),
     )
     defaults.update(kw)
-    return LearningConfig(**defaults)
+    return reference_learning(**defaults)
 
 
 class TestTraining:
     def _tasks(self, scenario, n=3):
         return [
-            env.sample_task(scenario.grid, seed=s, locality_radius=1, task_id=s)
+            env.sample_task(scenario.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s)
             for s in range(n)
         ]
 
@@ -444,21 +443,23 @@ class TestTraining:
         cfg = tiny_cfg(meta_iterations=0)
         tasks = self._tasks(toy_scenario)
         init = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        params, metrics = meta_train(cfg, toy_scenario, tasks, "mpg", initial_params=init)
+        params, metrics = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=0, initial_params=init,
+                                     workers=1)
         assert metrics == []
         assert np.array_equal(params.flat, init.flat)
 
     def test_metrics_length(self, toy_scenario):
         cfg = tiny_cfg()
-        params, metrics = meta_train(cfg, toy_scenario, self._tasks(toy_scenario), "mpg", master_seed=1)
+        tasks = self._tasks(toy_scenario)
+        params, metrics = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=1, workers=1)
         assert len(metrics) == cfg.meta_iterations
         assert [m.iteration for m in metrics] == [0, 1, 2]
 
     def test_deterministic_across_runs(self, toy_scenario):
         cfg = tiny_cfg()
         tasks = self._tasks(toy_scenario)
-        p1, m1 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7)
-        p2, m2 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7)
+        p1, m1 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7, workers=1)
+        p2, m2 = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=7, workers=1)
         assert np.array_equal(p1.flat, p2.flat)
         assert [(m.mean_reward, m.std_reward) for m in m1] == [
             (m.mean_reward, m.std_reward) for m in m2
@@ -474,36 +475,36 @@ class TestTraining:
     def test_baseline_pg_deterministic(self, toy_scenario):
         cfg = tiny_cfg()
         tasks = self._tasks(toy_scenario)
-        p1, m1 = train_baseline_pg(cfg, toy_scenario, tasks, master_seed=2)
-        p2, m2 = train_baseline_pg(cfg, toy_scenario, tasks, master_seed=2)
+        p1, m1 = train_baseline_pg(cfg, toy_scenario, tasks, "mpg", master_seed=2)
+        p2, m2 = train_baseline_pg(cfg, toy_scenario, tasks, "mpg", master_seed=2)
         assert np.array_equal(p1.flat, p2.flat)
         assert len(m1) == cfg.meta_iterations
         assert [m.mean_reward for m in m1] == [m.mean_reward for m in m2]
 
     def test_baseline_pg_converges_near_oracle_on_fixed_task(self):
         sc = make_toy_scenario(fov_deg=70.0)
-        task = env.sample_task(sc.grid, seed=10, locality_radius=0, task_id=10)
+        task = env.sample_task(sc.grid, seed=10, concentration=1.0, locality_radius=0, task_id=10)
         best, _ = env.brute_force_oracle(task, sc, 0)
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=10,
             meta_iterations=250, tasks_per_batch=1, hidden_sizes=(32,),
         )
-        _, metrics = train_baseline_pg(cfg, sc, [task], master_seed=0)
+        _, metrics = train_baseline_pg(cfg, sc, [task], "mpg", master_seed=0)
         final = np.mean([m.mean_reward for m in metrics[-10:]])
         assert final >= 0.9 * best
 
     def test_meta_training_beats_plain_pg_on_rotating_stream(self):
         sc = make_toy_scenario(fov_deg=70.0)
         tasks = [
-            env.sample_task(sc.grid, seed=s, locality_radius=0, task_id=s)
+            env.sample_task(sc.grid, seed=s, concentration=1.0, locality_radius=0, task_id=s)
             for s in (10, 15, 2, 13, 17)
         ]
-        cfg = LearningConfig(
+        cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.1, inner_rollouts=10, outer_rollouts=10,
             meta_iterations=150, tasks_per_batch=5, hidden_sizes=(32,),
         )
-        _, pg_metrics = train_baseline_pg(cfg, sc, tasks, master_seed=0)
-        _, mpg_metrics = meta_train(cfg, sc, tasks, "mpg", master_seed=0)
+        _, pg_metrics = train_baseline_pg(cfg, sc, tasks, "mpg", master_seed=0)
+        _, mpg_metrics = meta_train(cfg, sc, tasks, "mpg", master_seed=0, workers=1)
         pg_final = np.mean([m.mean_reward for m in pg_metrics[-10:]])
         mpg_final = np.mean([m.mean_reward for m in mpg_metrics[-10:]])
         assert pg_final <= mpg_final
@@ -511,7 +512,7 @@ class TestTraining:
     def test_trajectory_sink_sees_all_rollouts(self, toy_scenario):
         cfg = tiny_cfg(meta_iterations=2)
         seen = []
-        meta_train(cfg, toy_scenario, self._tasks(toy_scenario), "mpg", master_seed=0,
+        meta_train(cfg, toy_scenario, self._tasks(toy_scenario), "mpg", master_seed=0, workers=1,
                   trajectory_sink=seen.append)
         expected = 2 * cfg.tasks_per_batch * (cfg.inner_rollouts + cfg.outer_rollouts)
         assert len(seen) == expected
@@ -565,10 +566,10 @@ class TestLowRankAgainstDense:
         params, batches, lr, probes = case
         shapes, actions = params.layer_shapes, params.action_count
         width = shapes[-1][0]
-        cfg = LearningConfig(inner_lr=lr, meta_lr=0.7, reward_baseline=False)
+        cfg = reference_learning(inner_lr=lr, meta_lr=0.7, reward_baseline=False)
         results = []
         for inner, outer in batches:
-            g = task_gradient(inner, params)
+            g = task_gradient(inner, params, reward_baseline=False, reward_to_go=False)
             rank = sum(1 for t in inner if t.total_reward)
             fits = factors_fit(rank, actions, width)
             assert (g.head is None) == fits and g.rank == (rank if fits else 0)
@@ -627,9 +628,9 @@ class TestChainedUpdates:
     @pytest.mark.parametrize("inner_rollouts", [2, 3])
     def test_adapt_matches_the_dense_chain(self, toy_scenario, monkeypatch, inner_rollouts):
         # head 8 x 16: factors fit up to rank 5, and a step has up to 2 * rollouts rows
-        cfg = LearningConfig(inner_lr=0.5, inner_rollouts=inner_rollouts, reward_baseline=False,
+        cfg = reference_learning(inner_lr=0.5, inner_rollouts=inner_rollouts, reward_baseline=False,
                              hidden_sizes=(16,))
-        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
+        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         decode = meta_rl.policy_head("mpg", toy_scenario).decode
 
@@ -639,7 +640,7 @@ class TestChainedUpdates:
                     for _ in range(cfg.inner_rollouts)]
 
         seen = self._record_updates(monkeypatch)
-        out, curve = adapt(params, task, 6, cfg, toy_scenario, master_seed=3)
+        out, curve = adapt(params, task, 6, cfg, toy_scenario, kind="mpg", master_seed=3)
         flat, means = self._dense_chain(params, 6, cfg, toy_scenario, trajs_at)
         assert isinstance(out, PolicyParams)
         assert curve == means
@@ -663,7 +664,7 @@ class TestChainedUpdates:
                     for _ in range(cfg.inner_rollouts)]
 
         seen = self._record_updates(monkeypatch)
-        out, metrics = train_baseline_pg(cfg, toy_scenario, tasks, master_seed=2, initial_params=params)
+        out, metrics = train_baseline_pg(cfg, toy_scenario, tasks, "mpg", master_seed=2, initial_params=params)
         flat, means = self._dense_chain(params, 6, cfg, toy_scenario, trajs_at)
         assert isinstance(out, PolicyParams)
         assert [m.mean_reward for m in metrics] == means
@@ -676,12 +677,10 @@ class TestScenarioInterning:
     def test_task_phase_compares_scenarios_at_most_once(self, toy_scenario, monkeypatch):
         # as in a pool worker: every payload unpickles a fresh, equal scenario
         cfg = tiny_cfg()
-        task = env.sample_task(toy_scenario.grid, seed=1, locality_radius=1, task_id=1)
+        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         payload = pickle.dumps(("mpg", toy_scenario, cfg, task, params, 0, 0, 0))
         monkeypatch.setattr(meta_rl, "_SCENARIOS", {})
-        env._crossings.cache_clear()
-        env._link_table.cache_clear()
         compares = []
         original = env.ScenarioConfig.__eq__
 

@@ -268,7 +268,7 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = small_net(seed=9)
         path = tmp_path / "ckpt.bin"
-        save_params(path, params, config_hash="abcd")
+        save_params(path, params, "abcd", "", "")
         loaded, header = load_params(path)
         assert np.array_equal(loaded.flat, params.flat)
         assert loaded.layer_shapes == params.layer_shapes
@@ -280,7 +280,7 @@ class TestCheckpoint:
         adapted = policy_net.ascend(params, grad, 0.3)
         assert isinstance(adapted, policy_net.AdaptedParams)
         path = tmp_path / "ckpt.bin"
-        save_params(path, adapted)
+        save_params(path, adapted, "", "", "")
         loaded, _ = load_params(path)
         assert np.array_equal(loaded.flat, adapted.folded().flat)
         assert not np.array_equal(loaded.flat, params.flat)
@@ -288,7 +288,7 @@ class TestCheckpoint:
     def test_corrupt_payload_rejected(self, tmp_path):
         params = small_net(seed=9)
         path = tmp_path / "ckpt.bin"
-        save_params(path, params)
+        save_params(path, params, "", "", "")
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
@@ -297,7 +297,7 @@ class TestCheckpoint:
     def test_truncated_payload_named(self, tmp_path):
         params = small_net(seed=9)
         path = tmp_path / "ckpt.bin"
-        save_params(path, params)
+        save_params(path, params, "", "", "")
         data = path.read_bytes()
         for cut in (3, 8, len(data) - data.index(b"\n") - 1, len(data) - 5):
             path.write_bytes(data[:-cut])
@@ -306,7 +306,7 @@ class TestCheckpoint:
 
     def test_header_missing_a_field_named(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_params(path, small_net(seed=9))
+        save_params(path, small_net(seed=9), "", "", "")
         header, payload = path.read_bytes().split(b"\n", 1)
         for field in ("action_count", "layer_shapes", "param_count"):
             fields = json.loads(header)
@@ -317,7 +317,7 @@ class TestCheckpoint:
 
     def test_header_field_of_wrong_type_named(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_params(path, small_net(seed=9))
+        save_params(path, small_net(seed=9), "", "", "")
         header, payload = path.read_bytes().split(b"\n", 1)
         for field, value in (
             ("action_count", None), ("action_count", 3.0), ("param_count", "x"),
@@ -331,7 +331,7 @@ class TestCheckpoint:
 
     def test_header_records_kind(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_params(path, small_net(seed=9), kind="dmpg", scenario_hash="0123abcd")
+        save_params(path, small_net(seed=9), "", "dmpg", "0123abcd")
         _, header = load_params(path)
         assert header["kind"] == "dmpg"
         assert header["scenario_hash"] == "0123abcd"

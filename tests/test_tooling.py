@@ -6,7 +6,9 @@ a traced run starts. The README's `## CLI` block and the CLI parser must
 name the same commands and flags, and the README's config table and the
 config schema the same keys, so neither drops or gains one silently. And
 every public definition of the package must be named by package or
-benchmark code, so code that no run reaches cannot stay there."""
+benchmark code, so code that no run reaches cannot stay there. And only
+the defaults listed here stay in the package: a reference value lives in
+the config schema, and a caller passes it."""
 
 import argparse
 import ast
@@ -144,3 +146,50 @@ def test_every_public_definition_is_used():
         and everywhere[node.name] == _mentions(node)[node.name]
     ]
     assert unused == []
+
+
+# The package's defaulted parameters and dataclass fields. Each has a second
+# value in use or is read by a test through its default; every other value,
+# the reference learning settings included, is passed by the caller.
+KEPT_DEFAULTS = {
+    "artifacts.atomic_open(mode)",
+    "association.hungarian_max(allow_skip)",
+    "harness.serialize_spec(sections)",
+    "harness.load_spec(environ)",
+    "harness.load_spec(overrides)",
+    "harness.main(argv)",
+    "meta_rl.meta_train(initial_params)",
+    "meta_rl.meta_train(trajectory_sink)",
+    "meta_rl.adapt(trajectory_sink)",
+    "meta_rl.train_baseline_pg(initial_params)",
+    "meta_rl.train_baseline_pg(trajectory_sink)",
+    "policy_net.Gradient.head",
+}
+
+
+def package_defaults() -> set:
+    """`module.function(parameter)` or `module.Class.field` for each default
+    of the package."""
+    found = set()
+    for path in sorted((ROOT / "src" / "thzvlc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                name = getattr(node, "name", "<lambda>")
+                found.update(f"{path.stem}.{name}({arg.arg})" for arg in named)
+            elif isinstance(node, ast.ClassDef):
+                found.update(
+                    f"{path.stem}.{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and item.value is not None
+                )
+    return found
+
+
+def test_only_the_kept_defaults_remain():
+    """No parameter or field outside `KEPT_DEFAULTS` has a default, so the
+    reference configuration has one home, `harness.SCHEMA`."""
+    assert package_defaults() - KEPT_DEFAULTS == set()
