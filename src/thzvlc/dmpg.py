@@ -9,11 +9,8 @@ period solver is the reference in `tests/oracles.py`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import association, env, meta_rl
-from .env import JointAction, ScenarioConfig, Task, Trajectory
-from .policy_net import Policy
+from .env import JointAction, ScenarioConfig
 
 
 def vap_decoder(actions: tuple[tuple[int, int, int], ...], scenario: ScenarioConfig):
@@ -28,20 +25,6 @@ def vap_decoder(actions: tuple[tuple[int, int, int], ...], scenario: ScenarioCon
     return decode
 
 
-def rollout_vap(
-    task: Task,
-    params: Policy,
-    actions: tuple[tuple[int, int, int], ...],
-    scenario: ScenarioConfig,
-    rng: np.random.Generator,
-    count: int,
-) -> list[Trajectory]:
-    """`count` periods of one task under the VAP-selection policy with
-    per-slot matching, in lockstep, from one draw of the rng."""
-    return meta_rl.rollout_period(
-        [task] * count,
-        params,
-        vap_decoder(actions, scenario),
-        scenario,
-        meta_rl.draw_uniforms(rng, count, scenario),
-    )
+# The VAP head's phase entry is the joint head's (the decoder is what tells
+# the heads apart), kept under this name for the per-head span in perfbench.
+rollout_vap = meta_rl.rollout_joint

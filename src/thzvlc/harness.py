@@ -257,22 +257,32 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             return tuple(Point3(x, y, sc["ceiling"]) for x, y in pts)
         return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
 
+    for section, key, least in (
+        ("scenario", "cells_per_side", 1), ("tasks", "count", 1), ("tasks", "locality_radius", 0),
+        ("run", "master_seed", 0), ("run", "workers", 1), ("run", "eval_periods", 1),
+    ):
+        if values[section][key] < least:
+            raise ConfigError(f"{section}.{key} must be >= {least}, got {values[section][key]}")
     noise_dbm = rd["noise_density_dbm_per_hz"]
-    if not math.isfinite(noise_dbm):
-        raise ConfigError(f"radio.noise_density_dbm_per_hz must be finite, got {noise_dbm!r}")
+    try:
+        noise_w = dbm_per_hz_to_w_per_hz(noise_dbm)
+    except OverflowError:
+        noise_w = math.inf
+    if not 0.0 < noise_w < math.inf:  # NaN fails too
+        raise ConfigError(f"radio.noise_density_dbm_per_hz must give a finite W/Hz > 0, got {noise_dbm!r}")
+    fov = op["fov_semi_angle_deg"]
+    if not 0.0 < fov < 90.0:
+        raise ConfigError(f"optics.fov_semi_angle_deg must lie in (0, 90), got {fov!r}")
     tk = values["tasks"]
     if not (math.isfinite(tk["concentration"]) and tk["concentration"] > 0):
         raise ConfigError(f"tasks.concentration must be finite and > 0, got {tk['concentration']!r}")
-    for key, least in (("count", 1), ("locality_radius", 0)):
-        if tk[key] < least:
-            raise ConfigError(f"tasks.{key} must be >= {least}, got {tk[key]}")
     try:
         # keys named as RadioParams fields pass through; the noise is in dBm/Hz
         radio = env.RadioParams(
             **{k: v for k, v in rd.items() if k != "noise_density_dbm_per_hz"},
-            noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(noise_dbm),
+            noise_density_w_per_hz=noise_w,
         )
-        optics = env.OpticsParams(fov_semi_angle_rad=math.radians(op["fov_semi_angle_deg"]))
+        optics = env.OpticsParams(fov_semi_angle_rad=math.radians(fov))
         scenario = ScenarioConfig(
             room_side=sc["room_side"],
             ceiling_z=sc["ceiling"],
@@ -293,12 +303,6 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
     algorithm = values["run"]["algorithm"]
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"run.algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    workers = values["run"]["workers"]
-    if workers < 1:
-        raise ConfigError(f"run.workers must be >= 1, got {workers}")
-    eval_periods = values["run"]["eval_periods"]
-    if eval_periods < 1:
-        raise ConfigError(f"run.eval_periods must be >= 1, got {eval_periods}")
     spec = ExperimentSpec(
         values=values,
         scenario=scenario,
@@ -306,7 +310,7 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
         algorithm=algorithm,
         master_seed=values["run"]["master_seed"],
         output_dir=values["run"]["output_dir"],
-        workers=workers,
+        workers=values["run"]["workers"],
     )
     try:
         meta_rl.policy_head(spec.kind, scenario)  # the joint head refuses rooms above the action cap
@@ -565,13 +569,14 @@ def _cmd_adapt(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_eval(spec: ExperimentSpec, args) -> int:
-    _check_count("--periods", args.periods, 1)
+    periods = spec.values["run"]["eval_periods"] if args.periods is None else args.periods
+    _check_count("--periods", periods, 1)
     params = _load_checkpoint(args.checkpoint, spec)
-    avg, trajectories = evaluate_policy(params, spec, args.periods)
+    avg, trajectories = evaluate_policy(params, spec, periods)
     out_dir = _output_dir(spec)
     write_trajectories(out_dir, trajectories, spec.scenario)
-    write_summary(out_dir, {"avg_reliability_per_user": avg, "eval_periods": args.periods})
-    print(f"avg reliability per user {avg:.4f} over {args.periods} periods")
+    write_summary(out_dir, {"avg_reliability_per_user": avg, "eval_periods": periods})
+    print(f"avg reliability per user {avg:.4f} over {periods} periods")
     return 0
 
 
@@ -620,7 +625,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="roll a frozen policy on fresh tasks")
     _add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--periods", type=int, default=5)
+    p_eval.add_argument("--periods", type=int, default=None, help="override run.eval_periods")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive optimum on a small scenario")

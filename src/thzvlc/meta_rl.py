@@ -57,9 +57,10 @@ class LearningConfig:
 
 @dataclass
 class TaskBatchResult:
-    """Everything one task contributes to a meta update."""
+    """What one task contributes to a meta update: the post-adaptation
+    gradient, taken at its adapted policy, and the rollouts of both phases."""
 
-    adapted: Policy
+    gradient: Gradient
     inner_trajs: list[Trajectory]
     outer_trajs: list[Trajectory]
 
@@ -185,16 +186,14 @@ def joint_decoder(space: JointActionSpace):
 def rollout_joint(
     task: Task,
     params: Policy,
-    space: JointActionSpace,
+    decode,
     scenario: ScenarioConfig,
     rng: np.random.Generator,
     count: int,
 ) -> list[Trajectory]:
-    """`count` periods of one task under the joint VAP-selection/association
-    policy, in lockstep, from one draw of the rng."""
-    return rollout_period(
-        [task] * count, params, joint_decoder(space), scenario, draw_uniforms(rng, count, scenario)
-    )
+    """`count` periods of one task under the head that `decode` belongs to,
+    in lockstep, from one draw of the rng: the phase entry of both heads."""
+    return rollout_period([task] * count, params, decode, scenario, draw_uniforms(rng, count, scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +248,15 @@ def inner_update(params: Policy, gradient: Gradient, lr: float) -> Policy:
     return policy_net.ascend(params, gradient, lr)
 
 
-def meta_update(
-    params: PolicyParams, task_results: list[TaskBatchResult], cfg: LearningConfig
-) -> PolicyParams:
-    """First-order meta step on the shared initialization from a batch of
-    task results: the post-adaptation gradient of each task, evaluated at
-    its adapted parameters, applied to the shared ones in one fold (one copy
-    of the head weight, one gemm over every task's factors).
+def meta_update(params: PolicyParams, gradients: list[Gradient], cfg: LearningConfig) -> PolicyParams:
+    """First-order meta step on the shared initialization: the batch's
+    post-adaptation gradients, each taken at its task's adapted parameters,
+    applied to the shared ones in one fold (one copy of the head weight, one
+    gemm over every task's factors), in batch order.
     """
-    if not task_results:
-        raise ValueError("need at least one task result")
-    grads = [
-        task_gradient(res.outer_trajs, res.adapted, cfg.reward_baseline, cfg.reward_to_go)
-        for res in task_results
-    ]
-    return policy_net.fold(params, grads, cfg.meta_lr)
+    if not gradients:
+        raise ValueError("need at least one task gradient")
+    return policy_net.fold(params, gradients, cfg.meta_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +265,7 @@ def meta_update(
 
 class PolicyHead(NamedTuple):
     """What rolls a head: its phase entry point, taking (task, params,
-    actions, scenario, rng, count); its `rollout_period` decoder; and its
+    decode, scenario, rng, count); its `rollout_period` decoder; and its
     action table, one entry per output of the policy."""
 
     rollout: Callable[..., list[Trajectory]]
@@ -305,7 +298,7 @@ def rollout_phase(
 ) -> list[Trajectory]:
     """`count` rollouts of one task phase through the head's entry point."""
     head = policy_head(kind, scenario)
-    return head.rollout(task, params, head.actions, scenario, rng, count)
+    return head.rollout(task, params, head.decode, scenario, rng, count)
 
 
 def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase: int):
@@ -328,7 +321,8 @@ def _run_task_phase(payload) -> TaskBatchResult:
     adapted = inner_update(params, g, cfg.inner_lr)
     rng_outer = _phase_rng(master_seed, iteration, slot, task.id, 1)
     outer = rollout_phase(kind, task, adapted, scenario, rng_outer, cfg.outer_rollouts)
-    return TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
+    g_outer = task_gradient(outer, adapted, cfg.reward_baseline, cfg.reward_to_go)
+    return TaskBatchResult(gradient=g_outer, inner_trajs=inner, outer_trajs=outer)
 
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:
@@ -374,7 +368,7 @@ def meta_train(
             else:
                 results = list(pool.map(_run_task_phase, payloads))
 
-            params = meta_update(params, results, cfg)
+            params = meta_update(params, [res.gradient for res in results], cfg)
             outer = [t for res in results for t in res.outer_trajs]
             metrics.append(IterationMetrics.of(it, outer, start))
             if trajectory_sink is not None:

@@ -412,7 +412,7 @@ def dense_meta_update(flat, layer_shapes, batches, cfg):
     return flat + cfg.meta_lr * (sum(grads) / len(grads))
 
 
-def fd_meta_update(flat, layer_shapes, results, cfg, eps=1e-5):
+def fd_meta_update(flat, layer_shapes, tasks, cfg, eps=1e-5):
     """Second-order meta step by central finite differences: the reference
     the first-order meta update is compared against (small nets only; the
     cost is quadratic in the parameter count).
@@ -421,23 +421,25 @@ def fd_meta_update(flat, layer_shapes, results, cfg, eps=1e-5):
     estimate as a smooth function of the shared vector: re-adapt on the
     frozen inner trajectories, then weight each frozen outer trajectory by
     its probability under the re-adapted vector over that under the policy
-    that sampled it (`res.adapted`), times its centered return. The centring
-    is the leave-one-out baseline of the gradient estimator, so both steps
-    estimate the same quantity on the same data; at `flat` every weight is 1.
-    Whole-trajectory returns only.
+    that sampled it, times its centered return. The centring is the
+    leave-one-out baseline of the gradient estimator, so both steps estimate
+    the same quantity on the same data; at `flat` every weight is 1.
+    tasks: (sampling policy, inner, outer) triples. Whole-trajectory returns
+    only.
     """
     import numpy as np
 
     def log_prob(vec, rows):
         return sum(dense_log_prob(vec, layer_shapes, x, a) for x, a, _ in rows)
 
-    def objective(base, res):
-        g = dense_task_gradient(res.inner_trajs, base, layer_shapes, cfg.reward_baseline)
+    def objective(base, task):
+        policy, inner, outer = task
+        g = dense_task_gradient(inner, base, layer_shapes, cfg.reward_baseline)
         adapted = base + cfg.inner_lr * g
-        sampled = res.adapted.folded().flat
-        rows = score_rows(res.outer_trajs, cfg.reward_baseline, False)
+        sampled = policy.folded().flat
+        rows = score_rows(outer, cfg.reward_baseline, False)
         total, at = 0.0, 0
-        for traj in res.outer_trajs:
+        for traj in outer:
             mine = rows[at : at + len(traj.steps)]  # every row carries the centered return / k
             total += math.exp(log_prob(adapted, mine) - log_prob(sampled, mine)) * mine[0][2]
             at += len(traj.steps)
@@ -450,8 +452,8 @@ def fd_meta_update(flat, layer_shapes, results, cfg, eps=1e-5):
         for sign in (1.0, -1.0):
             shifted = np.array(flat, dtype=float)
             shifted[i] += sign * eps
-            grad[i] += sign * sum(objective(shifted, res) for res in results) / (2.0 * eps)
-    return flat + cfg.meta_lr * (grad / len(results))
+            grad[i] += sign * sum(objective(shifted, task) for task in tasks) / (2.0 * eps)
+    return flat + cfg.meta_lr * (grad / len(tasks))
 
 
 def flat_gradient(flat, layer_shapes):

@@ -39,11 +39,12 @@ class TestDmpgStep:
     def _rollouts(self, scenario, seeds, locality_radius):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         actions = enumerate_vap_actions(scenario.num_vaps)
+        decode = vap_decoder(actions, scenario)
         for seed in seeds:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
             task = env.sample_task(scenario.grid, seed=seed, concentration=1.0,
                                    locality_radius=locality_radius, task_id=seed)
-            for traj in rollout_vap(task, params, actions, scenario, np.random.default_rng(seed), 2):
+            for traj in rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2):
                 yield actions, traj
 
     def test_no_localized_users_zero_reward(self):
@@ -77,13 +78,17 @@ class TestDmpgStep:
 
 
 class TestRolloutVap:
+    def test_is_the_joint_phase_entry(self):
+        # one phase entry for both heads; the decoder makes it the VAP head's
+        assert rollout_vap is meta_rl.rollout_joint
+
     def test_constraints_hold_on_rollouts(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=0)
-        actions = enumerate_vap_actions(toy_scenario.num_vaps)
+        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
         for seed in range(6):
             task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
+            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
             ]
@@ -96,10 +101,10 @@ class TestRolloutVap:
     def test_served_user_never_reassigned(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=3)
-        actions = enumerate_vap_actions(toy_scenario.num_vaps)
+        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
         for seed in range(8):
             task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, actions, toy_scenario, np.random.default_rng(seed), 1)
+            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
             served = set()
             for step in traj.steps:
                 for u, _ in step.action.assignments:

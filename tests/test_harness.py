@@ -218,7 +218,10 @@ class TestCli:
             ("slot_duration_s", "nan"),
         )],
         *[("RADIO__NOISE_DENSITY_DBM_PER_HZ", value, "radio.noise_density_dbm_per_hz")
-          for value in ("nan", "inf", "-inf")],
+          for value in ("nan", "inf", "-inf", "5000")],
+        ("RUN__MASTER_SEED", "-1", "run.master_seed"),
+        ("SCENARIO__CELLS_PER_SIDE", "0", "scenario.cells_per_side"),
+        *[("OPTICS__FOV_SEMI_ANGLE_DEG", value, "optics.fov_semi_angle_deg") for value in ("90", "nan")],
         ("SCENARIO__BODY_RADIUS", "nan", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "inf", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "-1", "body_radius"),
@@ -305,6 +308,14 @@ class TestCli:
         assert isinstance(want, policy_net.PolicyParams)
         assert np.array_equal(after.flat, want.flat)
         assert not np.array_equal(after.flat, before.flat)
+
+    def test_eval_periods_default_to_the_config(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)  # run.eval_periods = 2
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(self._checkpoint(tmp_path, "mpg")),
+                     "--out", str(out)]) == 0
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["eval_periods"] == 2
 
     def test_eval_reports_bounded_reliability(self, tmp_path, capsys):
         cfg = self._write_toy(tmp_path)

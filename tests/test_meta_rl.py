@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_toy_scenario, reference_learning
+from conftest import make_toy_scenario, reference_learning, reference_scenario
 from thzvlc import env, meta_rl, policy_net
 from thzvlc.env import EnvState, Trajectory, TrajectoryStep
 from thzvlc.meta_rl import (
-    TaskBatchResult,
     adapt,
-    rollout_joint,
     inner_update,
+    joint_decoder,
     meta_train,
     meta_update,
+    rollout_joint,
     task_gradient,
     train_baseline_pg,
 )
@@ -84,14 +84,14 @@ class TestCollectTrajectories:
         task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
-        out = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 0)
+        out = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 0)
         assert out == []
 
     def test_horizon(self, toy_scenario):
         task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
-        trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 3)
+        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3)
         assert len(trajs) == 3
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
@@ -99,7 +99,7 @@ class TestCollectTrajectories:
         task = env.sample_task(toy_scenario.grid, seed=2, concentration=1.0, locality_radius=0, task_id=2)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
-        trajs = rollout_joint(task, params, space, toy_scenario, np.random.default_rng(0), 5)
+        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5)
         assert all(trajectories_equal(trajs[0], t) for t in trajs[1:])
 
 
@@ -338,8 +338,9 @@ class TestInnerUpdate:
             assert exact_value(inner_update(params, g, lr)) >= exact_value(params)
 
 
-def make_fixture_result(rng, cfg, shapes=((3, 4), (4, 3))):
-    """Synthetic task data consistent with the inner update."""
+def make_fixture_task(rng, cfg, shapes=((3, 4), (4, 3))):
+    """Synthetic task data consistent with the inner update: the shared
+    parameters and the task's (adapted policy, inner, outer) triple."""
     params = init_params(shapes, seed=int(rng.integers(1_000_000)))
     enc_dim, act = shapes[0][0], shapes[-1][1]
 
@@ -356,8 +357,7 @@ def make_fixture_result(rng, cfg, shapes=((3, 4), (4, 3))):
     inner = random_trajs(6)
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
-    outer = random_trajs(4)
-    return params, TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
+    return params, (adapted, inner, random_trajs(4))
 
 
 class TestMetaUpdate:
@@ -365,8 +365,7 @@ class TestMetaUpdate:
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2)
         params = init_params(((2, 3),), seed=0)
         trajs = [synthetic_trajectory([[0.0, 0.1]], [i % 3], [0]) for i in range(3)]
-        res = TaskBatchResult(adapted=params, inner_trajs=trajs, outer_trajs=trajs)
-        out = meta_update(params, [res], cfg)
+        out = meta_update(params, [task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)], cfg)
         assert np.array_equal(out.flat, params.flat)
 
     def test_converged_point_mass_update_is_tiny(self, toy_scenario):
@@ -378,12 +377,13 @@ class TestMetaUpdate:
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=0)
         rng = np.random.default_rng(1)
-        inner = rollout_joint(task, params, space, toy_scenario, rng, 3)
+        decode = joint_decoder(space)
+        inner = rollout_joint(task, params, decode, toy_scenario, rng, 3)
         g = task_gradient(inner, params, cfg.reward_baseline, reward_to_go=False)
         adapted = inner_update(params, g, cfg.inner_lr)
-        outer = rollout_joint(task, adapted, space, toy_scenario, rng, 3)
-        res = TaskBatchResult(adapted=adapted, inner_trajs=inner, outer_trajs=outer)
-        out = meta_update(params, [res], cfg)
+        outer = rollout_joint(task, adapted, decode, toy_scenario, rng, 3)
+        g_outer = task_gradient(outer, adapted, cfg.reward_baseline, reward_to_go=False)
+        out = meta_update(params, [g_outer], cfg)
         assert np.linalg.norm(out.flat - params.flat) < 1e-6
 
     def test_first_order_vs_fd_cosine(self):
@@ -394,9 +394,11 @@ class TestMetaUpdate:
                 inner_lr=0.05, meta_lr=0.01, inner_rollouts=6, outer_rollouts=4,
                 reward_baseline=True,
             )
-            params, res = make_fixture_result(rng, cfg)
-            first = meta_update(params, [res], cfg)
-            fd = oracles.fd_meta_update(params.flat, params.layer_shapes, [res], cfg)
+            params, task = make_fixture_task(rng, cfg)
+            adapted, _, outer = task
+            g_outer = task_gradient(outer, adapted, cfg.reward_baseline, cfg.reward_to_go)
+            first = meta_update(params, [g_outer], cfg)
+            fd = oracles.fd_meta_update(params.flat, params.layer_shapes, [task], cfg)
             da = first.flat - params.flat
             db = fd - params.flat
             denom = np.linalg.norm(da) * np.linalg.norm(db)
@@ -567,7 +569,7 @@ class TestLowRankAgainstDense:
         shapes, actions = params.layer_shapes, params.action_count
         width = shapes[-1][0]
         cfg = reference_learning(inner_lr=lr, meta_lr=0.7, reward_baseline=False)
-        results = []
+        gradients = []
         for inner, outer in batches:
             g = task_gradient(inner, params, reward_baseline=False, reward_to_go=False)
             rank = sum(1 for t in inner if t.total_reward)
@@ -585,8 +587,8 @@ class TestLowRankAgainstDense:
             got = policy_net.accumulate_grad_log_prob(adapted, *map(list, zip(*rows))).dense()
             scale = sum(np.abs(oracles.dense_grad(flat, shapes, [row])).max() for row in rows)
             assert_rel(got, oracles.dense_grad(flat, shapes, rows), scale)
-            results.append(TaskBatchResult(adapted, inner, outer))
-        out = meta_update(params, results, cfg)
+            gradients.append(task_gradient(outer, adapted, reward_baseline=False, reward_to_go=False))
+        out = meta_update(params, gradients, cfg)
         assert isinstance(out, PolicyParams)
         assert_rel(out.flat, oracles.dense_meta_update(params.flat, shapes, batches, cfg))
 
@@ -694,4 +696,16 @@ class TestScenarioInterning:
             compares.clear()
             again = meta_rl._run_task_phase(pickle.loads(payload))
             assert len(compares) <= 1
-            assert np.array_equal(again.adapted.folded().flat, first.adapted.folded().flat)
+            assert np.array_equal(again.gradient.dense(), first.gradient.dense())
+
+
+class TestTaskPhaseResult:
+    def test_result_is_far_smaller_than_the_policy(self):
+        # the 4-user joint head (29,400 actions, 1.9 M parameters): a task
+        # sends back its outer gradient and rollouts, never a policy
+        scenario = reference_scenario(num_users=4)
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=1, reward_baseline=False)
+        task = env.sample_task(scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        params = meta_rl.new_policy("mpg", scenario, cfg, seed=0)
+        result = meta_rl._run_task_phase(("mpg", scenario, cfg, task, params, 0, 0, 0))
+        assert len(pickle.dumps(result)) < params.flat.nbytes / 10
