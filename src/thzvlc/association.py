@@ -3,10 +3,12 @@
 Per slot, the candidate pool is the localized, not-yet-served users. Each
 (SBS, user) pair carries weight h, the binary transmission feasibility of
 the THz link. The slot subproblem is a rectangular maximum-weight matching
-solved exactly by the Hungarian algorithm. Leaving served users out of the
-pool enforces the serve-at-most-once-per-period coupling; the priced period
-solver that enforces it with dual multipliers is the reference in
-`tests/oracles.py`.
+solved exactly by the Hungarian algorithm, except where every SBS reaches
+every candidate: there `slot_assign` returns the Hungarian's own answer in
+closed form, SBS i to the i-th candidate, without running it. Leaving served
+users out of the pool enforces the serve-at-most-once-per-period coupling;
+the priced period solver that enforces it with dual multipliers is the
+reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class SlotAssignmentProblem:
     """One slot's matching instance: candidate users and the link weights.
 
     candidates are the localized, not-yet-served users; weights[i, col] is
-    the binary link feasibility h of SBS i to candidates[col], counting
-    every body in the room.
+    the binary link feasibility h (bool) of SBS i to candidates[col],
+    counting every body in the room.
     """
 
     candidates: tuple[int, ...]
@@ -136,28 +138,20 @@ def hungarian_max(weights, allow_skip: bool = True) -> AssignmentSolution:
 
 
 def build_slot_problem(
-    state: env.EnvState,
-    vap_set: tuple[int, int, int],
-    scenario: env.ScenarioConfig,
-    links: env.SlotLinks,
+    state: env.EnvState, vap_set: tuple[int, int, int], links: env.SlotLinks
 ) -> SlotAssignmentProblem:
-    """Collect the slot's candidate users and weigh every (SBS, user) link.
+    """Collect the slot's candidate users and their (SBS, user) links.
 
     `links` are the state's `env.slot_links`.
     """
     if len(vap_set) != 3:
         raise ValueError("exactly 3 VAPs must be lit")
     pool = np.flatnonzero(links.localized(vap_set) & ~np.array(state.served))
-    return SlotAssignmentProblem(
-        candidates=tuple(pool.tolist()), weights=links.h[:, pool].astype(float)
-    )
+    return SlotAssignmentProblem(candidates=tuple(pool.tolist()), weights=links.h[:, pool])
 
 
 def slot_assign(
-    state: env.EnvState,
-    vap_set: tuple[int, int, int],
-    scenario: env.ScenarioConfig,
-    links: env.SlotLinks,
+    state: env.EnvState, vap_set: tuple[int, int, int], links: env.SlotLinks
 ) -> AssignmentSolution:
     """One slot's matching of SBSs to localized unserved users.
 
@@ -165,10 +159,17 @@ def slot_assign(
     `env.slot_links`; physical blockage counts every body in the room,
     localized or not. Matching entries are (sbs_index, user_index) with
     global user indices.
+
+    When every weight is 1 the Hungarian is skipped: on a constant matrix
+    it matches row i to column i, the lowest free column, for every
+    i < min(m, n), so those pairs are its answer.
     """
-    problem = build_slot_problem(state, vap_set, scenario, links)
+    problem = build_slot_problem(state, vap_set, links)
     if not problem.candidates:
         return AssignmentSolution(matching=(), objective_value=0.0)
+    if problem.weights.all():
+        matching = tuple(zip(range(len(problem.weights)), problem.candidates))
+        return AssignmentSolution(matching=matching, objective_value=float(len(matching)))
     sol = hungarian_max(problem.weights, allow_skip=True)
     matching = tuple((i, problem.candidates[col]) for i, col in sol.matching)
     return AssignmentSolution(matching=matching, objective_value=sol.objective_value)

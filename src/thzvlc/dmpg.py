@@ -10,15 +10,15 @@ period solver is the reference in `tests/oracles.py`.
 from __future__ import annotations
 
 from . import association, env, meta_rl
-from .env import JointAction, ScenarioConfig
+from .env import JointAction
 
 
-def vap_decoder(actions: tuple[tuple[int, int, int], ...], scenario: ScenarioConfig):
+def vap_decoder(actions: tuple[tuple[int, int, int], ...]):
     """Decoder for `meta_rl.rollout_period`: the VAP subset plus its slot matching."""
 
     def decode(idx: int, state: env.EnvState, links: env.SlotLinks) -> JointAction:
         vap_set = actions[idx]
-        solution = association.slot_assign(state, vap_set, scenario, links)
+        solution = association.slot_assign(state, vap_set, links)
         pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
         return JointAction(vap_set=vap_set, assignments=pairs)
 

@@ -99,6 +99,10 @@ ALGORITHMS = ("mpg", "dmpg", "pg")
 # digest, so it is refused under another room, radio or optics.
 SCENARIO_SECTIONS = ("scenario", "radio", "optics")
 
+# Each task's movement pattern is a dense cells^2 x cells^2 matrix: 8 MiB at
+# 32 cells per side, 128 MiB at 64, and a run holds `tasks.count` of them.
+MAX_CELLS_PER_SIDE = 32
+
 
 class ConfigError(ValueError):
     pass
@@ -263,6 +267,9 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
     ):
         if values[section][key] < least:
             raise ConfigError(f"{section}.{key} must be >= {least}, got {values[section][key]}")
+    cells = sc["cells_per_side"]
+    if cells > MAX_CELLS_PER_SIDE:
+        raise ConfigError(f"scenario.cells_per_side must be <= {MAX_CELLS_PER_SIDE}, got {cells}")
     noise_dbm = rd["noise_density_dbm_per_hz"]
     try:
         noise_w = dbm_per_hz_to_w_per_hz(noise_dbm)

@@ -284,7 +284,7 @@ def policy_head(kind: str, scenario: ScenarioConfig) -> PolicyHead:
         from . import dmpg
 
         actions = env.enumerate_vap_actions(scenario.num_vaps)
-        return PolicyHead(dmpg.rollout_vap, dmpg.vap_decoder(actions, scenario), actions)
+        return PolicyHead(dmpg.rollout_vap, dmpg.vap_decoder(actions), actions)
     raise ValueError(f"unknown rollout kind {kind!r}")
 
 

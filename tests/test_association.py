@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_toy_scenario
+from conftest import make_toy_scenario, reference_scenario
 from thzvlc import association, env
 from oracles import dual_update, solve_period_association
 from thzvlc.association import (
@@ -98,6 +98,14 @@ class TestHungarianMax:
         sol = hungarian_max(w, allow_skip=allow_skip)
         assert (sol.matching, sol.objective_value) == oracles.square_hungarian_max(w, allow_skip)
 
+    def test_all_ones_matches_diagonal(self):
+        # `slot_assign` returns these pairs without running the search
+        for m in range(1, 9):
+            for n in range(1, 22):
+                sol = hungarian_max(np.ones((m, n)))
+                assert sol.matching == tuple((i, i) for i in range(min(m, n)))
+                assert sol.objective_value == float(min(m, n))
+
     def test_deterministic(self):
         rng = np.random.default_rng(33)
         w = rng.uniform(0, 1, (6, 6))
@@ -154,19 +162,19 @@ class TestSlotAssign:
     def test_no_localized_users(self):
         sc = make_toy_scenario(fov_deg=5.0)  # nobody sees 3 VAPs
         state = self._state(sc, [0, 8])
-        sol = slot_assign(state, (0, 1, 2), sc, env.slot_links(state, sc))
+        sol = slot_assign(state, (0, 1, 2), env.slot_links(state, sc))
         assert sol.matching == ()
 
     def test_single_localized_user_matched(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2])
-        sol = slot_assign(state, (0, 1, 2), toy_scenario, env.slot_links(state, toy_scenario))
+        sol = slot_assign(state, (0, 1, 2), env.slot_links(state, toy_scenario))
         users = {j for _, j in sol.matching}
         assert users == {0, 1}
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_served_users_excluded(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2], served=[True, False])
-        sol = slot_assign(state, (0, 1, 2), toy_scenario, env.slot_links(state, toy_scenario))
+        sol = slot_assign(state, (0, 1, 2), env.slot_links(state, toy_scenario))
         assert all(j != 0 for _, j in sol.matching)
 
     def test_unlocalized_body_still_blocks_links(self):
@@ -176,10 +184,10 @@ class TestSlotAssign:
         sc = make_toy_scenario(num_users=3, num_sbs=1, cells_per_side=6, fov_deg=68.0)
         heights = (1.43, 1.88, 1.73)
         blocked = self._state(sc, [17, 16, 33], heights=heights)
-        sol = slot_assign(blocked, (1, 2, 3), sc, env.slot_links(blocked, sc))
+        sol = slot_assign(blocked, (1, 2, 3), env.slot_links(blocked, sc))
         assert sol.matching == ()
         moved = self._state(sc, [17, 0, 33], heights=heights)
-        sol = slot_assign(moved, (1, 2, 3), sc, env.slot_links(moved, sc))
+        sol = slot_assign(moved, (1, 2, 3), env.slot_links(moved, sc))
         assert sol.matching == ((0, 0),)
 
     def test_matched_pairs_always_feasible_links(self, toy_scenario):
@@ -188,11 +196,41 @@ class TestSlotAssign:
             cells = rng.integers(0, toy_scenario.grid.num_cells, 2)
             state = self._state(toy_scenario, cells, heights=rng.uniform(1.4, 1.9, 2))
             links = env.slot_links(state, toy_scenario)
-            sol = slot_assign(state, (0, 1, 3), toy_scenario, links)
+            sol = slot_assign(state, (0, 1, 3), links)
             for i, j in sol.matching:
                 # only links with h = 1 carry positive weight
                 joint = env.JointAction(vap_set=(0, 1, 3), assignments=((j, i),))
                 assert env.evaluate_service(state, joint, toy_scenario, links).tx_ok[j]
+
+    def test_equals_hungarian_on_reference_room(self):
+        sc = reference_scenario()
+        vap_sets = env.enumerate_vap_actions(sc.num_vaps)
+        u = sc.num_users
+        seen = set()
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(st.lists(st.integers(0, sc.grid.num_cells - 1), min_size=u, max_size=u),
+               st.lists(st.floats(1.4, 1.9), min_size=u, max_size=u),
+               st.lists(st.booleans(), min_size=u, max_size=u),
+               st.sampled_from(vap_sets))
+        def check(cells, heights, served, vap_set):
+            state = self._state(sc, cells, heights=heights, served=served)
+            links = env.slot_links(state, sc)
+            pool = np.flatnonzero(links.localized(vap_set) & ~np.array(served))
+            weights = links.h[:, pool].astype(float)
+            want = hungarian_max(weights)
+            got = slot_assign(state, vap_set, links)
+            assert got.matching == tuple((i, int(pool[col])) for i, col in want.matching)
+            assert got.objective_value == want.objective_value
+            if weights.all():
+                seen.add("all ones")
+            elif weights.size:
+                diagonal = tuple((i, i) for i in range(min(weights.shape)))
+                seen.add("mixed" if want.matching == diagonal else "mixed, off the diagonal")
+
+        check()
+        # the last kind is the one a wrong shortcut test (say, any() for all()) gets wrong
+        assert seen == {"all ones", "mixed", "mixed, off the diagonal"}
 
 
 def period_tables(scenario, task, vap_sequence, realization):
@@ -220,7 +258,7 @@ class TestSolvePeriodAssociation:
         per_slot = solve_period_association([(0, 1, 2)], real, sc, dual_iters=5)
         assert len(per_slot) == 1
         state = env.state_at_slot(real, 0, (False,) * sc.num_users)
-        direct = slot_assign(state, (0, 1, 2), sc, env.slot_links(state, sc))
+        direct = slot_assign(state, (0, 1, 2), env.slot_links(state, sc))
         assert set(per_slot[0]) == set(direct.matching)
 
     def test_feasibility_always(self):

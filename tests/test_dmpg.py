@@ -39,7 +39,7 @@ class TestDmpgStep:
     def _rollouts(self, scenario, seeds, locality_radius):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         actions = enumerate_vap_actions(scenario.num_vaps)
-        decode = vap_decoder(actions, scenario)
+        decode = vap_decoder(actions)
         for seed in seeds:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
             task = env.sample_task(scenario.grid, seed=seed, concentration=1.0,
@@ -58,7 +58,7 @@ class TestDmpgStep:
             for step in traj.steps:
                 vap_set = actions[step.action_index]
                 links = env.slot_links(step.state, toy_scenario)
-                sol = association.slot_assign(step.state, vap_set, toy_scenario, links)
+                sol = association.slot_assign(step.state, vap_set, links)
                 assert step.action.vap_set == vap_set
                 assert step.action.assignments == tuple(sorted((u, s) for s, u in sol.matching))
 
@@ -69,7 +69,7 @@ class TestDmpgStep:
             best, _ = env.brute_force_oracle(task, toy_scenario, 0)
             real = env.sample_realization(task, toy_scenario, 0)
             params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=seed)
-            decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
+            decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
             for k in range(4):
                 traj = oracles.rollout(
                     task, params, decode, toy_scenario, np.random.default_rng(k), realization=real
@@ -85,7 +85,7 @@ class TestRolloutVap:
     def test_constraints_hold_on_rollouts(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=0)
-        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
+        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(6):
             task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
@@ -101,7 +101,7 @@ class TestRolloutVap:
     def test_served_user_never_reassigned(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=3)
-        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps), toy_scenario)
+        decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(8):
             task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)

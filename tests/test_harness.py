@@ -221,6 +221,7 @@ class TestCli:
           for value in ("nan", "inf", "-inf", "5000")],
         ("RUN__MASTER_SEED", "-1", "run.master_seed"),
         ("SCENARIO__CELLS_PER_SIDE", "0", "scenario.cells_per_side"),
+        ("SCENARIO__CELLS_PER_SIDE", "33", "scenario.cells_per_side"),  # small if ever let through
         *[("OPTICS__FOV_SEMI_ANGLE_DEG", value, "optics.fov_semi_angle_deg") for value in ("90", "nan")],
         ("SCENARIO__BODY_RADIUS", "nan", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "inf", "body_radius"),
@@ -249,6 +250,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert not out.exists()
+
+    def test_cells_per_side_bound_itself_loads(self):
+        bound = harness.MAX_CELLS_PER_SIDE
+        spec = harness.load_spec(None, environ={}, overrides={("scenario", "cells_per_side"): bound})
+        assert spec.scenario.grid.num_cells == bound * bound
 
     def test_removed_meta_order_key_refused(self, tmp_path, capsys, monkeypatch):
         # the meta update is first-order only; the old selector key is unknown now

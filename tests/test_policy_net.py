@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thzvlc
 from thzvlc import policy_net
 from thzvlc.env import EnvState
 from thzvlc.policy_net import (
@@ -335,3 +340,38 @@ class TestCheckpoint:
         _, header = load_params(path)
         assert header["kind"] == "dmpg"
         assert header["scenario_hash"] == "0123abcd"
+
+
+# A fresh process reads glibc's mapped-block bytes, allocates a 16 MiB array
+# and reads them again, then prints whether the thresholds can be pinned
+# here (the import pinned them).
+HEAP_PROBE = """
+import ctypes
+import thzvlc
+import numpy as np
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost"
+    )]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+mapped = mallinfo2().hblkhd
+block = np.ones(2 << 20)
+print(mapped, mallinfo2().hblkhd, thzvlc.pin_malloc_thresholds())
+"""
+
+
+class TestMallocThresholds:
+    def test_parameter_sized_arrays_come_from_the_heap(self):
+        # With glibc's dynamic thresholds the array would get its own mapping.
+        src = Path(thzvlc.__file__).resolve().parents[1]
+        environ = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=environ, capture_output=True, text=True)
+        if proc.returncode != 0 and "mallinfo2" in proc.stderr:
+            pytest.skip("needs glibc 2.33 or later")
+        assert proc.returncode == 0, proc.stderr
+        mapped_before, mapped_after, pinned = proc.stdout.split()
+        assert pinned == "True"
+        assert mapped_after == mapped_before
