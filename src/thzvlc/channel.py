@@ -28,7 +28,7 @@ C_LIGHT = 3.0e8
 
 @dataclass(frozen=True)
 class RadioParams:
-    """THz band constants, all in SI units."""
+    """THz band constants, all in SI units (domains in `harness.SCHEMA`)."""
 
     carrier_freq_hz: float
     bandwidth_hz: float
@@ -37,20 +37,6 @@ class RadioParams:
     noise_density_w_per_hz: float
     image_size_bits: float
     slot_duration_s: float
-
-    def __post_init__(self):
-        for name in (
-            "carrier_freq_hz",
-            "bandwidth_hz",
-            "tx_power_w",
-            "absorption_per_m",
-            "noise_density_w_per_hz",
-            "image_size_bits",
-            "slot_duration_s",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def floor_noise_w(self) -> float:
@@ -63,10 +49,6 @@ class OpticsParams:
     """VLC receiver optics. The receiver normal is fixed vertical-up."""
 
     fov_semi_angle_rad: float
-
-    def __post_init__(self):
-        if not 0.0 < self.fov_semi_angle_rad < math.pi / 2:
-            raise ValueError("fov_semi_angle_rad must lie in (0, pi/2)")
 
 
 @dataclass(frozen=True)

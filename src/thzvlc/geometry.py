@@ -26,7 +26,7 @@ class Point3:
 
     def __post_init__(self):
         if self.z < 0:
-            raise ValueError(f"z must be nonnegative, got {self.z}")
+            raise ValueError(f"Point3.z must be >= 0, got {self.z!r}")
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class BodyOccupancy:
 
     def __post_init__(self):
         if self.height <= 0:
-            raise ValueError(f"body height must be positive, got {self.height}")
+            raise ValueError(f"BodyOccupancy.height must be > 0, got {self.height!r}")
         if self.radius < 0:
-            raise ValueError(f"body radius must be nonnegative, got {self.radius}")
+            raise ValueError(f"BodyOccupancy.radius must be >= 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,6 @@ class RoomGrid:
 
 
 def make_grid(room_side: float, cells_per_side: int) -> RoomGrid:
-    if room_side <= 0 or cells_per_side < 1:
-        raise ValueError("room_side must be positive and cells_per_side >= 1")
     cell = room_side / cells_per_side
     centers = tuple(
         ((ix + 0.5) * cell, (iy + 0.5) * cell)

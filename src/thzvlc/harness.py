@@ -1,7 +1,8 @@
 """Experiment harness: config files, seed management, runs, and the CLI.
 
 Config files are sectioned key = value text (see SCHEMA for every section,
-key, type and default). Unknown sections or keys are errors. Environment
+key, type, default and domain). Unknown sections or keys are errors, and so
+is a value outside its key's domain. Environment
 variables THZVLC_<SECTION>__<KEY> override file values; command-line flags
 override both. An empty file yields the reference scenario defaults.
 
@@ -39,69 +40,106 @@ from .meta_rl import LearningConfig
 
 ENV_PREFIX = "THZVLC_"
 
-# section -> key -> (type tag, default). None defaults mark optional keys
-# that are omitted from the canonical form when unset.
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from `lo` to `hi` (each an int or inf, as shown). `ends`
+    holds the two brackets: "[" and "]" take their end in, "(" and ")"
+    leave it out. NaN lies in no interval, and an open infinite end leaves
+    inf out."""
+
+    lo: float
+    hi: float
+    ends: str
+
+    def __contains__(self, value) -> bool:
+        above = self.lo <= value if self.ends[0] == "[" else self.lo < value
+        below = value <= self.hi if self.ends[1] == "]" else value < self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+
+
+POSITIVE = Interval(0, math.inf, "()")
+NONNEGATIVE = Interval(0, math.inf, "[)")
+COUNT = Interval(1, math.inf, "[)")
+ALGORITHMS = ("mpg", "dmpg", "pg")
+
+# section -> key -> (type tag, default, domain). None defaults mark optional
+# keys that are omitted from the canonical form when unset. The domain is an
+# Interval (each width of an int_tuple must lie in it), a tuple of the
+# accepted values, or None where no bound holds for the key on its own;
+# `build_spec` refuses a value outside it. The finite upper bounds:
+# - room_side, ceiling and user heights at most 1 km: the blockage test
+#   squares floor distances and scales heights, and overflows at room sides
+#   near 1e154 m and heights near 1e307 m.
+# - num_vaps <= 64: a run lists all C(V, 3) subsets of 3 VAPs at load,
+#   41,664 at 64 VAPs (a million VAPs ask for 1.7e17).
+# - cells_per_side <= 32: each task's movement pattern is a dense cells^2 x
+#   cells^2 matrix, 8 MiB at 32 and 128 MiB at 64, and a run holds
+#   `tasks.count` of them.
+# - noise_density_dbm_per_hz in [-3000, 3000]: the density in W/Hz overflows
+#   to inf above about 3112 and underflows to 0 below about -3203.
+# - concentration <= 1e6: numpy's Dirichlet rows come back all zero from
+#   about 1e306, and at 1e6 a row is already uniform to within 1%.
+# - inner_lr, meta_lr <= 1000: a rate near 1e300 overflows the policy's
+#   forward pass after one step; 1000 is four decades above the reference.
+SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "scenario": {
-        "room_side": ("float", 6.0),
-        "ceiling": ("float", 3.0),
-        "num_vaps": ("int", 7),
-        "num_sbs": ("int", 7),
-        "num_users": ("int", 20),
-        "user_height_min": ("float", 1.4),
-        "user_height_max": ("float", 1.9),
-        "body_radius": ("float", 0.2),
-        "cells_per_side": ("int", 6),
-        "slots_per_period": ("int", 3),
-        "vap_positions": ("points", None),
-        "sbs_positions": ("points", None),
+        "room_side": ("float", 6.0, Interval(0, 1000, "(]")),
+        "ceiling": ("float", 3.0, Interval(0, 1000, "(]")),
+        "num_vaps": ("int", 7, Interval(3, 64, "[]")),
+        "num_sbs": ("int", 7, COUNT),
+        "num_users": ("int", 20, COUNT),
+        "user_height_min": ("float", 1.4, Interval(0, 1000, "()")),
+        "user_height_max": ("float", 1.9, Interval(0, 1000, "()")),
+        "body_radius": ("float", 0.2, NONNEGATIVE),
+        "cells_per_side": ("int", 6, Interval(1, 32, "[]")),
+        "slots_per_period": ("int", 3, COUNT),
+        "vap_positions": ("points", None, None),
+        "sbs_positions": ("points", None, None),
     },
     "radio": {
-        "carrier_freq_hz": ("float", 1.0e12),
-        "bandwidth_hz": ("float", 1.0e10),
-        "tx_power_w": ("float", 1.0),
-        "absorption_per_m": ("float", 0.01),
-        "noise_density_dbm_per_hz": ("float", -174.0),
-        "image_size_bits": ("float", 2.0e7),
-        "slot_duration_s": ("float", 0.01),
+        "carrier_freq_hz": ("float", 1.0e12, POSITIVE),
+        "bandwidth_hz": ("float", 1.0e10, POSITIVE),
+        "tx_power_w": ("float", 1.0, POSITIVE),
+        "absorption_per_m": ("float", 0.01, POSITIVE),
+        "noise_density_dbm_per_hz": ("float", -174.0, Interval(-3000, 3000, "[]")),
+        "image_size_bits": ("float", 2.0e7, POSITIVE),
+        "slot_duration_s": ("float", 0.01, POSITIVE),
     },
     "optics": {
-        "fov_semi_angle_deg": ("float", 75.0),
+        "fov_semi_angle_deg": ("float", 75.0, Interval(0, 90, "()")),
     },
     "learning": {
-        "inner_lr": ("float", 0.1),
-        "meta_lr": ("float", 0.01),
-        "inner_rollouts": ("int", 50),
-        "outer_rollouts": ("int", 10),
-        "meta_iterations": ("int", 200),
-        "tasks_per_batch": ("int", 20),
-        "reward_baseline": ("bool", True),
-        "reward_to_go": ("bool", False),
-        "hidden_sizes": ("int_tuple", (64, 64)),
+        "inner_lr": ("float", 0.1, Interval(0, 1000, "(]")),
+        "meta_lr": ("float", 0.01, Interval(0, 1000, "(]")),
+        "inner_rollouts": ("int", 50, COUNT),
+        "outer_rollouts": ("int", 10, COUNT),
+        "meta_iterations": ("int", 200, NONNEGATIVE),
+        "tasks_per_batch": ("int", 20, COUNT),
+        "reward_baseline": ("bool", True, (True, False)),
+        "reward_to_go": ("bool", False, (True, False)),
+        "hidden_sizes": ("int_tuple", (64, 64), COUNT),
     },
     "tasks": {
-        "count": ("int", 20),
-        "concentration": ("float", 1.0),
-        "locality_radius": ("int", 1),
+        "count": ("int", 20, COUNT),
+        "concentration": ("float", 1.0, Interval(0, 1_000_000, "(]")),
+        "locality_radius": ("int", 1, NONNEGATIVE),
     },
     "run": {
-        "algorithm": ("str", "dmpg"),
-        "master_seed": ("int", 0),
-        "output_dir": ("str", "run_output"),
-        "workers": ("int", 1),
-        "eval_periods": ("int", 5),
+        "algorithm": ("str", "dmpg", ALGORITHMS),
+        "master_seed": ("int", 0, NONNEGATIVE),
+        "output_dir": ("str", "run_output", None),
+        "workers": ("int", 1, COUNT),
+        "eval_periods": ("int", 5, COUNT),
     },
 }
-
-ALGORITHMS = ("mpg", "dmpg", "pg")
 
 # The sections that define the simulated world; a checkpoint records their
 # digest, so it is refused under another room, radio or optics.
 SCENARIO_SECTIONS = ("scenario", "radio", "optics")
-
-# Each task's movement pattern is a dense cells^2 x cells^2 matrix: 8 MiB at
-# 32 cells per side, 128 MiB at 64, and a run holds `tasks.count` of them.
-MAX_CELLS_PER_SIDE = 32
 
 
 class ConfigError(ValueError):
@@ -196,7 +234,7 @@ class ExperimentSpec:
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     """Strict parse of sectioned key = value text into typed values."""
     values: dict[str, dict[str, object]] = {
-        section: {key: default for key, (_, default) in keys.items()}
+        section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
     section = None
@@ -217,7 +255,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         key = key.strip()
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        tag, _ = SCHEMA[section][key]
+        tag = SCHEMA[section][key][0]
         values[section][key] = _parse_value(tag, raw, f"line {lineno} ({section}.{key})")
     return values
 
@@ -233,15 +271,15 @@ def apply_env_overrides(values: dict[str, dict[str, object]], environ) -> None:
         section, key = section.lower(), key.lower()
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"environment variable {name}: unknown config key {section}.{key}")
-        tag, _ = SCHEMA[section][key]
-        values[section][key] = _parse_value(tag, raw, f"env {name}")
+        tag = SCHEMA[section][key][0]
+        values[section][key] = _parse_value(tag, raw, f"env {name} ({section}.{key})")
 
 
 def serialize_spec(values: dict[str, dict[str, object]], sections=tuple(SCHEMA)) -> str:
     lines = []
     for section in sections:
         lines.append(f"[{section}]")
-        for key, (tag, _) in SCHEMA[section].items():
+        for key, (tag, _, _) in SCHEMA[section].items():
             value = values[section][key]
             if value is None:
                 continue
@@ -250,46 +288,42 @@ def serialize_spec(values: dict[str, dict[str, object]], sections=tuple(SCHEMA))
     return "\n".join(lines)
 
 
+def domain_text(tag: str, domain) -> str:
+    """The domain as the refusal message and README's config table show it."""
+    if domain is None:
+        return "-"
+    if isinstance(domain, Interval):
+        return f"each in {domain}" if tag == "int_tuple" else f"in {domain}"
+    return "one of " + ", ".join(_format_value(tag, v) for v in domain)
+
+
 def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
+    for section, keys in SCHEMA.items():
+        for key, (tag, _, domain) in keys.items():
+            value = values[section][key]
+            items = value if tag == "int_tuple" else (value,)
+            if domain is not None and not all(v in domain for v in items):
+                raise ConfigError(f"{section}.{key} must be {domain_text(tag, domain)}, got {value!r}")
     sc = values["scenario"]
     rd = values["radio"]
-    op = values["optics"]
 
     def points_or_ring(key: str, count_key: str, phase: float) -> tuple[Point3, ...]:
         pts = sc[key]
-        if pts is not None:
-            return tuple(Point3(x, y, sc["ceiling"]) for x, y in pts)
-        return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
+        if pts is None:
+            return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
+        count = SCHEMA["scenario"][count_key][2]
+        if len(pts) not in count:
+            raise ConfigError(
+                f"scenario.{key} must hold a number of points in {count}, as scenario.{count_key}, got {len(pts)}"
+            )
+        return tuple(Point3(x, y, sc["ceiling"]) for x, y in pts)
 
-    for section, key, least in (
-        ("scenario", "cells_per_side", 1), ("tasks", "count", 1), ("tasks", "locality_radius", 0),
-        ("run", "master_seed", 0), ("run", "workers", 1), ("run", "eval_periods", 1),
-    ):
-        if values[section][key] < least:
-            raise ConfigError(f"{section}.{key} must be >= {least}, got {values[section][key]}")
-    cells = sc["cells_per_side"]
-    if cells > MAX_CELLS_PER_SIDE:
-        raise ConfigError(f"scenario.cells_per_side must be <= {MAX_CELLS_PER_SIDE}, got {cells}")
-    noise_dbm = rd["noise_density_dbm_per_hz"]
+    # keys named as RadioParams fields pass through; the noise is in dBm/Hz
+    radio = env.RadioParams(
+        **{k: v for k, v in rd.items() if k != "noise_density_dbm_per_hz"},
+        noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(rd["noise_density_dbm_per_hz"]),
+    )
     try:
-        noise_w = dbm_per_hz_to_w_per_hz(noise_dbm)
-    except OverflowError:
-        noise_w = math.inf
-    if not 0.0 < noise_w < math.inf:  # NaN fails too
-        raise ConfigError(f"radio.noise_density_dbm_per_hz must give a finite W/Hz > 0, got {noise_dbm!r}")
-    fov = op["fov_semi_angle_deg"]
-    if not 0.0 < fov < 90.0:
-        raise ConfigError(f"optics.fov_semi_angle_deg must lie in (0, 90), got {fov!r}")
-    tk = values["tasks"]
-    if not (math.isfinite(tk["concentration"]) and tk["concentration"] > 0):
-        raise ConfigError(f"tasks.concentration must be finite and > 0, got {tk['concentration']!r}")
-    try:
-        # keys named as RadioParams fields pass through; the noise is in dBm/Hz
-        radio = env.RadioParams(
-            **{k: v for k, v in rd.items() if k != "noise_density_dbm_per_hz"},
-            noise_density_w_per_hz=noise_w,
-        )
-        optics = env.OpticsParams(fov_semi_angle_rad=math.radians(fov))
         scenario = ScenarioConfig(
             room_side=sc["room_side"],
             ceiling_z=sc["ceiling"],
@@ -301,20 +335,15 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             grid=make_grid(sc["room_side"], sc["cells_per_side"]),
             slots_per_period=sc["slots_per_period"],
             radio=radio,
-            optics=optics,
+            optics=env.OpticsParams(fov_semi_angle_rad=math.radians(values["optics"]["fov_semi_angle_deg"])),
         )
-        learning = LearningConfig(**values["learning"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    algorithm = values["run"]["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"run.algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     spec = ExperimentSpec(
         values=values,
         scenario=scenario,
-        learning=learning,
-        algorithm=algorithm,
+        learning=LearningConfig(**values["learning"]),
+        algorithm=values["run"]["algorithm"],
         master_seed=values["run"]["master_seed"],
         output_dir=values["run"]["output_dir"],
         workers=values["run"]["workers"],

@@ -14,7 +14,6 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from .policy_net import Gradient, Policy, PolicyParams
 @dataclass(frozen=True)
 class LearningConfig:
     """Training constants, one per `[learning]` key (whose reference values
-    are in `harness.SCHEMA`); the inner/outer rollout counts are per task."""
+    and domains are in `harness.SCHEMA`); the inner/outer rollout counts
+    are per task."""
 
     inner_lr: float
     meta_lr: float
@@ -41,18 +41,6 @@ class LearningConfig:
     reward_baseline: bool
     reward_to_go: bool
     hidden_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("inner_lr", "meta_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if min(self.inner_rollouts, self.outer_rollouts) < 1:
-            raise ValueError("rollout counts must be >= 1")
-        if self.meta_iterations < 0 or self.tasks_per_batch < 1:
-            raise ValueError("meta_iterations must be >= 0 and tasks_per_batch >= 1")
-        if min(self.hidden_sizes, default=1) < 1:
-            raise ValueError(f"learning.hidden_sizes must all be >= 1, got {self.hidden_sizes!r}")
 
 
 @dataclass

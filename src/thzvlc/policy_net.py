@@ -44,7 +44,9 @@ class PolicyParams:
         if self.flat.shape != (expected,):
             raise ValueError(f"flat vector has {self.flat.shape}, layout needs ({expected},)")
         if self.layer_shapes[-1][1] != self.action_count:
-            raise ValueError("last layer width must equal the action count")
+            raise ValueError(
+                f"layer_shapes end in {self.layer_shapes[-1][1]} outputs, but action_count is {self.action_count}"
+            )
         if not np.isfinite(self.flat).all():
             raise ValueError("policy parameters must be finite")
         self.flat.setflags(write=False)
@@ -436,7 +438,7 @@ def load_params(path) -> tuple[PolicyParams, dict]:
     if len(raw) < expected:
         raise ValueError(f"checkpoint {path} is truncated")
     if len(raw) != expected:
-        raise ValueError("checkpoint payload size does not match its header")
+        raise ValueError(f"checkpoint {path} holds more than its header's param_count of {header['param_count']}")
     try:
         params = PolicyParams(
             flat=np.frombuffer(raw, dtype="<f8").astype(float),

@@ -1,7 +1,6 @@
 from math import comb
 
 import numpy as np
-import pytest
 
 import oracles
 from conftest import make_toy_scenario, reference_learning
@@ -23,10 +22,6 @@ class TestEnumerateVapActions:
 
     def test_four_vap_listing(self):
         assert enumerate_vap_actions(4) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-
-    def test_too_few_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_vap_actions(2)
 
     def test_size_independent_of_users(self):
         for v in (3, 5, 7, 9):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import pickle
 
 import numpy as np
@@ -78,16 +77,6 @@ class TestSampleTask:
             for jdx in np.nonzero(t[idx])[0]:
                 jx, jy = jdx % n, jdx // n
                 assert max(abs(jx - ix), abs(jy - iy)) <= 1
-
-    def test_bad_arguments(self, toy_scenario):
-        with pytest.raises(ValueError):
-            sample_task(toy_scenario.grid, seed=0, concentration=0.0, locality_radius=1, task_id=0)
-        with pytest.raises(ValueError):
-            sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=-1, task_id=0)
-        # the Dirichlet rows would be NaN, and every user would move to cell 0
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                sample_task(toy_scenario.grid, seed=0, concentration=value, locality_radius=1, task_id=0)
 
 
 class TestReset:

@@ -151,8 +151,6 @@ class TestRoomGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_grid(-1.0, 3)
-        with pytest.raises(ValueError):
             BodyOccupancy(center_xy=(0, 0), height=0.0, radius=0.1)
         with pytest.raises(ValueError):
             Point3(0, 0, -0.1)

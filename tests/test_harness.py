@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thzvlc import env, harness, meta_rl, policy_net
 from thzvlc.artifacts import atomic_open
@@ -222,6 +230,8 @@ class TestCli:
         ("RUN__MASTER_SEED", "-1", "run.master_seed"),
         ("SCENARIO__CELLS_PER_SIDE", "0", "scenario.cells_per_side"),
         ("SCENARIO__CELLS_PER_SIDE", "33", "scenario.cells_per_side"),  # small if ever let through
+        ("SCENARIO__NUM_VAPS", "65", "scenario.num_vaps"),  # C(65, 3) = 43,680 subsets if let through
+        ("SCENARIO__VAP_POSITIONS", "2,2; 4,2", "scenario.vap_positions"),
         *[("OPTICS__FOV_SEMI_ANGLE_DEG", value, "optics.fov_semi_angle_deg") for value in ("90", "nan")],
         ("SCENARIO__BODY_RADIUS", "nan", "body_radius"),
         ("SCENARIO__BODY_RADIUS", "inf", "body_radius"),
@@ -249,10 +259,11 @@ class TestCli:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert name.lower().replace("__", ".") in err  # the key as section.key
         assert not out.exists()
 
     def test_cells_per_side_bound_itself_loads(self):
-        bound = harness.MAX_CELLS_PER_SIDE
+        bound = harness.SCHEMA["scenario"]["cells_per_side"][2].hi
         spec = harness.load_spec(None, environ={}, overrides={("scenario", "cells_per_side"): bound})
         assert spec.scenario.grid.num_cells == bound * bound
 
@@ -570,6 +581,147 @@ class TestCli:
                              "--out", str(tmp_path / "o")], capsys)
         assert err == (f"error: checkpoint {ckpt}: layer_shapes do not chain: "
                        "layer 0 gives 4 outputs, layer 1 takes 5\n")
+
+
+# The keys whose domain is an interval, each probed by `TestSchemaDomains`.
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in harness.SCHEMA.items()
+    for key, (_, _, domain) in keys.items()
+    if isinstance(domain, harness.Interval)
+]
+
+# The integer keys that leave the size of a run alone; the other integer
+# keys are only loaded, and only at the ends of their domains.
+UNSIZED = {("run", "master_seed"), ("tasks", "locality_radius")}
+
+
+def trains(section, key):
+    """Whether the SCHEMA-wide tests train at the key's values, not only load."""
+    return harness.SCHEMA[section][key][0] == "float" or (section, key) in UNSIZED
+
+
+def outside_values(section, key):
+    """nan, +-inf, 0, -1 and one step past each finite end of the key's
+    domain, where they lie outside it."""
+    tag, _, domain = harness.SCHEMA[section][key]
+    values = [math.nan, math.inf, -math.inf, 0, -1]
+    for end, closed, away in ((domain.lo, domain.ends[0] == "[", -1), (domain.hi, domain.ends[1] == "]", 1)):
+        if not math.isfinite(end):
+            continue
+        if not closed:
+            values.append(end)
+        elif tag == "float":
+            values.append(math.nextafter(end, away * math.inf))
+        else:
+            values.append(end + away)
+    return [v for v in values if v not in domain]
+
+
+def inside_edges(section, key):
+    """Each end of the key's domain where it is closed, else the nearest
+    float inside it; an integer key's open (infinite) end is tried at
+    sys.maxsize when the key leaves the run's size alone."""
+    tag, _, domain = harness.SCHEMA[section][key]
+    edges = []
+    for end, closed, inward in ((domain.lo, domain.ends[0] == "[", domain.hi), (domain.hi, domain.ends[1] == "]", domain.lo)):
+        if closed:
+            edges.append(end)
+        elif tag == "float":
+            edges.append(math.nextafter(end, inward))
+        elif trains(section, key):
+            edges.append(sys.maxsize)
+    return edges
+
+
+def partners(section, key, value):
+    """The keys a check over several keys ties (section, key) to, set so that
+    the check holds at `value`; None where no setting does (no body height
+    lies below the smallest positive ceiling). The toy's explicit units
+    would lie outside a small room and override the unit counts, so these
+    keys get ring-placed units."""
+    if key in ("room_side", "num_vaps", "num_sbs"):
+        return {("scenario", "vap_positions"): None, ("scenario", "sbs_positions"): None,
+                ("scenario", "num_vaps"): 4, ("scenario", "num_sbs"): 2}
+    if key == "ceiling":
+        h = value / 2
+        return {("scenario", "user_height_min"): h, ("scenario", "user_height_max"): h} if h > 0 else None
+    if key in ("user_height_min", "user_height_max"):
+        return {("scenario", "user_height_min"): value, ("scenario", "user_height_max"): value,
+                ("scenario", "ceiling"): harness.SCHEMA["scenario"]["ceiling"][2].hi}
+    return {}
+
+
+def probe_config(directory, section, key, value, others=None) -> Path:
+    """The toy config with `others` set and then `section.key = value`.
+
+    The toy's rollouts all serve every user, so the leave-one-out baseline
+    would zero each gradient; without it every step moves the policy by
+    the learning rates."""
+    values = parse_config_text(TOY_CONFIG)
+    values["learning"]["reward_baseline"] = False
+    for (s, k), v in (others or {}).items():
+        values[s][k] = v
+    path = Path(directory) / "probe.cfg"
+    path.write_text(f"{serialize_spec(values)}\n[{section}]\n{key} = {value}\n")
+    return path
+
+
+def train_probe(cfg, out):
+    """`thzvlc train` on the config with warnings as errors: (exit code, stderr)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(["train", "--config", str(cfg), "--out", str(out)])
+    return code, err.getvalue()
+
+
+class TestSchemaDomains:
+    """Every key with an interval domain in `harness.SCHEMA`, probed from
+    that domain: each value outside it is one `error:` line naming the key
+    before any output exists, and each value inside it loads and, for a key
+    that leaves the run's size alone, trains with warnings as errors."""
+
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    def test_outside_value_refused_by_key(self, tmp_path, section, key):
+        for value in outside_values(section, key):
+            out = tmp_path / "out"
+            code, err = train_probe(probe_config(tmp_path, section, key, value), out)
+            assert code == 1, value
+            assert err.startswith("error: ") and err.count("\n") == 1 and f"{section}.{key}" in err, (value, err)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    @pytest.mark.filterwarnings("error")
+    def test_edge_inside_loads(self, tmp_path, section, key):
+        for value in inside_edges(section, key):
+            others = partners(section, key, value)
+            if others is None:
+                continue
+            cfg = probe_config(tmp_path, section, key, value, others)
+            load_spec(cfg, environ={})
+            if trains(section, key):
+                assert train_probe(cfg, tmp_path / "out") == (0, ""), value
+
+    @pytest.mark.parametrize("section, key", [k for k in NUMERIC_KEYS if trains(*k)])
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_value_inside_trains(self, section, key, data):
+        tag, _, domain = harness.SCHEMA[section][key]
+        if tag == "float":
+            values = st.floats(
+                min_value=domain.lo, max_value=domain.hi,
+                exclude_min=domain.ends[0] == "(", exclude_max=domain.ends[1] == ")",
+                allow_nan=False, allow_infinity=False,
+            )
+        else:
+            values = st.integers(min_value=domain.lo, max_value=min(domain.hi, sys.maxsize))
+        value = data.draw(st.one_of(st.sampled_from(inside_edges(section, key)), values))
+        others = partners(section, key, value)
+        assume(others is not None)
+        with tempfile.TemporaryDirectory() as directory:
+            cfg = probe_config(directory, section, key, value, others)
+            assert train_probe(cfg, Path(directory) / "out") == (0, ""), value
 
 
 class TestAtomicArtifacts:

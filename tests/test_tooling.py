@@ -4,7 +4,8 @@ The benchmark tracer (`perfbench/spans.py`) wraps package functions by
 name, so each name it lists must exist; a missing one would only fail when
 a traced run starts. The README's `## CLI` block and the CLI parser must
 name the same commands and flags, and the README's config table and the
-config schema the same keys, so neither drops or gains one silently. And
+config schema the same keys with the same domains, so neither drops, gains
+or changes one silently. And
 every public definition of the package must be named by package or
 benchmark code, so code that no run reaches cannot stay there. And only
 the defaults listed here stay in the package: a reference value lives in
@@ -77,24 +78,31 @@ def test_readme_cli_block_matches_the_parser():
         assert own <= shown, (command, own - shown)
 
 
-def readme_config_keys() -> set:
-    """(section, key) of every row of the README's `## Config format` table;
-    a row may list several keys as `a / b`."""
+def readme_config_rows() -> dict:
+    """(section, key) -> its domain cell, for every row of the README's
+    `## Config format` table; a row may list several keys as `a / b`, and
+    then as many domains."""
     section = README.read_text().split("## Config format", 1)[1].split("\n## ", 1)[0]
-    keys = set()
+    rows = {}
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if not line.startswith("|") or cells[0] in ("section", "---"):
             continue
-        keys.update((cells[0], key.strip()) for key in cells[1].split("/"))
-    return keys
+        keys, domains = cells[1].split("/"), cells[3].split(" / ")
+        assert len(keys) == len(domains), line
+        rows.update(((cells[0], key.strip()), domain) for key, domain in zip(keys, domains))
+    return rows
 
 
 def test_readme_config_table_matches_the_schema():
     from thzvlc import harness
 
-    schema = {(section, key) for section, keys in harness.SCHEMA.items() for key in keys}
-    assert readme_config_keys() == schema
+    schema = {
+        (section, key): harness.domain_text(tag, domain)
+        for section, keys in harness.SCHEMA.items()
+        for key, (tag, _, domain) in keys.items()
+    }
+    assert readme_config_rows() == schema
 
 
 def test_learning_config_fields_are_the_learning_keys():
