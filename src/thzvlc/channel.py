@@ -1,4 +1,5 @@
-"""VLC positioning predicate and THz link budget.
+"""VLC positioning predicate and THz link budget, each formula written once
+over float rows of (x, y, z) points, one value per (unit, point) pair.
 
 Positioning: a user is localized when all three lit VAPs are inside the
 receiver field of view (incidence angle measured from the vertical-up
@@ -12,13 +13,16 @@ THz link budget:
     transmission  ok when d fits within one slot
 
 The molecular absorption term of I sums over every SBS in the room; the
-narrow THz beams carry no inter-SBS interference term.
+narrow THz beams carry no inter-SBS interference term. `localized` and
+`link_budget` are the formulas at one user, body blockage included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import BodyOccupancy, Point3, distance, los_clear
 
@@ -53,28 +57,75 @@ class OpticsParams:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Evaluated THz link between one SBS and one user."""
+    """Evaluated THz links, [sbs, point] arrays (noise_w is [point]), or
+    floats for one link."""
 
-    path_loss: float
-    noise_w: float
-    rate_bps: float
-    delay_s: float
-    tx_ok: bool
+    path_loss: np.ndarray
+    noise_w: np.ndarray
+    rate_bps: np.ndarray
+    delay_s: np.ndarray
+    tx_ok: np.ndarray
 
 
 def dbm_per_hz_to_w_per_hz(density_dbm_per_hz: float) -> float:
     return 10.0 ** ((density_dbm_per_hz - 30.0) / 10.0)
 
 
-def incidence_angle(vap: Point3, user: Point3) -> float:
-    """Angle (radians) between the user->VAP direction and vertical-up."""
-    dz = vap.z - user.z
-    if dz <= 0:
-        raise ValueError("VAP must sit strictly above the receiver plane")
-    dx = vap.x - user.x
-    dy = vap.y - user.y
-    horiz = math.sqrt(dx * dx + dy * dy)
-    return math.atan2(horiz, dz)
+def _rows(points: list[Point3]) -> np.ndarray:
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
+
+
+def incidence_angle(units: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """[unit, point] angle (radians) between the point->unit direction and
+    vertical-up."""
+    dx = units[:, None, 0] - points[:, 0]
+    dy = units[:, None, 1] - points[:, 1]
+    dz = units[:, None, 2] - points[:, 2]
+    if (dz <= 0).any():
+        raise ValueError("every unit must sit strictly above the receiver plane")
+    return np.arctan2(np.sqrt(dx * dx + dy * dy), dz)
+
+
+def transmittance(r, params: RadioParams):
+    """Beer-Lambert medium transmittance over paths of length r."""
+    return np.exp(-params.absorption_per_m * r)
+
+
+def _spreading(r, params: RadioParams):
+    return C_LIGHT / (4.0 * math.pi * params.carrier_freq_hz * r)
+
+
+def path_loss(r, params: RadioParams):
+    """Spreading loss times transmittance of clear paths of length r."""
+    spreading = _spreading(r, params)
+    return spreading * spreading * transmittance(r, params)
+
+
+def noise_power(r: np.ndarray, params: RadioParams) -> np.ndarray:
+    """[point] thermal floor plus the molecular absorption noise of every
+    SBS, from the distances r[sbs, point]; added in SBS order."""
+    total = np.full(r.shape[1:], params.floor_noise_w)
+    for r_sbs in r:
+        spreading = _spreading(r_sbs, params)
+        total = total + params.tx_power_w * spreading * spreading * (1.0 - transmittance(r_sbs, params))
+    return total
+
+
+def budget_given_los(
+    sbs: np.ndarray, points: np.ndarray, los: bool | np.ndarray, all_sbs: np.ndarray, params: RadioParams
+) -> LinkBudget:
+    """Budget of each sbs->point THz link whose line of sight is `los`
+    (broadcast over [sbs, point]); the noise sums over `all_sbs`.
+
+    Out-of-range values become inf or nan, as in Python float arithmetic,
+    and fail the delay test.
+    """
+    with np.errstate(all="ignore"):
+        g = np.where(los, path_loss(distance(sbs, points), params), 0.0)
+        noise = noise_power(distance(all_sbs, points), params)
+        rate = params.bandwidth_hz * np.log2(1.0 + params.tx_power_w * g / noise)
+        delay = np.where(rate > 0, params.image_size_bits / rate, math.inf)
+    return LinkBudget(g, noise, rate, delay, delay <= params.slot_duration_s)
 
 
 def localized(
@@ -98,38 +149,11 @@ def localized(
         for m, (p, h) in enumerate(zip(user_positions, heights))
         if m != user_idx
     ]
-    for vap in selected_vaps:
-        if incidence_angle(vap, user) > optics.fov_semi_angle_rad:
-            return False
-        if not los_clear(vap, user, blockers):
-            return False
-    return True
-
-
-def transmittance(r: float, params: RadioParams) -> float:
-    """Beer-Lambert medium transmittance over a path of length r."""
-    if r < 0:
-        raise ValueError("path length must be nonnegative")
-    return math.exp(-params.absorption_per_m * r)
-
-
-def path_loss(sbs: Point3, user: Point3, los: bool, params: RadioParams) -> float:
-    """Spreading loss times transmittance; exactly 0 for a blocked link."""
-    if not los:
-        return 0.0
-    r = distance(sbs, user)
-    spreading = C_LIGHT / (4.0 * math.pi * params.carrier_freq_hz * r)
-    return spreading * spreading * transmittance(r, params)
-
-
-def noise_power(user: Point3, all_sbs: list[Point3], params: RadioParams) -> float:
-    """Thermal floor plus molecular absorption noise from every SBS."""
-    total = params.floor_noise_w
-    for sbs in all_sbs:
-        r = distance(sbs, user)
-        spreading = C_LIGHT / (4.0 * math.pi * params.carrier_freq_hz * r)
-        total += params.tx_power_w * spreading * spreading * (1.0 - transmittance(r, params))
-    return total
+    angles = incidence_angle(_rows(selected_vaps), _rows([user]))[:, 0]
+    return all(
+        angle <= optics.fov_semi_angle_rad and los_clear(vap, user, blockers)
+        for vap, angle in zip(selected_vaps, angles)
+    )
 
 
 def link_budget(
@@ -139,26 +163,7 @@ def link_budget(
     all_sbs: list[Point3],
     params: RadioParams,
 ) -> LinkBudget:
-    """Full budget for the sbs->user THz link, body blockage included."""
-    return budget_given_los(sbs, user, los_clear(sbs, user, blockers), all_sbs, params)
-
-
-def budget_given_los(
-    sbs: Point3,
-    user: Point3,
-    los: bool,
-    all_sbs: list[Point3],
-    params: RadioParams,
-) -> LinkBudget:
-    """Budget for the sbs->user THz link whose line of sight is `los`."""
-    g = path_loss(sbs, user, los, params)
-    noise = noise_power(user, all_sbs, params)
-    rate = params.bandwidth_hz * math.log2(1.0 + params.tx_power_w * g / noise)
-    delay = params.image_size_bits / rate if rate > 0 else math.inf
-    return LinkBudget(
-        path_loss=g,
-        noise_w=noise,
-        rate_bps=rate,
-        delay_s=delay,
-        tx_ok=delay <= params.slot_duration_s,
-    )
+    """Budget of the one sbs->user THz link, body blockage included."""
+    los = los_clear(sbs, user, blockers)
+    budget = budget_given_los(_rows([sbs]), _rows([user]), los, _rows(all_sbs), params)
+    return LinkBudget(*(value.item() for value in vars(budget).values()))

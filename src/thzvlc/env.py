@@ -67,16 +67,22 @@ class ScenarioConfig:
             )
 
     @cached_property
-    def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], _LinkTable]]:
-        """The crossing table and the link table of each tuple of user
-        heights, built on first use (see `slot_links`).
+    def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], np.ndarray]]:
+        """The crossing table, and the link table of each tuple of user
+        heights (see `slot_links`).
 
-        A run keeps revisiting the same heights, as they are fixed per task;
-        the bound keeps an evaluation over many fresh tasks from growing the
-        cache without end. Pickles leave the tables out.
+        A link table is bool[user, cell, unit], VAPs first: the unit's link
+        to user j standing in that cell passes its test other than blockage
+        (the FOV for a VAP, delivery within the slot over a clear path for
+        an SBS). It is built whole on first use, one pass over every cell
+        per user, and is read-only. A run keeps revisiting the same heights,
+        as they are fixed per task; the bound keeps an evaluation over many
+        fresh tasks from growing the cache without end. Pickles leave the
+        tables out.
         """
-        link_table = partial(_LinkTable, self.grid.num_cells, self.num_vaps + self.num_sbs)
-        return _Crossings(self), lru_cache(maxsize=1024)(link_table)
+        cross = _Crossings(self)
+        link_table = partial(_link_table, cross, self.num_vaps, self.optics, self.radio)
+        return cross, lru_cache(maxsize=1024)(link_table)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -209,11 +215,6 @@ class Trajectory:
         return sum(len(s.newly_served) for s in self.steps)
 
 
-def user_point(state: EnvState, grid: RoomGrid, user: int) -> Point3:
-    cx, cy = grid.cell_center(state.user_cells[user])
-    return Point3(cx, cy, state.user_heights[user])
-
-
 def sample_task(
     grid: RoomGrid, seed: int, concentration: float, locality_radius: int, task_id: int
 ) -> Task:
@@ -277,9 +278,9 @@ class _Crossings:
 
     Users stand on cell centres and every body has the scenario's radius,
     so only the z stage depends on a state. A receiver cell's row is
-    worked out on first use, as `_LinkTable` fills its flags, so memory
-    pages are touched only for cells users visit: the whole table grows
-    with the fourth power of `cells_per_side`.
+    worked out the first time a user stands there, so memory pages are
+    touched only for cells users visit: the whole table grows with the
+    fourth power of `cells_per_side`.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -308,31 +309,19 @@ class _Crossings:
         return tuple(a[cells][:, :, cells].transpose(1, 0, 2) for a in (self.meets, self.lo, self.hi))
 
 
-class _LinkTable:
-    """The blockage-free link terms of one task's user heights.
-
-    free[j, cell, unit] is 1 when the unit's link to user j standing in that
-    cell passes its blockage-free test (the FOV for a VAP, the range for an
-    SBS), 0 when it fails and -1 until first needed. The flags come from the
-    scalar `channel` formulas, so they match them bit for bit: the range
-    flag is the budget of a clear link, and a blocked link never delivers.
-    """
-
-    def __init__(self, cells: int, units: int, heights: tuple[float, ...]):
-        self.heights = np.array(heights)
-        self.free = np.full((len(heights), cells, units), -1, dtype=np.int8)
-
-    def fill(self, state: EnvState, scenario: ScenarioConfig, user: int) -> np.ndarray:
-        point = user_point(state, scenario.grid, user)
-        all_sbs = list(scenario.sbs_positions)
-        fov = scenario.optics.fov_semi_angle_rad
-        row = [channel.incidence_angle(vap, point) <= fov for vap in scenario.vap_positions]
-        row += [
-            channel.budget_given_los(sbs, point, True, all_sbs, scenario.radio).tx_ok
-            for sbs in all_sbs
-        ]
-        self.free[user, state.user_cells[user]] = row
-        return self.free[user, state.user_cells[user]]
+def _link_table(
+    cross: _Crossings, num_vaps: int, optics: OpticsParams, radio: RadioParams, heights: tuple[float, ...]
+) -> np.ndarray:
+    vaps, sbs = cross.units[:num_vaps], cross.units[num_vaps:]
+    table = np.empty((len(heights), len(cross.centers), len(cross.units)), dtype=bool)
+    points = np.column_stack((cross.centers, np.empty(len(cross.centers))))
+    for j, height in enumerate(heights):
+        points[:, 2] = height
+        fov = channel.incidence_angle(vaps, points) <= optics.fov_semi_angle_rad
+        reach = channel.budget_given_los(sbs, points, True, sbs, radio).tx_ok
+        table[j] = np.concatenate((fov, reach)).T
+    table.setflags(write=False)
+    return table
 
 
 def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
@@ -342,17 +331,15 @@ def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
     only its z stage runs here, with every other body counted.
     """
     cross, link_table = scenario.tables
-    table = link_table(state.user_heights)
     users = np.arange(scenario.num_users)
     cells = np.array(state.user_cells)
-    free = table.free[users, cells]
-    for j in np.flatnonzero(free[:, 0] < 0):
-        free[j] = table.fill(state, scenario, int(j))
+    free = link_table(state.user_heights)[users, cells]
+    heights = np.array(state.user_heights)
 
     meets, lo, hi = cross.gather(cells)
-    hit = below_top(meets, lo, hi, cross.units[:, 2], table.heights, table.heights)
+    hit = below_top(meets, lo, hi, cross.units[:, 2], heights, heights)
     hit[:, users, users] = False  # a receiver's own body
-    ok = (free.T == 1) & ~hit.any(axis=2)
+    ok = free.T & ~hit.any(axis=2)
     return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])
 
 

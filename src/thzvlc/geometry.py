@@ -10,7 +10,6 @@ infinitely thin body.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +73,13 @@ def make_grid(room_side: float, cells_per_side: int) -> RoomGrid:
     return RoomGrid(room_side=room_side, cells_per_side=cells_per_side, cell_centers=centers)
 
 
-def distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance in meters."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    dz = a.z - b.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] Euclidean distance in meters between the (x, y, z) rows a[i]
+    and b[j]."""
+    dx = a[:, None, 0] - b[:, 0]
+    dy = a[:, None, 1] - b[:, 1]
+    dz = a[:, None, 2] - b[:, 2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def crossings(

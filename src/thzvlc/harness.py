@@ -85,6 +85,9 @@ ALGORITHMS = ("mpg", "dmpg", "pg")
 #   about 1e306, and at 1e6 a row is already uniform to within 1%.
 # - inner_lr, meta_lr <= 1000: a rate near 1e300 overflows the policy's
 #   forward pass after one step; 1000 is four decades above the reference.
+# - workers <= 256: the pool forks all its workers at its first task, so a
+#   slip such as 100000 would fill the process table; 256 is more cores
+#   than one machine gives a run, which uses at most tasks_per_batch.
 SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "scenario": {
         "room_side": ("float", 6.0, Interval(0, 1000, "(]")),
@@ -132,7 +135,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
         "algorithm": ("str", "dmpg", ALGORITHMS),
         "master_seed": ("int", 0, NONNEGATIVE),
         "output_dir": ("str", "run_output", None),
-        "workers": ("int", 1, COUNT),
+        "workers": ("int", 1, Interval(1, 256, "[]")),
         "eval_periods": ("int", 5, COUNT),
     },
 }

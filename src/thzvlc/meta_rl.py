@@ -339,6 +339,7 @@ def meta_train(
         params = new_policy(kind, scenario, cfg, master_seed)
 
     metrics: list[IterationMetrics] = []
+    workers = min(workers, cfg.tasks_per_batch)  # a batch keeps no more busy
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for it in range(cfg.meta_iterations):

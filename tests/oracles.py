@@ -41,6 +41,32 @@ def delay(size_bits, rate_bps):
     return size_bits / rate_bps if rate_bps > 0 else math.inf
 
 
+def distance(a, b):
+    """Euclidean distance between two points with x, y and z."""
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def free_links(scenario, point):
+    """The flags of every ceiling unit's link to a receiver at `point`,
+    blockage aside, VAPs then SBSs: the VAP lies inside the FOV; a clear
+    THz link from the SBS delivers the image within the slot."""
+    flags = []
+    for vap in scenario.vap_positions:
+        dx, dy = vap.x - point.x, vap.y - point.y
+        angle = math.atan2(math.sqrt(dx * dx + dy * dy), vap.z - point.z)
+        flags.append(angle <= scenario.optics.fov_semi_angle_rad)
+    radio = scenario.radio
+    args = (radio.carrier_freq_hz, radio.absorption_per_m)
+    noise_w = noise([distance(s, point) for s in scenario.sbs_positions], radio.tx_power_w, *args,
+                    radio.noise_density_w_per_hz, radio.bandwidth_hz)
+    for sbs in scenario.sbs_positions:
+        g = path_loss(distance(sbs, point), *args)
+        d = delay(radio.image_size_bits, rate(g, noise_w, radio.tx_power_w, radio.bandwidth_hz))
+        flags.append(d <= radio.slot_duration_s)
+    return flags
+
+
 # --- blockage by dense parameter sweep ---------------------------------------
 
 

@@ -16,7 +16,7 @@ import oracles
 from conftest import make_toy_scenario, reference_learning, reference_scenario
 from thzvlc import env, harness, meta_rl
 from thzvlc.association import check_period_feasible, hungarian_max
-from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
+from thzvlc.geometry import BodyOccupancy, Point3, los_clear
 from thzvlc.meta_rl import adapt, meta_train
 from thzvlc.policy_net import PolicyParams, forward, init_params, layer_shapes_for
 
@@ -182,7 +182,7 @@ def test_criterion_2_gradient_fidelity():
 
 
 def test_criterion_3_channel_oracle(default_radio):
-    from thzvlc import channel
+    from thzvlc import channel, geometry
 
     rng = np.random.default_rng(1003)
     worst = 0.0
@@ -196,24 +196,26 @@ def test_criterion_3_channel_oracle(default_radio):
         sbs = Point3(*rng.uniform(0, 6, 2), 3.0)
         user = Point3(*rng.uniform(0, 6, 2), rng.uniform(1.2, 2.0))
         others = [Point3(*rng.uniform(0, 6, 2), 3.0) for _ in range(int(rng.integers(0, 7)))]
-        r = distance(sbs, user)
+        r = oracles.distance(sbs, user)
 
         worst = max(worst, rel(
             channel.transmittance(r, default_radio),
             oracles.transmittance(r, default_radio.absorption_per_m)))
         worst = max(worst, rel(
-            channel.path_loss(sbs, user, True, default_radio),
+            channel.path_loss(r, default_radio),
             oracles.path_loss(r, default_radio.carrier_freq_hz, default_radio.absorption_per_m)))
         all_sbs = [sbs, *others]
         want_noise = oracles.noise(
-            [distance(s, user) for s in all_sbs],
+            [oracles.distance(s, user) for s in all_sbs],
             default_radio.tx_power_w,
             default_radio.carrier_freq_hz,
             default_radio.absorption_per_m,
             default_radio.noise_density_w_per_hz,
             default_radio.bandwidth_hz,
         )
-        worst = max(worst, rel(channel.noise_power(user, all_sbs, default_radio), want_noise))
+        rows = np.array([(p.x, p.y, p.z) for p in [*all_sbs, user]])
+        got_noise = channel.noise_power(geometry.distance(rows[:-1], rows[-1:]), default_radio)[0]
+        worst = max(worst, rel(got_noise, want_noise))
         budget = channel.link_budget(sbs, user, [], all_sbs, default_radio)
         g = oracles.path_loss(r, default_radio.carrier_freq_hz, default_radio.absorption_per_m)
         want_rate = oracles.rate(g, want_noise, default_radio.tx_power_w, default_radio.bandwidth_hz)

@@ -4,30 +4,43 @@ import numpy as np
 import pytest
 
 import oracles
-from thzvlc import channel
+from oracles import distance
+from thzvlc import channel, geometry
 from thzvlc.channel import OpticsParams, incidence_angle, link_budget, localized, noise_power, path_loss, transmittance
-from thzvlc.geometry import BodyOccupancy, Point3, distance
+from thzvlc.geometry import BodyOccupancy, Point3
 
 
 OPTICS = OpticsParams(fov_semi_angle_rad=math.radians(75.0))
 
 
+def rows(*points):
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
+
+
+def angle(vap, user):
+    return incidence_angle(rows(vap), rows(user))[0, 0]
+
+
+def noise_at(user, stations, radio):
+    return noise_power(geometry.distance(rows(*stations), rows(user)), radio)[0]
+
+
 class TestIncidenceAngle:
     def test_overhead_is_zero(self):
-        assert incidence_angle(Point3(2, 2, 3), Point3(2, 2, 1.5)) == 0.0
+        assert angle(Point3(2, 2, 3), Point3(2, 2, 1.5)) == 0.0
 
     def test_45_degrees(self):
-        got = incidence_angle(Point3(3, 2, 3), Point3(2, 2, 2))
+        got = angle(Point3(3, 2, 3), Point3(2, 2, 2))
         assert got == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_hand_computed(self):
         # horizontal sqrt(1 + 4) = sqrt(5), vertical 1.5
-        got = incidence_angle(Point3(1, 1, 3), Point3(2, 3, 1.5))
+        got = angle(Point3(1, 1, 3), Point3(2, 3, 1.5))
         assert got == pytest.approx(math.atan(math.sqrt(5) / 1.5), rel=1e-12)
 
     def test_vap_below_receiver_rejected(self):
         with pytest.raises(ValueError):
-            incidence_angle(Point3(1, 1, 1.0), Point3(1, 2, 1.5))
+            angle(Point3(1, 1, 1.0), Point3(1, 2, 1.5))
 
 
 class TestLocalized:
@@ -97,12 +110,13 @@ class TestTransmittance:
 
 class TestPathLoss:
     def test_blocked_is_exactly_zero(self, default_radio):
-        assert path_loss(Point3(0, 0, 3), Point3(1, 1, 1.5), False, default_radio) == 0.0
+        sbs, user = rows(Point3(0, 0, 3)), rows(Point3(1, 1, 1.5))
+        assert channel.budget_given_los(sbs, user, False, sbs, default_radio).path_loss[0, 0] == 0.0
 
     def test_decreasing_in_distance(self, default_radio):
         sbs = Point3(0, 0, 3)
         vals = [
-            path_loss(sbs, Point3(x, 0, 1.5), True, default_radio) for x in np.linspace(0.5, 6, 30)
+            path_loss(distance(sbs, Point3(x, 0, 1.5)), default_radio) for x in np.linspace(0.5, 6, 30)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -110,20 +124,20 @@ class TestPathLoss:
         sbs = Point3(1, 1, 3)
         user = Point3(2.2, 1.8, 1.6)
         r = distance(sbs, user)
-        got = path_loss(sbs, user, True, default_radio)
+        got = path_loss(r, default_radio)
         want = oracles.path_loss(r, default_radio.carrier_freq_hz, default_radio.absorption_per_m)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestNoisePower:
     def test_no_sbs_gives_floor(self, default_radio):
-        got = noise_power(Point3(3, 3, 1.5), [], default_radio)
+        got = noise_at(Point3(3, 3, 1.5), [], default_radio)
         assert got == default_radio.floor_noise_w
 
     def test_monotone_in_sbs_count(self, default_radio):
         user = Point3(3, 3, 1.5)
         stations = [Point3(x, 2, 3) for x in (1.0, 2.0, 4.0, 5.0)]
-        vals = [noise_power(user, stations[:k], default_radio) for k in range(5)]
+        vals = [noise_at(user, stations[:k], default_radio) for k in range(5)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_seven_sbs_against_oracle(self, default_radio):
@@ -131,7 +145,7 @@ class TestNoisePower:
 
         stations = list(ring_positions(7, 6.0, 3.0, phase=math.pi / 6))
         user = Point3(3, 3, 1.6)
-        got = noise_power(user, stations, default_radio)
+        got = noise_at(user, stations, default_radio)
         want = oracles.noise(
             [distance(s, user) for s in stations],
             default_radio.tx_power_w,

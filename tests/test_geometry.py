@@ -11,17 +11,21 @@ def body(cx, cy, height, radius=0.2):
     return BodyOccupancy(center_xy=(cx, cy), height=height, radius=radius)
 
 
+def dist(a, b):
+    return distance(np.array([(a.x, a.y, a.z)]), np.array([(b.x, b.y, b.z)]))[0, 0]
+
+
 class TestDistance:
     def test_identity(self):
         p = Point3(0, 0, 0)
-        assert distance(p, p) == 0.0
+        assert dist(p, p) == 0.0
 
     def test_345_triangle(self):
-        assert distance(Point3(0, 0, 0), Point3(3, 4, 0)) == 5.0
+        assert dist(Point3(0, 0, 0), Point3(3, 4, 0)) == 5.0
 
     def test_hand_computed(self):
         # sqrt(3^2 + 3^2 + 1.5^2) = sqrt(20.25) = 4.5
-        got = distance(Point3(1, 2, 1.5), Point3(4, 5, 3.0))
+        got = dist(Point3(1, 2, 1.5), Point3(4, 5, 3.0))
         assert got == pytest.approx(4.5, rel=1e-12)
 
     def test_symmetry(self):
@@ -29,7 +33,7 @@ class TestDistance:
         for _ in range(50):
             a = Point3(*rng.uniform(0, 6, 2), rng.uniform(0, 3))
             b = Point3(*rng.uniform(0, 6, 2), rng.uniform(0, 3))
-            assert distance(a, b) == distance(b, a)
+            assert dist(a, b) == dist(b, a)
 
 
 class TestLosClear:

@@ -18,6 +18,8 @@ from thzvlc import env, harness, meta_rl, policy_net
 from thzvlc.artifacts import atomic_open
 from thzvlc.harness import ConfigError, build_task_stream, load_spec, main, parse_config_text, run, serialize_spec
 
+# Every toy rollout serves both users, so the leave-one-out baseline would
+# zero each advantage; without it every run takes real learning steps.
 TOY_CONFIG = """
 [scenario]
 num_users = 2
@@ -32,6 +34,7 @@ outer_rollouts = 2
 meta_iterations = 2
 tasks_per_batch = 2
 hidden_sizes = 8
+reward_baseline = false
 
 [tasks]
 count = 3
@@ -47,6 +50,13 @@ eval_periods = 2
 def _die_in_worker(payload):
     """A task phase that kills the forked pool worker running it."""
     os._exit(3)
+
+
+def assert_learned(spec, checkpoint):
+    """The checkpoint's policy moved away from the run's initial policy."""
+    params, _ = policy_net.load_params(checkpoint)
+    initial = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
+    assert not np.array_equal(params.flat, initial.flat)
 
 
 def toy_spec(tmp_path, out_name="out", extra=None):
@@ -140,6 +150,7 @@ class TestRun:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "mean_reward", "std_reward"]
         assert len(rows) == 1 + spec.learning.meta_iterations
+        assert_learned(spec, out / "checkpoint.bin")
 
     def test_metrics_byte_identical_across_runs(self, tmp_path):
         spec_a = toy_spec(tmp_path, out_name="a")
@@ -166,7 +177,9 @@ class TestRun:
     def test_dmpg_and_mpg_trajectory_headers_match(self, tmp_path):
         headers = []
         for algo in ("mpg", "dmpg"):
-            run(toy_spec(tmp_path, out_name=algo, extra={("run", "algorithm"): algo}))
+            spec = toy_spec(tmp_path, out_name=algo, extra={("run", "algorithm"): algo})
+            run(spec)
+            assert_learned(spec, tmp_path / algo / "checkpoint.bin")
             with open(tmp_path / algo / "trajectories.csv") as fh:
                 headers.append(next(csv.reader(fh)))
         assert headers[0] == headers[1]
@@ -179,6 +192,7 @@ class TestRun:
         spec = toy_spec(tmp_path, out_name="pg", extra={("run", "algorithm"): "pg"})
         result = run(spec)
         assert len(result.iterations) == spec.learning.meta_iterations
+        assert_learned(spec, tmp_path / "pg" / "checkpoint.bin")
 
 
 class TestCli:
@@ -292,6 +306,7 @@ class TestCli:
         out = tmp_path / "run1"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         ckpt = out / "checkpoint.bin"
+        assert_learned(load_spec(cfg, environ={}), ckpt)
         out2 = tmp_path / "run2"
         assert main([
             "adapt", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -307,9 +322,8 @@ class TestCli:
         # without the baseline every step has a nonzero gradient; one rollout
         # of 2 slots gives rank-2 head updates, factored on the 8 x 8 head,
         # so the third step leaves one pending for the checkpoint to fold
-        text = TOY_CONFIG.replace("hidden_sizes = 8\n", "hidden_sizes = 8\nreward_baseline = false\n")
         cfg = tmp_path / "toy.cfg"
-        cfg.write_text(text.replace("inner_rollouts = 3\n", "inner_rollouts = 1\n"))
+        cfg.write_text(TOY_CONFIG.replace("inner_rollouts = 3\n", "inner_rollouts = 1\n"))
         out = tmp_path / "run1"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         before, _ = policy_net.load_params(out / "checkpoint.bin")
@@ -373,6 +387,19 @@ class TestCli:
                          "--out", str(tmp_path / "w")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "run.workers" in err
+        assert not (tmp_path / "w").exists()
+
+    def test_workers_above_the_bound_rejected_at_load(self, tmp_path, capsys, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was started")
+
+        monkeypatch.setattr(meta_rl, "ProcessPoolExecutor", no_pool)
+        cfg = self._write_toy(tmp_path)
+        for workers in ("257", "100000"):
+            assert main(["train", "--config", str(cfg), "--workers", workers,
+                         "--out", str(tmp_path / "w")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: run.workers must be in [1, 256], got {workers}\n"
         assert not (tmp_path / "w").exists()
 
     def test_eval_periods_below_one_rejected_before_training(self, tmp_path, capsys):
@@ -653,13 +680,9 @@ def partners(section, key, value):
 
 
 def probe_config(directory, section, key, value, others=None) -> Path:
-    """The toy config with `others` set and then `section.key = value`.
-
-    The toy's rollouts all serve every user, so the leave-one-out baseline
-    would zero each gradient; without it every step moves the policy by
-    the learning rates."""
+    """The toy config, whose steps all move the policy by the learning
+    rates, with `others` set and then `section.key = value`."""
     values = parse_config_text(TOY_CONFIG)
-    values["learning"]["reward_baseline"] = False
     for (s, k), v in (others or {}).items():
         values[s][k] = v
     path = Path(directory) / "probe.cfg"

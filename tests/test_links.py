@@ -1,9 +1,10 @@
-"""Property tests of the per-state link kernel.
+"""Property tests of the per-state link kernel and the link tables.
 
 The blockage kernel is checked against the dense sweep of `oracles` and
-against its own two stages, the rows of `env.slot_links` against the
-scalar `channel` predicates and against one direct `geometry.blocked` pass
-over the state's positions.
+against its own two stages; every flag of a link table against the
+plain-math flags of `oracles.free_links`; the rows of `env.slot_links`
+against the one-point `channel` entry points (`localized`, `link_budget`)
+and against one direct `geometry.blocked` pass over the state's positions.
 Geometry sits on a 1/4 m lattice, body radii on 1/8 m and body tops on odd
 multiples of 1/8 m, so sweeps on a 2**12 grid evaluate exactly and no drawn
 body top ties with a link endpoint.
@@ -13,13 +14,14 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_toy_scenario, reference_scenario
 from thzvlc import channel, env
-from thzvlc.geometry import BodyOccupancy, below_top, blocked, crossings
+from thzvlc.geometry import BodyOccupancy, Point3, below_top, blocked, crossings
 
 SAMPLES = 2**12
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -130,23 +132,60 @@ class TestKernelStages:
         assert np.array_equal(blocked(tx, rx, table), staged)
 
 
+def user_point(state, grid, user):
+    x, y = grid.cell_center(state.user_cells[user])
+    return Point3(x, y, state.user_heights[user])
+
+
+def rows(points):
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
+
+
 def direct_links(state, scenario):
     """(visible, h) from one `geometry.blocked` pass over the state's
-    positions and the scalar blockage-free predicates."""
+    positions and the plain-math flags of `oracles.free_links`."""
     units = scenario.vap_positions + scenario.sbs_positions
-    points = [env.user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
-    receivers = np.array([(p.x, p.y, p.z) for p in points])
+    points = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+    receivers = rows(points)
     bodies = np.column_stack((receivers, np.full(len(points), scenario.body_radius)))
-    hit = blocked(np.array([(p.x, p.y, p.z) for p in units]), receivers, bodies)
+    hit = blocked(rows(units), receivers, bodies)
     for j in range(len(points)):
         hit[:, j, j] = False
     clear = ~hit.any(axis=2)
-    all_sbs = list(scenario.sbs_positions)
-    fov = np.array([[channel.incidence_angle(vap, p) <= scenario.optics.fov_semi_angle_rad
-                     for p in points] for vap in scenario.vap_positions])
-    reach = np.array([[channel.budget_given_los(sbs, p, True, all_sbs, scenario.radio).tx_ok
-                       for p in points] for sbs in all_sbs])
-    return fov & clear[: scenario.num_vaps], reach & clear[scenario.num_vaps :]
+    ok = np.array([oracles.free_links(scenario, p) for p in points]).T & clear
+    return ok[: scenario.num_vaps], ok[scenario.num_vaps :]
+
+
+def assert_table_matches(scenario, heights, edges=False):
+    """Every flag of the link table of these heights equals
+    `oracles.free_links` at its point. With `edges`, a flag whose angle or
+    delay sits exactly on its bound in the package's own arithmetic, where
+    the plain-math oracle may round to either side, must pass instead, as
+    the bounds are inclusive, and so must the one-point entry points
+    `channel.localized` and `channel.link_budget` there."""
+    table = scenario.tables[1](tuple(heights))
+    assert table.shape == (len(heights), scenario.grid.num_cells, scenario.num_vaps + scenario.num_sbs)
+    fov, slot = scenario.optics.fov_semi_angle_rad, scenario.radio.slot_duration_s
+    stations = list(scenario.sbs_positions)
+    wrong = []
+    for j, height in enumerate(heights):
+        for c, (x, y) in enumerate(scenario.grid.cell_centers):
+            point = Point3(x, y, height)
+            want = oracles.free_links(scenario, point)
+            if edges:
+                for k, vap in enumerate(scenario.vap_positions):
+                    if channel.incidence_angle(rows([vap]), rows([point]))[0, 0] == fov:
+                        want[k] = True
+                        assert channel.localized(0, [point], [height], [vap] * 3, scenario.optics,
+                                                 scenario.body_radius)
+                for i, sbs in enumerate(stations):
+                    budget = channel.link_budget(sbs, point, [], stations, scenario.radio)
+                    if budget.delay_s == slot:
+                        want[scenario.num_vaps + i] = True
+                        assert budget.tx_ok
+            if table[j, c].tolist() != want:
+                wrong.append((j, c, table[j, c].tolist(), want))
+    assert wrong == []
 
 
 @st.composite
@@ -222,7 +261,8 @@ class TestCrossingTable:
 
 @st.composite
 def rooms(draw):
-    """A small scenario plus one state of it, sometimes with a user at a FOV edge."""
+    """A small scenario plus one state of it, sometimes with a user at the
+    FOV edge of a VAP or at the range edge of an SBS."""
     num_users = draw(st.integers(1, 5))
     vap_xy = draw(st.lists(st.tuples(lattice, lattice), min_size=3, max_size=5, unique=True))
     sbs_xy = draw(st.lists(st.tuples(lattice, lattice), min_size=1, max_size=3, unique=True))
@@ -241,9 +281,20 @@ def rooms(draw):
         # Open the FOV to exactly the angle of one VAP-user pair.
         k = draw(st.integers(0, len(vap_xy) - 1))
         j = draw(st.integers(0, num_users - 1))
-        edge = channel.incidence_angle(scenario.vap_positions[k], env.user_point(state, grid, j))
+        user = rows([user_point(state, grid, j)])
+        edge = channel.incidence_angle(rows([scenario.vap_positions[k]]), user)[0, 0]
         assume(0.0 < edge < math.pi / 2)
         scenario = dataclasses.replace(scenario, optics=channel.OpticsParams(edge))
+    if draw(st.booleans()):
+        # Give one clear SBS-user link exactly one slot to deliver.
+        i = draw(st.integers(0, len(sbs_xy) - 1))
+        j = draw(st.integers(0, num_users - 1))
+        stations = list(scenario.sbs_positions)
+        edge = channel.link_budget(stations[i], user_point(state, grid, j), [], stations, scenario.radio).delay_s
+        assume(0.0 < edge < math.inf)
+        scenario = dataclasses.replace(
+            scenario, radio=dataclasses.replace(scenario.radio, slot_duration_s=edge)
+        )
     return scenario, state
 
 
@@ -253,7 +304,7 @@ class TestSlotLinks:
     def test_rows_match_scalar_channel(self, room):
         scenario, state = room
         links = env.slot_links(state, scenario)
-        positions = [env.user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+        positions = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
         heights = list(state.user_heights)
         all_sbs = list(scenario.sbs_positions)
         for j, user in enumerate(positions):
@@ -276,7 +327,7 @@ class TestSlotLinks:
     def test_localization_is_an_and_of_rows(self, room):
         scenario, state = room
         links = env.slot_links(state, scenario)
-        positions = [env.user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+        positions = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
         vap_set = (0, 1, 2)
         selected = [scenario.vap_positions[k] for k in vap_set]
         want = [
@@ -285,6 +336,48 @@ class TestSlotLinks:
             for j in range(scenario.num_users)
         ]
         assert links.localized(vap_set).tolist() == want
+
+
+class TestLinkTable:
+    """Every flag of a link table against the plain-math oracle."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(1.4, 1.9), min_size=1, max_size=2))
+    def test_reference_room_matches_oracle(self, heights):
+        assert_table_matches(reference_scenario(), heights)
+
+    @pytest.mark.parametrize("keys", [{}, {"cells_per_side": 1}, {"cells_per_side": 6, "fov_deg": 40.0},
+                                      {"num_sbs": 1, "num_users": 1, "fov_deg": 20.0}])
+    def test_toy_rooms_match_oracle(self, keys):
+        assert_table_matches(make_toy_scenario(**keys), np.linspace(1.4, 1.9, 11).tolist())
+
+    @PROPERTY
+    @given(rooms())
+    def test_drawn_rooms_match_oracle(self, room):
+        scenario, state = room
+        assert_table_matches(scenario, state.user_heights, edges=True)
+
+    @PROPERTY
+    @given(crowded_rooms())
+    def test_crowded_rooms_match_oracle(self, room):
+        scenario, states = room
+        assert_table_matches(scenario, states[0].user_heights)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("freq", [math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0)])
+    def test_carrier_frequency_edges_match_oracle(self, freq):
+        """The ends of `radio.carrier_freq_hz`'s domain overflow the spreading
+        term to inf or zero: no warning, and no link delivers."""
+        scenario = make_toy_scenario()
+        scenario = dataclasses.replace(scenario, radio=dataclasses.replace(scenario.radio, carrier_freq_hz=freq))
+        heights = np.linspace(1.4, 1.9, 6).tolist()
+        assert_table_matches(scenario, heights)
+        assert not scenario.tables[1](tuple(heights))[:, :, scenario.num_vaps :].any()
+
+    def test_read_only(self, toy_scenario):
+        table = toy_scenario.tables[1]((1.5, 1.7))
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = not table[0, 0, 0]
 
 
 class TestNextCells:

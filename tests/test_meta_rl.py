@@ -474,6 +474,29 @@ class TestTraining:
         p2, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=3, workers=2)
         assert np.array_equal(p1.flat, p2.flat)
 
+    def test_pool_holds_at_most_one_worker_per_task(self, toy_scenario, monkeypatch):
+        # the stand-in pool records its size and runs the phases in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(meta_rl, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_cfg(meta_iterations=1, tasks_per_batch=3)
+        tasks = self._tasks(toy_scenario)
+        want, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=3, workers=1)
+        for workers in (2, 3, 4, 100_000):
+            got, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=3, workers=workers)
+            assert np.array_equal(got.flat, want.flat)
+        assert sizes == [2, 3, 3, 3]
+
     def test_baseline_pg_deterministic(self, toy_scenario):
         cfg = tiny_cfg()
         tasks = self._tasks(toy_scenario)
