@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import channel
-from .geometry import Point3, RoomGrid, below_top, crossings
+from .geometry import below_top, crossings
 from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
@@ -33,30 +33,29 @@ ORACLE_SEQUENCE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Immutable room, radio, optics and episode constants. Each key's own
-    domain is checked at load (`harness.SCHEMA`); this checks what ties
-    several keys together."""
+    """Immutable room, radio, optics and episode constants, each held once:
+    users walk on cells_per_side**2 equal cells of a square floor, under
+    VAPs and SBSs at their (x, y) on the ceiling. Each key's own domain is
+    checked at load (`harness.SCHEMA`); this checks what ties keys together."""
 
     room_side: float
     ceiling_z: float
-    vap_positions: tuple[Point3, ...]
-    sbs_positions: tuple[Point3, ...]
+    vap_positions: tuple[tuple[float, float], ...]
+    sbs_positions: tuple[tuple[float, float], ...]
     num_users: int
     user_height_range: tuple[float, float]
     body_radius: float
-    grid: RoomGrid
+    cells_per_side: int
     slots_per_period: int
     radio: RadioParams
     optics: OpticsParams
 
     def __post_init__(self):
         for key in ("vap_positions", "sbs_positions"):
-            for p in getattr(self, key):
-                if p.z != self.ceiling_z:
-                    raise ValueError(f"scenario.{key}: every unit must sit at scenario.ceiling, got z = {p.z!r}")
-                if not (0 <= p.x <= self.room_side and 0 <= p.y <= self.room_side):
+            for x, y in getattr(self, key):
+                if not (0 <= x <= self.room_side and 0 <= y <= self.room_side):
                     raise ValueError(
-                        f"scenario.{key}: ({p.x!r}, {p.y!r}) lies outside the "
+                        f"scenario.{key}: ({x!r}, {y!r}) lies outside the "
                         f"scenario.room_side = {self.room_side!r} m room"
                     )
         lo, hi = self.user_height_range
@@ -65,6 +64,18 @@ class ScenarioConfig:
                 "scenario.user_height_min <= scenario.user_height_max < scenario.ceiling must hold, "
                 f"got {lo!r}, {hi!r}, {self.ceiling_z!r}"
             )
+
+    @property
+    def num_cells(self) -> int:
+        return self.cells_per_side * self.cells_per_side
+
+    @cached_property
+    def cell_centers(self) -> tuple[tuple[float, float], ...]:
+        """(x, y) of every cell's centre: idx = iy * cells_per_side + ix,
+        centre ((ix + 0.5) * cell, (iy + 0.5) * cell)."""
+        n = self.cells_per_side
+        cell = self.room_side / n
+        return tuple(((ix + 0.5) * cell, (iy + 0.5) * cell) for iy in range(n) for ix in range(n))
 
     @cached_property
     def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], np.ndarray]]:
@@ -78,7 +89,7 @@ class ScenarioConfig:
         per user, and is read-only. A run keeps revisiting the same heights,
         as they are fixed per task; the bound keeps an evaluation over many
         fresh tasks from growing the cache without end. Pickles leave the
-        tables out.
+        tables out, and the cell centres too.
         """
         cross = _Crossings(self)
         link_table = partial(_link_table, cross, self.num_vaps, self.optics, self.radio)
@@ -87,6 +98,7 @@ class ScenarioConfig:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("tables", None)
+        state.pop("cell_centers", None)
         return state
 
     @property
@@ -98,15 +110,15 @@ class ScenarioConfig:
         return len(self.sbs_positions)
 
 
-def ring_positions(count: int, room_side: float, z: float, phase: float) -> tuple[Point3, ...]:
-    """One unit at the room center plus count-1 on a ring of radius side/3."""
+def ring_positions(count: int, room_side: float, phase: float) -> tuple[tuple[float, float], ...]:
+    """(x, y) of one unit at the room center plus count-1 on a ring of radius side/3."""
     cx = cy = room_side / 2.0
-    pts = [Point3(cx, cy, z)]
+    pts = [(cx, cy)]
     ring = count - 1
     radius = room_side / 3.0
     for i in range(ring):
         ang = phase + 2.0 * math.pi * i / ring
-        pts.append(Point3(cx + radius * math.cos(ang), cy + radius * math.sin(ang), z))
+        pts.append((cx + radius * math.cos(ang), cy + radius * math.sin(ang)))
     return tuple(pts[:count])
 
 
@@ -132,6 +144,12 @@ class MovementPattern:
     def cumulative(self) -> np.ndarray:
         """Running sums along each row, for drawing the next cell."""
         return np.cumsum(self.transition, axis=1)
+
+    @cached_property
+    def last_support(self) -> np.ndarray:
+        """Each row's last cell with positive probability."""
+        t = self.transition
+        return t.shape[1] - 1 - np.argmax(t[:, ::-1] > 0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -216,14 +234,14 @@ class Trajectory:
 
 
 def sample_task(
-    grid: RoomGrid, seed: int, concentration: float, locality_radius: int, task_id: int
+    cells_per_side: int, seed: int, concentration: float, locality_radius: int, task_id: int
 ) -> Task:
     """Draw a movement pattern: Dirichlet rows over Chebyshev-neighbor cells.
 
     locality_radius 0 yields the identity matrix (users never move).
     """
-    n = grid.cells_per_side
-    g = grid.num_cells
+    n = cells_per_side
+    g = n * n
     rng = np.random.default_rng(seed)
     matrix = np.zeros((g, g))
     for idx in range(g):
@@ -243,7 +261,7 @@ def sample_task(
 def reset(task: Task, scenario: ScenarioConfig) -> EnvState:
     """Initial state of a period; deterministic in the task seed."""
     rng = np.random.default_rng([task.rng_seed])
-    cells = rng.integers(0, scenario.grid.num_cells, scenario.num_users)
+    cells = rng.integers(0, scenario.num_cells, scenario.num_users)
     lo, hi = scenario.user_height_range
     heights = rng.uniform(lo, hi, scenario.num_users)
     return EnvState(
@@ -285,8 +303,8 @@ class _Crossings:
 
     def __init__(self, scenario: ScenarioConfig):
         units = scenario.vap_positions + scenario.sbs_positions
-        self.units = np.array([(p.x, p.y, p.z) for p in units])
-        self.centers = np.array(scenario.grid.cell_centers)
+        self.units = np.array([(x, y, scenario.ceiling_z) for x, y in units])
+        self.centers = np.array(scenario.cell_centers)
         self.radius = scenario.body_radius
         shape = (len(self.centers), len(units), len(self.centers))
         self.meets = np.zeros(shape, dtype=bool)
@@ -369,11 +387,11 @@ def next_cells(pattern: MovementPattern, cells, draws: np.ndarray) -> np.ndarray
     """One Markov transition for every user, from the users' uniform draws.
 
     Each user's next cell is the first whose running row sum exceeds its
-    draw (the last cell when rounding leaves the sum below it). `cells` and
+    draw (else the row's last cell of positive probability). `cells` and
     `draws` may carry leading row axes, one row per period.
     """
     cumulative = pattern.cumulative[cells]
-    return np.minimum((cumulative <= draws[..., None]).sum(axis=-1), cumulative.shape[-1] - 1)
+    return np.minimum((cumulative <= draws[..., None]).sum(axis=-1), pattern.last_support[cells])
 
 
 def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""3-D points, the room grid, and body blockage of ceiling-to-user links.
+"""The 3-D point of one-point link calls, and body blockage of ceiling-to-user links.
 
 A link is the open straight segment between a ceiling transmitter (VAP or
 SBS) and a user's receiver. Other users' bodies are vertical cylinders of
@@ -41,36 +41,6 @@ class BodyOccupancy:
             raise ValueError(f"BodyOccupancy.height must be > 0, got {self.height!r}")
         if self.radius < 0:
             raise ValueError(f"BodyOccupancy.radius must be >= 0, got {self.radius!r}")
-
-
-@dataclass(frozen=True)
-class RoomGrid:
-    """Square room divided into cells_per_side**2 equal cells.
-
-    Cell index convention: idx = iy * cells_per_side + ix, center at
-    ((ix + 0.5) * cell, (iy + 0.5) * cell).
-    """
-
-    room_side: float
-    cells_per_side: int
-    cell_centers: tuple[tuple[float, float], ...]
-
-    @property
-    def num_cells(self) -> int:
-        return self.cells_per_side * self.cells_per_side
-
-    def cell_center(self, idx: int) -> tuple[float, float]:
-        return self.cell_centers[idx]
-
-
-def make_grid(room_side: float, cells_per_side: int) -> RoomGrid:
-    cell = room_side / cells_per_side
-    centers = tuple(
-        ((ix + 0.5) * cell, (iy + 0.5) * cell)
-        for iy in range(cells_per_side)
-        for ix in range(cells_per_side)
-    )
-    return RoomGrid(room_side=room_side, cells_per_side=cells_per_side, cell_centers=centers)
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ from . import env, meta_rl, policy_net
 from .artifacts import atomic_open
 from .channel import dbm_per_hz_to_w_per_hz
 from .env import ScenarioConfig, Task
-from .geometry import Point3, make_grid
 from .meta_rl import LearningConfig
 
 ENV_PREFIX = "THZVLC_"
@@ -226,7 +225,7 @@ class ExperimentSpec:
         """A movement pattern drawn with the spec's [tasks] settings."""
         tk = self.values["tasks"]
         return env.sample_task(
-            self.scenario.grid,
+            self.scenario.cells_per_side,
             seed=seed,
             concentration=tk["concentration"],
             locality_radius=tk["locality_radius"],
@@ -310,16 +309,16 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
     sc = values["scenario"]
     rd = values["radio"]
 
-    def points_or_ring(key: str, count_key: str, phase: float) -> tuple[Point3, ...]:
+    def points_or_ring(key: str, count_key: str, phase: float) -> tuple[tuple[float, float], ...]:
         pts = sc[key]
         if pts is None:
-            return env.ring_positions(sc[count_key], sc["room_side"], sc["ceiling"], phase=phase)
+            return env.ring_positions(sc[count_key], sc["room_side"], phase=phase)
         count = SCHEMA["scenario"][count_key][2]
         if len(pts) not in count:
             raise ConfigError(
                 f"scenario.{key} must hold a number of points in {count}, as scenario.{count_key}, got {len(pts)}"
             )
-        return tuple(Point3(x, y, sc["ceiling"]) for x, y in pts)
+        return pts
 
     # keys named as RadioParams fields pass through; the noise is in dBm/Hz
     radio = env.RadioParams(
@@ -335,7 +334,7 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
             num_users=sc["num_users"],
             user_height_range=(sc["user_height_min"], sc["user_height_max"]),
             body_radius=sc["body_radius"],
-            grid=make_grid(sc["room_side"], sc["cells_per_side"]),
+            cells_per_side=sc["cells_per_side"],
             slots_per_period=sc["slots_per_period"],
             radio=radio,
             optics=env.OpticsParams(fov_semi_angle_rad=math.radians(values["optics"]["fov_semi_angle_deg"])),
@@ -412,7 +411,7 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
             for step in traj.steps:
                 newly = set(step.newly_served)
                 for j in range(scenario.num_users):
-                    cx, cy = scenario.grid.cell_center(step.state.user_cells[j])
+                    cx, cy = scenario.cell_centers[step.state.user_cells[j]]
                     sbs = step.action.assigned_sbs(j)
                     writer.writerow(
                         [

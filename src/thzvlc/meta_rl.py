@@ -293,16 +293,19 @@ def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase:
     return np.random.default_rng([master_seed, iteration, slot, task_id, phase])
 
 
-# One instance per distinct scenario in this process. A payload unpickled in
+# The scenario of this process's latest task phase. A payload unpickled in
 # a pool worker carries a fresh equal ScenarioConfig without its tables;
-# looked up here once per task phase, it is swapped for the first one seen,
-# so the link tables of earlier phases serve this one too.
-_SCENARIOS: dict[ScenarioConfig, ScenarioConfig] = {}
+# swapped here for the held one, it reuses the tables of the run's earlier
+# phases. Holding one only, a process releases each room as the next starts.
+_SCENARIO: ScenarioConfig | None = None
 
 
 def _run_task_phase(payload) -> TaskBatchResult:
+    global _SCENARIO
     (kind, scenario, cfg, task, params, master_seed, iteration, slot) = payload
-    scenario = _SCENARIOS.setdefault(scenario, scenario)
+    if scenario != _SCENARIO:
+        _SCENARIO = scenario
+    scenario = _SCENARIO
     rng_inner = _phase_rng(master_seed, iteration, slot, task.id, 0)
     inner = rollout_phase(kind, task, params, scenario, rng_inner, cfg.inner_rollouts)
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)

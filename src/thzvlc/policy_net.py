@@ -246,10 +246,10 @@ def init_params(layer_shapes: tuple[tuple[int, int], ...], seed: int) -> PolicyP
 
 def encode_state(state: EnvState, scenario: ScenarioConfig) -> np.ndarray:
     """Per-user (x, y, height) normalized to [0, 1], then the served bits."""
-    grid = scenario.grid
+    centers = scenario.cell_centers
     coords = np.empty(3 * scenario.num_users)
     for j, (cell, h) in enumerate(zip(state.user_cells, state.user_heights)):
-        cx, cy = grid.cell_center(cell)
+        cx, cy = centers[cell]
         coords[3 * j] = cx / scenario.room_side
         coords[3 * j + 1] = cy / scenario.room_side
         coords[3 * j + 2] = h / scenario.ceiling_z

@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from thzvlc import channel, env, harness
-from thzvlc.geometry import Point3, make_grid
 
 
 def reference_scenario(**keys):
@@ -39,12 +38,12 @@ def make_toy_scenario(
     return env.ScenarioConfig(
         room_side=room_side,
         ceiling_z=ceiling,
-        vap_positions=tuple(Point3(x, y, ceiling) for x, y in vap_xy),
-        sbs_positions=tuple(Point3(x, y, ceiling) for x, y in sbs_xy[:num_sbs]),
+        vap_positions=tuple(vap_xy),
+        sbs_positions=tuple(sbs_xy[:num_sbs]),
         num_users=num_users,
         user_height_range=(1.4, 1.9),
         body_radius=0.2,
-        grid=make_grid(room_side, cells_per_side),
+        cells_per_side=cells_per_side,
         slots_per_period=slots_per_period,
         radio=reference_scenario().radio,
         optics=channel.OpticsParams(fov_semi_angle_rad=math.radians(fov_deg)),

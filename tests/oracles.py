@@ -47,20 +47,29 @@ def distance(a, b):
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def ceiling_points(scenario, key):
+    """The scenario's `vap_positions` or `sbs_positions` as points at its
+    ceiling height."""
+    from thzvlc.geometry import Point3
+
+    return [Point3(x, y, scenario.ceiling_z) for x, y in getattr(scenario, key)]
+
+
 def free_links(scenario, point):
     """The flags of every ceiling unit's link to a receiver at `point`,
     blockage aside, VAPs then SBSs: the VAP lies inside the FOV; a clear
     THz link from the SBS delivers the image within the slot."""
     flags = []
-    for vap in scenario.vap_positions:
+    for vap in ceiling_points(scenario, "vap_positions"):
         dx, dy = vap.x - point.x, vap.y - point.y
         angle = math.atan2(math.sqrt(dx * dx + dy * dy), vap.z - point.z)
         flags.append(angle <= scenario.optics.fov_semi_angle_rad)
     radio = scenario.radio
     args = (radio.carrier_freq_hz, radio.absorption_per_m)
-    noise_w = noise([distance(s, point) for s in scenario.sbs_positions], radio.tx_power_w, *args,
+    stations = ceiling_points(scenario, "sbs_positions")
+    noise_w = noise([distance(s, point) for s in stations], radio.tx_power_w, *args,
                     radio.noise_density_w_per_hz, radio.bandwidth_hz)
-    for sbs in scenario.sbs_positions:
+    for sbs in stations:
         g = path_loss(distance(sbs, point), *args)
         d = delay(radio.image_size_bits, rate(g, noise_w, radio.tx_power_w, radio.bandwidth_hz))
         flags.append(d <= radio.slot_duration_s)
@@ -525,14 +534,15 @@ def grad_log_prob(params, encoding, action_index):
 
 def move(pattern, cells, rng):
     """Every user's next cell, one uniform draw per user in user order: the
-    first cell whose running row sum exceeds the draw, else the last."""
+    first cell whose running row sum exceeds the draw, else the row's last
+    cell with positive probability."""
     import numpy as np
 
-    last = pattern.transition.shape[1] - 1
     out = []
     for cell, u in zip(cells, rng.random(len(cells))):
-        running = np.cumsum(pattern.transition[cell])
-        out.append(min(int(np.searchsorted(running, u, side="right")), last))
+        row = pattern.transition[cell]
+        running = np.cumsum(row)
+        out.append(min(int(np.searchsorted(running, u, side="right")), int(np.flatnonzero(row)[-1])))
     return tuple(out)
 
 

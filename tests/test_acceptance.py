@@ -66,7 +66,7 @@ def adaptation_toy():
 
 def frozen_tasks(scenario, seeds):
     return [
-        env.sample_task(scenario.grid, seed=s, concentration=1.0, locality_radius=0, task_id=s) for s in seeds
+        env.sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=0, task_id=s) for s in seeds
     ]
 
 
@@ -76,7 +76,7 @@ def unseen_hard_tasks(scenario, count=ADAPT_UNSEEN_COUNT):
     space = env.enumerate_joint_actions(scenario)
     chosen = []
     for seed in range(300, 1000):
-        task = env.sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
+        task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
         best, _ = env.brute_force_oracle(task, scenario, 0)
         state = env.reset(task, scenario)
         links = env.slot_links(state, scenario)
@@ -253,7 +253,7 @@ def test_criterion_5_assignment_optimality():
     start = time.perf_counter()
     mismatches = 0
     for trial in range(200):
-        task = env.sample_task(scenario.grid, seed=7000 + trial, concentration=1.0, locality_radius=1,
+        task = env.sample_task(scenario.cells_per_side, seed=7000 + trial, concentration=1.0, locality_radius=1,
                                task_id=7000 + trial)
         real = env.sample_realization(task, scenario, 0)
         vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
@@ -355,7 +355,7 @@ def test_criterion_8_dmpg_scalability():
     # full-size dual-method run: 20 users, 7 VAPs, 7 SBSs, 3 slots
     big = reference_scenario(num_users=20)
     tasks = [
-        env.sample_task(big.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(10)
+        env.sample_task(big.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(10)
     ]
     cfg = reference_learning(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=5,
@@ -370,7 +370,7 @@ def test_criterion_8_dmpg_scalability():
     # paired per-iteration timing at 8 users on identical seeds and config
     mid = reference_scenario(num_users=8)
     mid_tasks = [
-        env.sample_task(mid.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(2)
+        env.sample_task(mid.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s) for s in range(2)
     ]
     pair_cfg = reference_learning(
         inner_lr=0.1, meta_lr=0.05, inner_rollouts=2, outer_rollouts=1,

@@ -141,7 +141,7 @@ class TestDualUpdate:
             assert dual_update(lambdas, counts, step).min() >= 0.0
 
     def test_validation(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         real = env.sample_realization(task, toy_scenario, 0)
         vaps = [(0, 1, 2)] * toy_scenario.slots_per_period
         for step in (0.0, -0.1):
@@ -193,7 +193,7 @@ class TestSlotAssign:
     def test_matched_pairs_always_feasible_links(self, toy_scenario):
         rng = np.random.default_rng(35)
         for _ in range(30):
-            cells = rng.integers(0, toy_scenario.grid.num_cells, 2)
+            cells = rng.integers(0, toy_scenario.num_cells, 2)
             state = self._state(toy_scenario, cells, heights=rng.uniform(1.4, 1.9, 2))
             links = env.slot_links(state, toy_scenario)
             sol = slot_assign(state, (0, 1, 3), links)
@@ -209,7 +209,7 @@ class TestSlotAssign:
         seen = set()
 
         @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-        @given(st.lists(st.integers(0, sc.grid.num_cells - 1), min_size=u, max_size=u),
+        @given(st.lists(st.integers(0, sc.num_cells - 1), min_size=u, max_size=u),
                st.lists(st.floats(1.4, 1.9), min_size=u, max_size=u),
                st.lists(st.booleans(), min_size=u, max_size=u),
                st.sampled_from(vap_sets))
@@ -253,7 +253,7 @@ def period_tables(scenario, task, vap_sequence, realization):
 class TestSolvePeriodAssociation:
     def test_single_slot_reduces_to_hungarian(self, toy_scenario):
         sc = make_toy_scenario(slots_per_period=1)
-        task = env.sample_task(sc.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
+        task = env.sample_task(sc.cells_per_side, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         real = env.sample_realization(task, sc, 0)
         per_slot = solve_period_association([(0, 1, 2)], real, sc, dual_iters=5)
         assert len(per_slot) == 1
@@ -265,7 +265,7 @@ class TestSolvePeriodAssociation:
         sc = make_toy_scenario(num_users=3, slots_per_period=2)
         rng = np.random.default_rng(36)
         for seed in range(20):
-            task = env.sample_task(sc.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
+            task = env.sample_task(sc.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             real = env.sample_realization(task, sc, 0)
             vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]
             per_slot = solve_period_association(vaps, real, sc, dual_iters=20)
@@ -275,7 +275,7 @@ class TestSolvePeriodAssociation:
         sc = make_toy_scenario(num_users=3, slots_per_period=2)
         rng = np.random.default_rng(37)
         for seed in range(40):
-            task = env.sample_task(sc.grid, seed=100 + seed, concentration=1.0, locality_radius=1,
+            task = env.sample_task(sc.cells_per_side, seed=100 + seed, concentration=1.0, locality_radius=1,
                                    task_id=100 + seed)
             real = env.sample_realization(task, sc, 0)
             vaps = [tuple(sorted(rng.choice(4, 3, replace=False))) for _ in range(2)]

@@ -143,7 +143,7 @@ class TestNoisePower:
     def test_seven_sbs_against_oracle(self, default_radio):
         from thzvlc.env import ring_positions
 
-        stations = list(ring_positions(7, 6.0, 3.0, phase=math.pi / 6))
+        stations = [Point3(x, y, 3.0) for x, y in ring_positions(7, 6.0, phase=math.pi / 6)]
         user = Point3(3, 3, 1.6)
         got = noise_at(user, stations, default_radio)
         want = oracles.noise(

@@ -37,7 +37,7 @@ class TestDmpgStep:
         decode = vap_decoder(actions)
         for seed in seeds:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
-            task = env.sample_task(scenario.grid, seed=seed, concentration=1.0,
+            task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0,
                                    locality_radius=locality_radius, task_id=seed)
             for traj in rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2):
                 yield actions, traj
@@ -60,7 +60,7 @@ class TestDmpgStep:
     def test_reward_bounded_by_joint_oracle(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
         for seed in range(5):
-            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
+            task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
             best, _ = env.brute_force_oracle(task, toy_scenario, 0)
             real = env.sample_realization(task, toy_scenario, 0)
             params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=seed)
@@ -82,7 +82,7 @@ class TestRolloutVap:
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=0)
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(6):
-            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
+            task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
@@ -98,7 +98,7 @@ class TestRolloutVap:
         params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=3)
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(8):
-            task = env.sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
+            task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
             served = set()
             for step in traj.steps:
@@ -114,7 +114,7 @@ class TestTrainDmpg:
             meta_iterations=3, tasks_per_batch=2, hidden_sizes=(8,),
         )
         tasks = [
-            env.sample_task(toy_scenario.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s)
+            env.sample_task(toy_scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s)
             for s in range(3)
         ]
         p1, m1 = meta_train(cfg, toy_scenario, tasks, "dmpg", master_seed=5, workers=1)
@@ -130,6 +130,6 @@ class TestTrainDmpg:
             inner_rollouts=2, outer_rollouts=2, meta_iterations=1,
             tasks_per_batch=1, hidden_sizes=(8,),
         )
-        tasks = [env.sample_task(sc.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)]
+        tasks = [env.sample_task(sc.cells_per_side, seed=0, concentration=1.0, locality_radius=0, task_id=0)]
         params, _ = meta_train(cfg, sc, tasks, "dmpg", master_seed=0, workers=1)
         assert params.action_count == comb(sc.num_vaps, 3)

@@ -25,7 +25,7 @@ from thzvlc.env import (
 
 
 def identity_task(scenario, seed=0):
-    return sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
+    return sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=0, task_id=seed)
 
 
 def make_state(scenario, cells, heights=None, served=None, slot=0):
@@ -53,26 +53,50 @@ class TestScenarioHash:
         assert "tables" not in moved.__dict__ and moved != scenario
 
 
+    @pytest.mark.parametrize("cells_per_side", [6, 32])
+    def test_pickles_carry_no_cache(self, cells_per_side):
+        scenario = reference_scenario(cells_per_side=cells_per_side)
+        before = pickle.dumps(scenario)
+        task = sample_task(cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        env.slot_links(reset(task, scenario), scenario)
+        assert {"tables", "cell_centers"} <= set(scenario.__dict__)
+        assert pickle.dumps(scenario) == before
+
+
+class TestScenarioCells:
+    def test_centers_inside(self):
+        scenario = make_toy_scenario(cells_per_side=6)
+        assert scenario.num_cells == 36
+        for cx, cy in scenario.cell_centers:
+            assert 0 < cx < 6 and 0 < cy < 6
+
+    def test_index_convention(self):
+        scenario = make_toy_scenario(cells_per_side=3)
+        assert scenario.cell_centers[0] == (1.0, 1.0)
+        assert scenario.cell_centers[1] == (3.0, 1.0)
+        assert scenario.cell_centers[3] == (1.0, 3.0)
+
+
 class TestSampleTask:
     def test_locality_zero_is_identity(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=5, concentration=1.0, locality_radius=0, task_id=5)
-        assert np.array_equal(task.pattern.transition, np.eye(toy_scenario.grid.num_cells))
+        task = sample_task(toy_scenario.cells_per_side, seed=5, concentration=1.0, locality_radius=0, task_id=5)
+        assert np.array_equal(task.pattern.transition, np.eye(toy_scenario.num_cells))
 
     def test_rows_are_stochastic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=9, concentration=0.5, locality_radius=1, task_id=9)
+        task = sample_task(toy_scenario.cells_per_side, seed=9, concentration=0.5, locality_radius=1, task_id=9)
         sums = task.pattern.transition.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_deterministic_in_seed(self, toy_scenario):
-        a = sample_task(toy_scenario.grid, seed=42, concentration=1.0, locality_radius=1, task_id=42)
-        b = sample_task(toy_scenario.grid, seed=42, concentration=1.0, locality_radius=1, task_id=42)
+        a = sample_task(toy_scenario.cells_per_side, seed=42, concentration=1.0, locality_radius=1, task_id=42)
+        b = sample_task(toy_scenario.cells_per_side, seed=42, concentration=1.0, locality_radius=1, task_id=42)
         assert np.array_equal(a.pattern.transition, b.pattern.transition)
 
     def test_locality_limits_support(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
-        n = toy_scenario.grid.cells_per_side
+        task = sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        n = toy_scenario.cells_per_side
         t = task.pattern.transition
-        for idx in range(toy_scenario.grid.num_cells):
+        for idx in range(toy_scenario.num_cells):
             ix, iy = idx % n, idx // n
             for jdx in np.nonzero(t[idx])[0]:
                 jx, jy = jdx % n, jdx // n
@@ -139,7 +163,7 @@ class TestStep:
             step(state, action, identity_task(toy_scenario), toy_scenario)
 
     def test_default_rng_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=8, concentration=1.0, locality_radius=1, task_id=8)
+        task = sample_task(toy_scenario.cells_per_side, seed=8, concentration=1.0, locality_radius=1, task_id=8)
         state = reset(task, toy_scenario)
         action = enumerate_joint_actions(toy_scenario)[3]
         a1 = step(state, action, task, toy_scenario)
@@ -148,7 +172,7 @@ class TestStep:
 
     def test_served_monotone_within_period(self, toy_scenario):
         rng = np.random.default_rng(21)
-        task = sample_task(toy_scenario.grid, seed=4, concentration=1.0, locality_radius=1, task_id=4)
+        task = sample_task(toy_scenario.cells_per_side, seed=4, concentration=1.0, locality_radius=1, task_id=4)
         space = enumerate_joint_actions(toy_scenario)
         for _ in range(20):
             state = reset(task, toy_scenario)
@@ -205,7 +229,7 @@ class TestPeriodReliability:
 
     def test_sum_matches_final_popcount(self, toy_scenario):
         rng = np.random.default_rng(22)
-        task = sample_task(toy_scenario.grid, seed=2, concentration=1.0, locality_radius=1, task_id=2)
+        task = sample_task(toy_scenario.cells_per_side, seed=2, concentration=1.0, locality_radius=1, task_id=2)
         space = enumerate_joint_actions(toy_scenario)
         cfg = reference_learning(hidden_sizes=(8,))
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)
@@ -291,7 +315,7 @@ class TestJointActionValidation:
 class TestBruteForceOracle:
     def test_single_slot_existence(self):
         sc = make_toy_scenario(slots_per_period=1)
-        task = sample_task(sc.grid, seed=1, concentration=1.0, locality_radius=0, task_id=1)
+        task = sample_task(sc.cells_per_side, seed=1, concentration=1.0, locality_radius=0, task_id=1)
         best, seq = brute_force_oracle(task, sc, 0)
         assert len(seq) == 1
         state = reset(task, sc)
@@ -301,7 +325,7 @@ class TestBruteForceOracle:
 
     def test_reward_bound(self, toy_scenario):
         for seed in range(4):
-            task = sample_task(toy_scenario.grid, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
+            task = sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
             best, _ = brute_force_oracle(task, toy_scenario, 0)
             assert 0 <= best <= min(
                 toy_scenario.num_users,
@@ -309,26 +333,26 @@ class TestBruteForceOracle:
             )
 
     def test_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=6, concentration=1.0, locality_radius=1, task_id=6)
+        task = sample_task(toy_scenario.cells_per_side, seed=6, concentration=1.0, locality_radius=1, task_id=6)
         assert brute_force_oracle(task, toy_scenario, 0) == brute_force_oracle(task, toy_scenario, 0)
 
     def test_frozen_regression_value(self):
         # exhaustively computed once and pinned; a change here means the
         # world model changed
         sc = make_toy_scenario(fov_deg=70.0)
-        task = sample_task(sc.grid, seed=10, concentration=1.0, locality_radius=0, task_id=10)
+        task = sample_task(sc.cells_per_side, seed=10, concentration=1.0, locality_radius=0, task_id=10)
         best, seq = brute_force_oracle(task, sc, 0)
         assert best == 2
         assert [a.vap_set for a in seq] == [(0, 2, 3), (1, 2, 3)]
 
     def test_guard(self):
         sc = make_toy_scenario(slots_per_period=12)
-        task = sample_task(sc.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
+        task = sample_task(sc.cells_per_side, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         with pytest.raises(ValueError, match="guard"):
             brute_force_oracle(task, sc, 0)
 
     def test_oracle_beats_random_play(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=7, concentration=1.0, locality_radius=0, task_id=7)
+        task = sample_task(toy_scenario.cells_per_side, seed=7, concentration=1.0, locality_radius=0, task_id=7)
         best, seq = brute_force_oracle(task, toy_scenario, 0)
         real = env.sample_realization(task, toy_scenario, 0)
         # replay the winning sequence and confirm the claimed reward
@@ -356,7 +380,7 @@ class TestBruteForceOracle:
 
 class TestRealization:
     def test_deterministic(self, toy_scenario):
-        task = sample_task(toy_scenario.grid, seed=13, concentration=1.0, locality_radius=1, task_id=13)
+        task = sample_task(toy_scenario.cells_per_side, seed=13, concentration=1.0, locality_radius=1, task_id=13)
         a = env.sample_realization(task, toy_scenario, 5)
         b = env.sample_realization(task, toy_scenario, 5)
         assert a == b

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear, make_grid
+from thzvlc.geometry import BodyOccupancy, Point3, distance, los_clear
 
 
 def body(cx, cy, height, radius=0.2):
@@ -140,19 +140,7 @@ class TestSweepEquivalence:
             assert got == want
 
 
-class TestRoomGrid:
-    def test_centers_inside(self):
-        grid = make_grid(6.0, 6)
-        assert grid.num_cells == 36
-        for cx, cy in grid.cell_centers:
-            assert 0 < cx < 6 and 0 < cy < 6
-
-    def test_index_convention(self):
-        grid = make_grid(6.0, 3)
-        assert grid.cell_center(0) == (1.0, 1.0)
-        assert grid.cell_center(1) == (3.0, 1.0)
-        assert grid.cell_center(3) == (1.0, 3.0)
-
+class TestValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             BodyOccupancy(center_xy=(0, 0), height=0.0, radius=0.1)

@@ -64,6 +64,15 @@ SIMULATE = {
     "readme_dmpg": (README_DMPG, "9be94bf263fe9cad424e42cb21d95a442498ccea846047e169b43608cf5a3d70"),
 }
 
+# (config_hash, scenario_hash) of each config, as a checkpoint records them;
+# the empty config is the reference room
+IDENTITY = {
+    "toy_mpg": (TOY_MPG, "3f2c4c7345524355", "e7299b1749abb203"),
+    "readme_dmpg": (README_DMPG, "ab770f96390aafb6", "2eae577672a82f51"),
+    "toy_mpg_learning": (TOY_MPG_LEARNING, "0573ec9eb71f5ffa", "e7299b1749abb203"),
+    "empty": ("", "23cd08b5bf0c0b86", "2eae577672a82f51"),
+}
+
 CHECKPOINTS = {
     "toy_mpg_learning": "ad3dcf7c6e9c92fa35639cb5435410b9e4a1bdafe2f3057d75cc52973c935966",
 }
@@ -90,6 +99,15 @@ def test_golden_run_digests(name, tmp_path, capsys):
         data = _rounded_payload(out / f) if f == "checkpoint.bin" else (out / f).read_bytes()
         digest[f] = hashlib.sha256(data).hexdigest()
     assert digest == expected
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY))
+def test_config_identity_hashes(name, tmp_path):
+    text, config_hash, scenario_hash = IDENTITY[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    spec = harness.load_spec(cfg, environ={})
+    assert (spec.config_hash, spec.scenario_hash) == (config_hash, scenario_hash)
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE))

@@ -279,7 +279,7 @@ class TestCli:
     def test_cells_per_side_bound_itself_loads(self):
         bound = harness.SCHEMA["scenario"]["cells_per_side"][2].hi
         spec = harness.load_spec(None, environ={}, overrides={("scenario", "cells_per_side"): bound})
-        assert spec.scenario.grid.num_cells == bound * bound
+        assert spec.scenario.num_cells == bound * bound
 
     def test_removed_meta_order_key_refused(self, tmp_path, capsys, monkeypatch):
         # the meta update is first-order only; the old selector key is unknown now
@@ -367,7 +367,7 @@ class TestCli:
         assert main(["oracle", "--config", str(cfg), "--task-seed", "5"]) == 0
         text = capsys.readouterr().out
         spec = load_spec(cfg, environ={})
-        task = env.sample_task(spec.scenario.grid, seed=5, concentration=1.0, locality_radius=1, task_id=5)
+        task = env.sample_task(spec.scenario.cells_per_side, seed=5, concentration=1.0, locality_radius=1, task_id=5)
         best, _ = env.brute_force_oracle(task, spec.scenario, 0)
         assert f"oracle optimum: {best}" in text
 

@@ -12,6 +12,7 @@ body top ties with a link endpoint.
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -132,8 +133,8 @@ class TestKernelStages:
         assert np.array_equal(blocked(tx, rx, table), staged)
 
 
-def user_point(state, grid, user):
-    x, y = grid.cell_center(state.user_cells[user])
+def user_point(state, scenario, user):
+    x, y = scenario.cell_centers[state.user_cells[user]]
     return Point3(x, y, state.user_heights[user])
 
 
@@ -144,8 +145,8 @@ def rows(points):
 def direct_links(state, scenario):
     """(visible, h) from one `geometry.blocked` pass over the state's
     positions and the plain-math flags of `oracles.free_links`."""
-    units = scenario.vap_positions + scenario.sbs_positions
-    points = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+    units = oracles.ceiling_points(scenario, "vap_positions") + oracles.ceiling_points(scenario, "sbs_positions")
+    points = [user_point(state, scenario, j) for j in range(scenario.num_users)]
     receivers = rows(points)
     bodies = np.column_stack((receivers, np.full(len(points), scenario.body_radius)))
     hit = blocked(rows(units), receivers, bodies)
@@ -164,16 +165,16 @@ def assert_table_matches(scenario, heights, edges=False):
     the bounds are inclusive, and so must the one-point entry points
     `channel.localized` and `channel.link_budget` there."""
     table = scenario.tables[1](tuple(heights))
-    assert table.shape == (len(heights), scenario.grid.num_cells, scenario.num_vaps + scenario.num_sbs)
+    assert table.shape == (len(heights), scenario.num_cells, scenario.num_vaps + scenario.num_sbs)
     fov, slot = scenario.optics.fov_semi_angle_rad, scenario.radio.slot_duration_s
-    stations = list(scenario.sbs_positions)
+    stations = oracles.ceiling_points(scenario, "sbs_positions")
     wrong = []
     for j, height in enumerate(heights):
-        for c, (x, y) in enumerate(scenario.grid.cell_centers):
+        for c, (x, y) in enumerate(scenario.cell_centers):
             point = Point3(x, y, height)
             want = oracles.free_links(scenario, point)
             if edges:
-                for k, vap in enumerate(scenario.vap_positions):
+                for k, vap in enumerate(oracles.ceiling_points(scenario, "vap_positions")):
                     if channel.incidence_angle(rows([vap]), rows([point]))[0, 0] == fov:
                         want[k] = True
                         assert channel.localized(0, [point], [height], [vap] * 3, scenario.optics,
@@ -193,7 +194,7 @@ def crowded_rooms(draw):
     """A scenario whose units may sit directly above cell centres, plus
     states of it whose users crowd into a few cells."""
     cells_per_side = draw(st.sampled_from((1, 2, 3, 4, 6)))
-    grid_centers = make_toy_scenario(cells_per_side=cells_per_side).grid.cell_centers
+    grid_centers = make_toy_scenario(cells_per_side=cells_per_side).cell_centers
     unit_xy = st.one_of(st.tuples(lattice, lattice), st.sampled_from(grid_centers))
     vap_xy = draw(st.lists(unit_xy, min_size=3, max_size=5, unique=True))
     sbs_xy = draw(st.lists(unit_xy, min_size=1, max_size=3, unique=True))
@@ -247,7 +248,7 @@ class TestCrossingTable:
     def test_first_slot_fills_only_its_users_rows(self):
         # 400 cells: the full table would be 14 x 400 x 400 entries (38 MB)
         scenario = reference_scenario(cells_per_side=20)
-        task = env.sample_task(scenario.grid, seed=3, concentration=1.0, locality_radius=1, task_id=3)
+        task = env.sample_task(scenario.cells_per_side, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         state = env.reset(task, scenario)
         state = dataclasses.replace(state, user_cells=state.user_cells[:-2] + state.user_cells[:2])
         links = env.slot_links(state, scenario)
@@ -273,24 +274,23 @@ def rooms(draw):
     scenario = dataclasses.replace(
         scenario, radio=dataclasses.replace(scenario.radio, bandwidth_hz=bandwidth)
     )
-    grid = scenario.grid
-    cells = tuple(draw(st.lists(st.integers(0, grid.num_cells - 1), min_size=num_users, max_size=num_users)))
+    cells = tuple(draw(st.lists(st.integers(0, scenario.num_cells - 1), min_size=num_users, max_size=num_users)))
     heights = tuple(draw(st.lists(st.floats(1.4, 1.9), min_size=num_users, max_size=num_users)))
     state = env.EnvState(user_cells=cells, user_heights=heights, served=(False,) * num_users, slot_index=0)
     if draw(st.booleans()):
         # Open the FOV to exactly the angle of one VAP-user pair.
         k = draw(st.integers(0, len(vap_xy) - 1))
         j = draw(st.integers(0, num_users - 1))
-        user = rows([user_point(state, grid, j)])
-        edge = channel.incidence_angle(rows([scenario.vap_positions[k]]), user)[0, 0]
+        user = rows([user_point(state, scenario, j)])
+        edge = channel.incidence_angle(rows([oracles.ceiling_points(scenario, "vap_positions")[k]]), user)[0, 0]
         assume(0.0 < edge < math.pi / 2)
         scenario = dataclasses.replace(scenario, optics=channel.OpticsParams(edge))
     if draw(st.booleans()):
         # Give one clear SBS-user link exactly one slot to deliver.
         i = draw(st.integers(0, len(sbs_xy) - 1))
         j = draw(st.integers(0, num_users - 1))
-        stations = list(scenario.sbs_positions)
-        edge = channel.link_budget(stations[i], user_point(state, grid, j), [], stations, scenario.radio).delay_s
+        stations = oracles.ceiling_points(scenario, "sbs_positions")
+        edge = channel.link_budget(stations[i], user_point(state, scenario, j), [], stations, scenario.radio).delay_s
         assume(0.0 < edge < math.inf)
         scenario = dataclasses.replace(
             scenario, radio=dataclasses.replace(scenario.radio, slot_duration_s=edge)
@@ -304,11 +304,11 @@ class TestSlotLinks:
     def test_rows_match_scalar_channel(self, room):
         scenario, state = room
         links = env.slot_links(state, scenario)
-        positions = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+        positions = [user_point(state, scenario, j) for j in range(scenario.num_users)]
         heights = list(state.user_heights)
-        all_sbs = list(scenario.sbs_positions)
+        all_sbs = oracles.ceiling_points(scenario, "sbs_positions")
         for j, user in enumerate(positions):
-            for k, vap in enumerate(scenario.vap_positions):
+            for k, vap in enumerate(oracles.ceiling_points(scenario, "vap_positions")):
                 want = channel.localized(
                     j, positions, heights, [vap] * 3, scenario.optics, scenario.body_radius
                 )
@@ -327,9 +327,9 @@ class TestSlotLinks:
     def test_localization_is_an_and_of_rows(self, room):
         scenario, state = room
         links = env.slot_links(state, scenario)
-        positions = [user_point(state, scenario.grid, j) for j in range(scenario.num_users)]
+        positions = [user_point(state, scenario, j) for j in range(scenario.num_users)]
         vap_set = (0, 1, 2)
-        selected = [scenario.vap_positions[k] for k in vap_set]
+        selected = [oracles.ceiling_points(scenario, "vap_positions")[k] for k in vap_set]
         want = [
             channel.localized(j, positions, list(state.user_heights), selected, scenario.optics,
                               scenario.body_radius)
@@ -381,17 +381,32 @@ class TestLinkTable:
 
 
 class TestNextCells:
+    def test_fallback_stays_in_the_row_support(self):
+        # Row 0 reaches cells 0, 1 and 3 and sums to 1 - 5e-10, inside
+        # MovementPattern's tolerance: a draw above its total falls back to
+        # cell 3, its last cell with positive probability, not to cell 8.
+        matrix = np.eye(9)
+        matrix[0] = 0.0
+        matrix[0, [0, 1, 3]] = (0.25, 0.25, 0.5 - 5e-10)
+        pattern = env.MovementPattern(matrix)
+        draw = 1.0 - 1e-10
+        assert pattern.cumulative[0, -1] < draw
+        assert env.next_cells(pattern, [0], np.array([draw])).tolist() == [3]
+        assert env.next_cells(pattern, np.array([[0, 4]]), np.array([[draw, draw]])).tolist() == [[3, 4]]
+        fixed = types.SimpleNamespace(random=lambda n: np.full(n, draw))
+        assert oracles.move(pattern, (0, 4), fixed) == (3, 4)
+
     @PROPERTY
     @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 2))
     def test_matches_per_row_cumsum(self, seed, cells_per_side, locality):
-        grid = make_toy_scenario(cells_per_side=cells_per_side).grid
-        task = env.sample_task(grid, seed, concentration=0.3, locality_radius=locality, task_id=seed)
+        task = env.sample_task(cells_per_side, seed, concentration=0.3, locality_radius=locality, task_id=seed)
         rng = np.random.default_rng(seed)
-        cells = tuple(int(c) for c in rng.integers(0, grid.num_cells, 8))
+        cells = tuple(int(c) for c in rng.integers(0, cells_per_side**2, 8))
         got = env.sample_next_cells(task.pattern, cells, np.random.default_rng([seed, 1]))
         draws = np.random.default_rng([seed, 1]).random(len(cells))
         want = []
         for c, u in zip(cells, draws):
             cum = np.cumsum(task.pattern.transition[c])
-            want.append(int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1)))
+            last = np.flatnonzero(task.pattern.transition[c])[-1]
+            want.append(int(min(np.searchsorted(cum, u, side="right"), last)))
         assert got == tuple(want)

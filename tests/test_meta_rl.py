@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -81,14 +83,14 @@ class TestCollectTrajectories:
     """`rollout_joint(..., count)`: one phase's rollouts of one task."""
 
     def test_count_zero(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
         out = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 0)
         assert out == []
 
     def test_horizon(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
         trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3)
@@ -96,7 +98,7 @@ class TestCollectTrajectories:
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
     def test_point_mass_deterministic_env_identical(self, toy_scenario):
-        task = env.sample_task(toy_scenario.grid, seed=2, concentration=1.0, locality_radius=0, task_id=2)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=2, concentration=1.0, locality_radius=0, task_id=2)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
         trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5)
@@ -146,7 +148,7 @@ class TestLockstep:
     @given(lockstep_cases(), st.sampled_from((0, 1)), st.integers(0, 9))
     def test_phase_equals_sequential_rollouts(self, case, locality, count):
         kind, scenario, params, seed = case
-        task = env.sample_task(scenario.grid, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
+        task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count)
         decode = meta_rl.policy_head(kind, scenario).decode
@@ -160,7 +162,7 @@ class TestLockstep:
         # tasks from a pool of four (moving and static), repeats allowed, one rng per row
         kind, scenario, params, seed = case
         pool = [
-            env.sample_task(scenario.grid, seed=seed + i, concentration=1.0, locality_radius=i % 2, task_id=i)
+            env.sample_task(scenario.cells_per_side, seed=seed + i, concentration=1.0, locality_radius=i % 2, task_id=i)
             for i in range(4)
         ]
         tasks = [pool[i] for i in picks]
@@ -185,7 +187,7 @@ class TestLockstep:
 
     def test_uniforms_must_match_the_batch(self, toy_scenario):
         params = meta_rl.new_policy("mpg", toy_scenario, reference_learning(hidden_sizes=(4,)), 0)
-        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=1, task_id=0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
         decode = meta_rl.policy_head("mpg", toy_scenario).decode
         uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
         with pytest.raises(ValueError, match="uniforms"):
@@ -373,7 +375,7 @@ class TestMetaUpdate:
             inner_lr=0.1, meta_lr=0.1, inner_rollouts=3, outer_rollouts=3,
             reward_baseline=False, hidden_sizes=(8,),
         )
-        task = env.sample_task(toy_scenario.grid, seed=3, concentration=1.0, locality_radius=0, task_id=3)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=3, concentration=1.0, locality_radius=0, task_id=3)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=0)
         rng = np.random.default_rng(1)
@@ -411,7 +413,7 @@ class TestMetaUpdate:
 class TestAdapt:
     def test_zero_steps(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
-        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=0, task_id=0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=0, task_id=0)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         out, curve = adapt(params, task, 0, cfg, toy_scenario, kind="mpg", master_seed=0)
         assert curve == []
@@ -419,7 +421,7 @@ class TestAdapt:
 
     def test_curve_length(self, toy_scenario):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2, hidden_sizes=(8,))
-        task = env.sample_task(toy_scenario.grid, seed=0, concentration=1.0, locality_radius=1, task_id=0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         _, curve = adapt(params, task, 4, cfg, toy_scenario, kind="mpg", master_seed=0)
         assert len(curve) == 4
@@ -437,7 +439,7 @@ def tiny_cfg(**kw):
 class TestTraining:
     def _tasks(self, scenario, n=3):
         return [
-            env.sample_task(scenario.grid, seed=s, concentration=1.0, locality_radius=1, task_id=s)
+            env.sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s)
             for s in range(n)
         ]
 
@@ -508,7 +510,7 @@ class TestTraining:
 
     def test_baseline_pg_converges_near_oracle_on_fixed_task(self):
         sc = make_toy_scenario(fov_deg=70.0)
-        task = env.sample_task(sc.grid, seed=10, concentration=1.0, locality_radius=0, task_id=10)
+        task = env.sample_task(sc.cells_per_side, seed=10, concentration=1.0, locality_radius=0, task_id=10)
         best, _ = env.brute_force_oracle(task, sc, 0)
         cfg = reference_learning(
             inner_lr=0.1, meta_lr=0.05, inner_rollouts=10, outer_rollouts=10,
@@ -521,7 +523,7 @@ class TestTraining:
     def test_meta_training_beats_plain_pg_on_rotating_stream(self):
         sc = make_toy_scenario(fov_deg=70.0)
         tasks = [
-            env.sample_task(sc.grid, seed=s, concentration=1.0, locality_radius=0, task_id=s)
+            env.sample_task(sc.cells_per_side, seed=s, concentration=1.0, locality_radius=0, task_id=s)
             for s in (10, 15, 2, 13, 17)
         ]
         cfg = reference_learning(
@@ -655,7 +657,7 @@ class TestChainedUpdates:
         # head 8 x 16: factors fit up to rank 5, and a step has up to 2 * rollouts rows
         cfg = reference_learning(inner_lr=0.5, inner_rollouts=inner_rollouts, reward_baseline=False,
                              hidden_sizes=(16,))
-        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         decode = meta_rl.policy_head("mpg", toy_scenario).decode
 
@@ -702,10 +704,10 @@ class TestScenarioInterning:
     def test_task_phase_compares_scenarios_at_most_once(self, toy_scenario, monkeypatch):
         # as in a pool worker: every payload unpickles a fresh, equal scenario
         cfg = tiny_cfg()
-        task = env.sample_task(toy_scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
         payload = pickle.dumps(("mpg", toy_scenario, cfg, task, params, 0, 0, 0))
-        monkeypatch.setattr(meta_rl, "_SCENARIOS", {})
+        monkeypatch.setattr(meta_rl, "_SCENARIO", None)
         compares = []
         original = env.ScenarioConfig.__eq__
 
@@ -722,13 +724,27 @@ class TestScenarioInterning:
             assert np.array_equal(again.gradient.dense(), first.gradient.dense())
 
 
+    def test_training_a_second_room_releases_the_first(self):
+        # room sides no other test uses, so the held scenario is one of these
+        rooms = [make_toy_scenario(num_users=u, room_side=5.5) for u in (2, 3)]
+        for scenario in rooms:
+            tasks = [env.sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1,
+                                     task_id=s) for s in range(2)]
+            meta_train(tiny_cfg(), scenario, tasks, "mpg", master_seed=0, workers=1)
+        first, second = (weakref.ref(s) for s in rooms)
+        del rooms, scenario
+        gc.collect()
+        assert first() is None
+        assert second() is not None
+
+
 class TestTaskPhaseResult:
     def test_result_is_far_smaller_than_the_policy(self):
         # the 4-user joint head (29,400 actions, 1.9 M parameters): a task
         # sends back its outer gradient and rollouts, never a policy
         scenario = reference_scenario(num_users=4)
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=1, reward_baseline=False)
-        task = env.sample_task(scenario.grid, seed=1, concentration=1.0, locality_radius=1, task_id=1)
+        task = env.sample_task(scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", scenario, cfg, seed=0)
         result = meta_rl._run_task_phase(("mpg", scenario, cfg, task, params, 0, 0, 0))
         assert len(pickle.dumps(result)) < params.flat.nbytes / 10

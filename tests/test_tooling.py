@@ -5,7 +5,8 @@ name, so each name it lists must exist; a missing one would only fail when
 a traced run starts. The README's `## CLI` block and the CLI parser must
 name the same commands and flags, and the README's config table and the
 config schema the same keys with the same domains, so neither drops, gains
-or changes one silently. And
+or changes one silently, and the README's library layout table the
+modules of the package. And
 every public definition of the package must be named by package or
 benchmark code, so code that no run reaches cannot stay there. And only
 the defaults listed here stay in the package: a reference value lives in
@@ -103,6 +104,14 @@ def test_readme_config_table_matches_the_schema():
         for key, (tag, _, domain) in keys.items()
     }
     assert readme_config_rows() == schema
+
+
+def test_readme_library_layout_names_every_module():
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    shown = [line.split("|")[1].strip().strip("`") for line in section.splitlines() if line.startswith("| `")]
+    package = ROOT / "src" / "thzvlc"
+    modules = ["thzvlc" if p.stem == "__init__" else f"thzvlc.{p.stem}" for p in package.glob("*.py")]
+    assert sorted(shown) == sorted(modules)
 
 
 def test_learning_config_fields_are_the_learning_keys():
