@@ -22,10 +22,9 @@ from . import env
 
 @dataclass(frozen=True)
 class AssignmentSolution:
-    """Partial one-to-one matching (row, column) with its total weight."""
+    """Partial one-to-one matching as (row, column) pairs."""
 
     matching: tuple[tuple[int, int], ...]
-    objective_value: float
 
 
 @dataclass(frozen=True)
@@ -100,41 +99,29 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     return row_to_col
 
 
-def hungarian_max(weights, allow_skip: bool = True) -> AssignmentSolution:
+def hungarian_max(weights) -> AssignmentSolution:
     """Maximum-weight bipartite matching on a rectangular weight matrix.
 
-    With allow_skip, any pair may be left unmatched, so entries <= 0 never
-    appear in the result (skipping them costs nothing). Without it, the full
-    smaller side is matched even through negative weights.
+    Any pair may be left unmatched, so entries <= 0 never appear in the
+    result (skipping them costs nothing).
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise ValueError("weights must be a 2-D matrix")
     m, n = w.shape
     if m == 0 or n == 0:
-        return AssignmentSolution(matching=(), objective_value=0.0)
+        return AssignmentSolution(matching=())
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
 
-    effective = np.maximum(w, 0.0) if allow_skip else w
     # Columns are padded to the row count; rows are not (see
     # `_min_cost_assignment`). The constant is the square padding's maximum.
     padded = np.zeros((m, max(m, n)))
-    padded[:, :n] = effective
-    top = effective.max() if m == n else max(effective.max(), 0.0)
-    row_to_col = _min_cost_assignment(top - padded)
-
-    pairs = []
-    value = 0.0
-    for i in range(m):
-        j = row_to_col[i]
-        if j < 0 or j >= n:
-            continue
-        if allow_skip and w[i, j] <= 0.0:
-            continue
-        pairs.append((i, j))
-        value += float(w[i, j])
-    return AssignmentSolution(matching=tuple(pairs), objective_value=value)
+    padded[:, :n] = np.maximum(w, 0.0)
+    row_to_col = _min_cost_assignment(padded.max() - padded)
+    return AssignmentSolution(
+        matching=tuple((i, j) for i, j in enumerate(row_to_col) if j < n and w[i, j] > 0.0)
+    )
 
 
 def build_slot_problem(
@@ -166,13 +153,11 @@ def slot_assign(
     """
     problem = build_slot_problem(state, vap_set, links)
     if not problem.candidates:
-        return AssignmentSolution(matching=(), objective_value=0.0)
+        return AssignmentSolution(matching=())
     if problem.weights.all():
-        matching = tuple(zip(range(len(problem.weights)), problem.candidates))
-        return AssignmentSolution(matching=matching, objective_value=float(len(matching)))
-    sol = hungarian_max(problem.weights, allow_skip=True)
-    matching = tuple((i, problem.candidates[col]) for i, col in sol.matching)
-    return AssignmentSolution(matching=matching, objective_value=sol.objective_value)
+        return AssignmentSolution(matching=tuple(zip(range(len(problem.weights)), problem.candidates)))
+    sol = hungarian_max(problem.weights)
+    return AssignmentSolution(matching=tuple((i, problem.candidates[col]) for i, col in sol.matching))
 
 
 def check_period_feasible(per_slot, num_users: int, num_sbs: int) -> bool:

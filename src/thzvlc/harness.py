@@ -234,11 +234,13 @@ class ExperimentSpec:
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    """Strict parse of sectioned key = value text into typed values."""
+    """Strict parse of sectioned key = value text into typed values; a key
+    may be set once."""
     values: dict[str, dict[str, object]] = {
         section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
+    set_on: dict[tuple[str, str], int] = {}  # (section, key) -> its line
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -257,6 +259,11 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         key = key.strip()
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+        if (section, key) in set_on:
+            raise ConfigError(
+                f"line {lineno}: {section}.{key} is already set on line {set_on[section, key]}"
+            )
+        set_on[section, key] = lineno
         tag = SCHEMA[section][key][0]
         values[section][key] = _parse_value(tag, raw, f"line {lineno} ({section}.{key})")
     return values
@@ -443,10 +450,7 @@ def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list
         meta_rl.draw_uniforms(np.random.default_rng([spec.master_seed, purpose, i]), 1, sc)[0]
         for i in range(len(tasks))
     ])
-    return meta_rl.rollout_period(
-        tasks, params, meta_rl.policy_head(spec.kind, sc).decode, sc,
-        uniforms.reshape(len(tasks), sc.slots_per_period, 1 + sc.num_users),
-    )
+    return meta_rl.rollout_period(tasks, params, meta_rl.policy_head(spec.kind, sc).decode, sc, uniforms)
 
 
 def evaluate_policy(
@@ -461,15 +465,10 @@ def evaluate_policy(
     return avg, trajectories
 
 
-@dataclass
-class RunMetrics:
-    iterations: list[meta_rl.IterationMetrics]
-    avg_reliability_per_user: float
-    summary: dict
-
-
-def run(spec: ExperimentSpec) -> RunMetrics:
-    """Train as the experiment spec describes, then evaluate and write artifacts."""
+def run(spec: ExperimentSpec) -> tuple[list[meta_rl.IterationMetrics], float]:
+    """Train as the experiment spec describes, then evaluate and write
+    artifacts; returns the training metrics and the average reliability per
+    user of the evaluation."""
     out_dir = _output_dir(spec)
     tasks = build_task_stream(spec)
     started = time.perf_counter()
@@ -506,7 +505,7 @@ def run(spec: ExperimentSpec) -> RunMetrics:
     write_summary(out_dir, summary)
     with atomic_open(out_dir / "config.txt") as fh:
         fh.write(spec.canonical_text)
-    return RunMetrics(iterations=metrics, avg_reliability_per_user=avg, summary=summary)
+    return metrics, avg
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +575,10 @@ def _load_checkpoint(path, spec: ExperimentSpec) -> policy_net.PolicyParams:
 
 
 def _cmd_train(spec: ExperimentSpec, args) -> int:
-    result = run(spec)
+    metrics, avg = run(spec)
     print(
-        f"trained {spec.algorithm} for {len(result.iterations)} iterations; "
-        f"avg reliability per user {result.avg_reliability_per_user:.4f}; "
+        f"trained {spec.algorithm} for {len(metrics)} iterations; "
+        f"avg reliability per user {avg:.4f}; "
         f"artifacts in {spec.output_dir}"
     )
     return 0

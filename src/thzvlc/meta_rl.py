@@ -429,17 +429,13 @@ def train_baseline_pg(
     tasks: list[Task],
     kind: str,
     master_seed: int,
-    initial_params: PolicyParams | None = None,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:
-    """Plain policy gradient over the task stream as one nonstationary problem.
-
-    The returned parameters are dense.
+    """Plain policy gradient over the task stream as one nonstationary problem,
+    from the run's fresh policy. The returned parameters are dense.
     """
     if not tasks:
         raise ValueError("task stream is empty")
-    params = initial_params
-    if params is None:
-        params = new_policy(kind, scenario, cfg, master_seed)
+    params = new_policy(kind, scenario, cfg, master_seed)
     stream = [tasks[it % len(tasks)] for it in range(cfg.meta_iterations)]
     return _policy_gradient(params, stream, 3, cfg, scenario, kind, master_seed, trajectory_sink)

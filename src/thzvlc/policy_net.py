@@ -100,13 +100,6 @@ class Gradient:
         body = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in layer_shapes[:-1]))
         return cls(body, np.zeros(actions), np.empty((0, actions)), np.empty((0, width)))
 
-    def dense(self) -> np.ndarray:
-        """The flat gradient vector: the factors folded into the head weight."""
-        head = self.d.T @ self.h
-        if self.head is not None:
-            head += self.head
-        return np.concatenate([self.body, head.ravel(), self.bias])
-
 
 @dataclass(frozen=True)
 class AdaptedParams:
@@ -145,10 +138,6 @@ class AdaptedParams:
     @property
     def action_count(self) -> int:
         return self.base.action_count
-
-    @property
-    def size(self) -> int:
-        return self.base.size
 
     def folded(self) -> PolicyParams:
         """The dense parameters of this policy."""
@@ -291,17 +280,15 @@ def _forward_rows(layers, pending, x: np.ndarray) -> tuple[list[np.ndarray], np.
 
 
 def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
-    """Action distribution of one encoding, or one per row of a 2-D batch.
+    """Action distribution of each row of a 2-D batch of encodings.
 
     Softmax stabilized by max subtraction, in the logits' buffer, so a batch
-    of n rows holds one (n, action count) array. One encoding runs as a
-    batch of one row.
+    of n rows holds one (n, action count) array.
     """
     x = np.asarray(encodings, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.layer_shapes[0][0]:
-        raise ValueError("encoding length does not match the input layer")
-    _, z = _forward_rows(*_layers(params), np.atleast_2d(x))
-    z = z[0] if x.ndim == 1 else z
+    if x.ndim != 2 or x.shape[1] != params.layer_shapes[0][0]:
+        raise ValueError("encodings must be one row each, as wide as the input layer")
+    _, z = _forward_rows(*_layers(params), x)
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits; check the parameter vector")
     z -= z.max(axis=-1, keepdims=True)
@@ -420,7 +407,10 @@ def load_params(path) -> tuple[PolicyParams, dict]:
         raw = fh.read()
     if not line.endswith(b"\n"):
         raise ValueError(f"checkpoint {path} is truncated")
-    header = json.loads(line.decode())
+    try:
+        header = json.loads(line.decode())
+    except ValueError:  # undecodable bytes or not JSON
+        raise ValueError(f"checkpoint {path} header is not a JSON line") from None
     for field in ("action_count", "layer_shapes", "param_count"):
         if not isinstance(header, dict) or field not in header:
             raise ValueError(f"checkpoint {path} header has no {field!r} field")

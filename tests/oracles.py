@@ -108,8 +108,9 @@ def swept_los_clear(tx, rx, bodies, samples=10_000):
 # --- matching brute force -----------------------------------------------------
 
 
-def best_matching_value(weights, allow_skip):
-    """Max total weight over injective row->column matchings, by enumeration."""
+def best_matching_value(weights):
+    """Max total weight over partial injective row->column matchings, by
+    enumeration: a pair of weight <= 0 is left out."""
     m = len(weights)
     n = len(weights[0])
     rows_small = m <= n
@@ -122,11 +123,9 @@ def best_matching_value(weights, allow_skip):
         for a, b in zip(small, chosen):
             i, j = (a, b) if rows_small else (b, a)
             w = weights[i][j]
-            total += max(w, 0.0) if allow_skip else w
+            total += max(w, 0.0)
         best = max(best, total)
-    if allow_skip:
-        best = max(best, 0.0)
-    return best
+    return max(best, 0.0)
 
 
 # --- exhaustive period association --------------------------------------------
@@ -239,7 +238,7 @@ def solve_period_association(vap_sequence, realization, scenario, dual_iters=50,
                 round_slots.append(())
                 continue
             weights = feas[t][:, pool] - lambdas[pool]
-            sol = hungarian_max(weights, allow_skip=True)
+            sol = hungarian_max(weights)
             matched = tuple((i, pool[col]) for i, col in sol.matching)
             round_slots.append(matched)
             for _, j in matched:
@@ -328,28 +327,25 @@ def square_min_cost_assignment(cost):
     return row_to_col
 
 
-def square_hungarian_max(w, allow_skip):
-    """(matching, value) of the maximum-weight matching, solved on the
-    matrix padded with zeros to a square, as `hungarian_max` once did."""
+def square_hungarian_max(w):
+    """The maximum-weight matching, pairs of weight <= 0 left out, solved on
+    the matrix padded with zeros to a square, as `hungarian_max` once did."""
     import numpy as np
 
     m, n = w.shape
-    effective = np.maximum(w, 0.0) if allow_skip else w
     size = max(m, n)
     padded = np.zeros((size, size))
-    padded[:m, :n] = effective
+    padded[:m, :n] = np.maximum(w, 0.0)
     row_to_col = square_min_cost_assignment(padded.max() - padded)
     pairs = []
-    value = 0.0
     for i in range(m):
         j = row_to_col[i]
         if j < 0 or j >= n:
             continue
-        if allow_skip and w[i, j] <= 0.0:
+        if w[i, j] <= 0.0:
             continue
         pairs.append((i, j))
-        value += float(w[i, j])
-    return tuple(pairs), value
+    return tuple(pairs)
 
 
 # --- dense policy network ---------------------------------------------------------
@@ -491,6 +487,17 @@ def fd_meta_update(flat, layer_shapes, tasks, cfg, eps=1e-5):
     return flat + cfg.meta_lr * (grad / len(tasks))
 
 
+def dense_gradient(g):
+    """The flat vector of a `policy_net.Gradient`: the factors folded into
+    the head weight."""
+    import numpy as np
+
+    head = g.d.T @ g.h
+    if g.head is not None:
+        head += g.head
+    return np.concatenate([g.body, head.ravel(), g.bias])
+
+
 def flat_gradient(flat, layer_shapes):
     """A dense flat gradient vector as a `policy_net.Gradient`: hidden layers,
     head weight (as the dense `head`, no factors) and head bias."""
@@ -507,6 +514,15 @@ def flat_gradient(flat, layer_shapes):
 
 
 # --- one-row policy helpers ---------------------------------------------------
+
+
+def forward_one(params, encoding):
+    """The package's action distribution of one encoding, as a batch of one row."""
+    import numpy as np
+
+    from thzvlc.policy_net import forward
+
+    return forward(params, np.asarray(encoding, dtype=float)[None])[0]
 
 
 def log_prob(params, encoding, action_index):
@@ -526,7 +542,7 @@ def grad_log_prob(params, encoding, action_index):
     the package's batched kernel on one row with coefficient 1."""
     from thzvlc.policy_net import accumulate_grad_log_prob
 
-    return accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]).dense()
+    return dense_gradient(accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]))
 
 
 # --- one period at a time -------------------------------------------------------
@@ -589,7 +605,7 @@ def rollout(task, params, decode, scenario, rng, realization=None):
     steps = []
     for t in range(scenario.slots_per_period):
         enc = policy_net.encode_state(state, scenario)
-        idx = policy_net.sample_action(policy_net.forward(params, enc), rng)
+        idx = policy_net.sample_action(forward_one(params, enc), rng)
         links = env.slot_links(state, scenario)
         action = decode(idx, state, links)
         outcome = env.evaluate_service(state, action, scenario, links)

@@ -8,7 +8,6 @@ from conftest import make_toy_scenario, reference_scenario
 from thzvlc import association, env
 from oracles import dual_update, solve_period_association
 from thzvlc.association import (
-    AssignmentSolution,
     check_period_feasible,
     hungarian_max,
     slot_assign,
@@ -16,76 +15,67 @@ from thzvlc.association import (
 from thzvlc.env import EnvState
 
 
+def matched_value(weights, sol):
+    """Total weight of the matched pairs."""
+    w = np.asarray(weights, dtype=float)
+    return sum(w[i, j] for i, j in sol.matching)
+
+
 class TestHungarianMax:
     def test_single_entry(self):
         sol = hungarian_max([[5.0]])
         assert sol.matching == ((0, 0),)
-        assert sol.objective_value == 5.0
 
     def test_antidiagonal(self):
-        sol = hungarian_max([[1.0, 2.0], [2.0, 1.0]])
-        assert sol.objective_value == 4.0
+        w = [[1.0, 2.0], [2.0, 1.0]]
+        sol = hungarian_max(w)
+        assert matched_value(w, sol) == 4.0
         assert sorted(sol.matching) == [(0, 1), (1, 0)]
 
     def test_skip_drops_nonpositive(self):
-        sol = hungarian_max([[-1.0, -2.0], [-3.0, 0.0]], allow_skip=True)
+        sol = hungarian_max([[-1.0, -2.0], [-3.0, 0.0]])
         assert sol.matching == ()
-        assert sol.objective_value == 0.0
-
-    def test_no_skip_matches_through_negatives(self):
-        sol = hungarian_max([[-1.0, -2.0], [-3.0, -1.0]], allow_skip=False)
-        assert len(sol.matching) == 2
-        assert sol.objective_value == -2.0
 
     def test_random_square_vs_brute_force(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             w = rng.uniform(-5, 10, (5, 5))
-            for allow_skip in (True, False):
-                sol = hungarian_max(w, allow_skip=allow_skip)
-                want = oracles.best_matching_value(w.tolist(), allow_skip)
-                assert sol.objective_value == pytest.approx(want, abs=1e-9)
-                # the reported matching must attain the reported value
-                recomputed = sum(w[i, j] for i, j in sol.matching)
-                assert recomputed == pytest.approx(sol.objective_value, abs=1e-12)
+            sol = hungarian_max(w)
+            want = oracles.best_matching_value(w.tolist())
+            assert matched_value(w, sol) == pytest.approx(want, abs=1e-9)
 
     def test_random_rectangular_vs_brute_force(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
             m, n = rng.integers(1, 7, 2)
             w = rng.uniform(-5, 10, (int(m), int(n)))
-            for allow_skip in (True, False):
-                sol = hungarian_max(w, allow_skip=allow_skip)
-                want = oracles.best_matching_value(w.tolist(), allow_skip)
-                assert sol.objective_value == pytest.approx(want, abs=1e-9)
-                rows = [i for i, _ in sol.matching]
-                cols = [j for _, j in sol.matching]
-                assert len(set(rows)) == len(rows)
-                assert len(set(cols)) == len(cols)
+            sol = hungarian_max(w)
+            want = oracles.best_matching_value(w.tolist())
+            assert matched_value(w, sol) == pytest.approx(want, abs=1e-9)
+            rows = [i for i, _ in sol.matching]
+            cols = [j for _, j in sol.matching]
+            assert len(set(rows)) == len(rows)
+            assert len(set(cols)) == len(cols)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
         lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                           min_size=m, max_size=m))), st.booleans())
-    def test_small_integer_matrices_vs_permutations(self, rows, allow_skip):
+                           min_size=m, max_size=m))))
+    def test_small_integer_matrices_vs_permutations(self, rows):
         # integer entries in -2..2: ties everywhere, zeros and negatives
         w = np.array(rows, dtype=float)
-        sol = hungarian_max(w, allow_skip=allow_skip)
-        assert sol.objective_value == oracles.best_matching_value(rows, allow_skip)
-        assert sum(w[i, j] for i, j in sol.matching) == sol.objective_value
+        sol = hungarian_max(w)
+        assert matched_value(w, sol) == oracles.best_matching_value(rows)
         matched_rows = [i for i, _ in sol.matching]
         matched_cols = [j for _, j in sol.matching]
         assert len(set(matched_rows)) == len(matched_rows)
         assert len(set(matched_cols)) == len(matched_cols)
-        if allow_skip:
-            assert all(w[i, j] > 0 for i, j in sol.matching)
-        else:
-            assert len(sol.matching) == min(w.shape)
+        assert all(w[i, j] > 0 for i, j in sol.matching)
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 20), st.sampled_from(("binary", "integer", "gaussian")),
-           st.integers(0, 2**32 - 1), st.booleans())
-    def test_same_matching_as_square_padding(self, m, n, entries, seed, allow_skip):
+           st.integers(0, 2**32 - 1))
+    def test_same_matching_as_square_padding(self, m, n, entries, seed):
         # Dropping the dummy rows must keep the square solver's tie order,
         # which the golden runs pin: the same pairs, not just the same value.
         rng = np.random.default_rng(seed)
@@ -95,8 +85,7 @@ class TestHungarianMax:
             w = rng.integers(-2, 3, (m, n)).astype(float)
         else:
             w = rng.normal(size=(m, n))
-        sol = hungarian_max(w, allow_skip=allow_skip)
-        assert (sol.matching, sol.objective_value) == oracles.square_hungarian_max(w, allow_skip)
+        assert hungarian_max(w).matching == oracles.square_hungarian_max(w)
 
     def test_all_ones_matches_diagonal(self):
         # `slot_assign` returns these pairs without running the search
@@ -104,7 +93,6 @@ class TestHungarianMax:
             for n in range(1, 22):
                 sol = hungarian_max(np.ones((m, n)))
                 assert sol.matching == tuple((i, i) for i in range(min(m, n)))
-                assert sol.objective_value == float(min(m, n))
 
     def test_deterministic(self):
         rng = np.random.default_rng(33)
@@ -170,7 +158,7 @@ class TestSlotAssign:
         sol = slot_assign(state, (0, 1, 2), env.slot_links(state, toy_scenario))
         users = {j for _, j in sol.matching}
         assert users == {0, 1}
-        assert sol.objective_value == pytest.approx(2.0)
+        assert len(sol.matching) == 2
 
     def test_served_users_excluded(self, toy_scenario):
         state = self._state(toy_scenario, [4, 2], served=[True, False])
@@ -221,7 +209,6 @@ class TestSlotAssign:
             want = hungarian_max(weights)
             got = slot_assign(state, vap_set, links)
             assert got.matching == tuple((i, int(pool[col])) for i, col in want.matching)
-            assert got.objective_value == want.objective_value
             if weights.all():
                 seen.add("all ones")
             elif weights.size:

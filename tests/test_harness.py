@@ -100,6 +100,22 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config_text("[learning]\ninner_lr = 0.1\ninner_rollouts = many\n")
 
+    def test_key_set_twice_in_a_section_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[learning]\ninner_lr = 0.5\ninner_lr = 0.2\n")
+        assert str(exc.value) == "line 3: learning.inner_lr is already set on line 2"
+
+    def test_key_set_again_under_a_repeated_header_refused(self):
+        text = "[learning]\ninner_lr = 0.5\n[run]\nmaster_seed = 1\n[learning]\ninner_lr = 0.3\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == "line 6: learning.inner_lr is already set on line 2"
+
+    def test_repeated_header_with_distinct_keys_loads(self):
+        values = parse_config_text("[learning]\ninner_lr = 0.5\n[run]\nmaster_seed = 1\n[learning]\nmeta_lr = 0.3\n")
+        assert (values["learning"]["inner_lr"], values["learning"]["meta_lr"]) == (0.5, 0.3)
+        assert values["run"]["master_seed"] == 1
+
     def test_constraint_violation_names_field(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[radio]\ntx_power_w = -1\n")
@@ -141,9 +157,9 @@ class TestLoadSpec:
 class TestRun:
     def test_artifacts_and_metrics_length(self, tmp_path):
         spec = toy_spec(tmp_path)
-        result = run(spec)
+        metrics, _ = run(spec)
         out = tmp_path / "out"
-        assert len(result.iterations) == spec.learning.meta_iterations
+        assert len(metrics) == spec.learning.meta_iterations
         for name in ("metrics.csv", "timing.csv", "checkpoint.bin", "trajectories.csv", "summary.json", "config.txt"):
             assert (out / name).exists()
         with open(out / "metrics.csv") as fh:
@@ -163,7 +179,7 @@ class TestRun:
 
     def test_reliability_recomputable_from_trajectory_log(self, tmp_path):
         spec = toy_spec(tmp_path)
-        result = run(spec)
+        _, avg = run(spec)
         served = 0
         periods = set()
         with open(tmp_path / "out" / "trajectories.csv") as fh:
@@ -171,8 +187,8 @@ class TestRun:
                 served += int(row["newly_served"])
                 periods.add(row["period"])
         recomputed = served / (spec.scenario.num_users * len(periods))
-        assert recomputed == pytest.approx(result.avg_reliability_per_user)
-        assert 0.0 <= result.avg_reliability_per_user <= 1.0
+        assert recomputed == pytest.approx(avg)
+        assert 0.0 <= avg <= 1.0
 
     def test_dmpg_and_mpg_trajectory_headers_match(self, tmp_path):
         headers = []
@@ -190,8 +206,8 @@ class TestRun:
 
     def test_baseline_pg_runs(self, tmp_path):
         spec = toy_spec(tmp_path, out_name="pg", extra={("run", "algorithm"): "pg"})
-        result = run(spec)
-        assert len(result.iterations) == spec.learning.meta_iterations
+        metrics, _ = run(spec)
+        assert len(metrics) == spec.learning.meta_iterations
         assert_learned(spec, tmp_path / "pg" / "checkpoint.bin")
 
 
@@ -564,6 +580,15 @@ class TestCli:
                              "--out", str(tmp_path / "o")], capsys)
         assert err == f"error: checkpoint {ckpt} is truncated\n"
 
+    def test_checkpoint_header_not_json_named(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        ckpt = self._checkpoint(tmp_path, "mpg")
+        payload = ckpt.read_bytes().split(b"\n", 1)[1]
+        for header in (b"not json", b"\xff\xfe"):
+            ckpt.write_bytes(header + b"\n" + payload)
+            err = self._refused(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                                 "--out", str(tmp_path / "o")], capsys)
+            assert err == f"error: checkpoint {ckpt} header is not a JSON line\n"
 
     def test_checkpoint_header_missing_a_field_named(self, tmp_path, capsys):
         cfg = self._write_toy(tmp_path)
@@ -685,6 +710,7 @@ def probe_config(directory, section, key, value, others=None) -> Path:
     values = parse_config_text(TOY_CONFIG)
     for (s, k), v in (others or {}).items():
         values[s][k] = v
+    values[section][key] = None  # left out, so the file sets it once
     path = Path(directory) / "probe.cfg"
     path.write_text(f"{serialize_spec(values)}\n[{section}]\n{key} = {value}\n")
     return path

@@ -26,7 +26,7 @@ from thzvlc.policy_net import (
     save_params,
 )
 from conftest import make_toy_scenario
-from oracles import grad_log_prob
+from oracles import dense_gradient, forward_one, grad_log_prob
 
 
 def small_net(seed=0, shapes=((3, 8), (8, 4))):
@@ -42,8 +42,8 @@ def fd_gradient(params, encoding, action, eps=1e-5):
         minus[i] -= eps
         p_plus = PolicyParams(plus, params.layer_shapes, params.action_count)
         p_minus = PolicyParams(minus, params.layer_shapes, params.action_count)
-        lp = math.log(forward(p_plus, encoding)[action])
-        lm = math.log(forward(p_minus, encoding)[action])
+        lp = math.log(forward_one(p_plus, encoding)[action])
+        lm = math.log(forward_one(p_minus, encoding)[action])
         grad[i] = (lp - lm) / (2 * eps)
     return grad
 
@@ -78,14 +78,14 @@ class TestForward:
         shapes = ((3, 5), (5, 4))
         size = sum(i * o + o for i, o in shapes)
         params = PolicyParams(np.zeros(size), shapes, 4)
-        dist = forward(params, np.array([0.3, -1.0, 2.0]))
+        dist = forward_one(params, np.array([0.3, -1.0, 2.0]))
         assert np.allclose(dist, 0.25, atol=1e-12)
 
     def test_sums_to_one(self):
         params = small_net(seed=1)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            dist = forward(params, rng.normal(size=3))
+            dist = forward_one(params, rng.normal(size=3))
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert (dist > 0).all()
 
@@ -96,12 +96,12 @@ class TestForward:
         x = np.array([1.0, 1.0])
         logits = np.array([1.0 * 1 + 0 * 1 + 0.5, 0 * 1 + 2.0 * 1 - 0.5])
         want = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(forward(params, x), want, rtol=1e-12)
+        assert np.allclose(forward_one(params, x), want, rtol=1e-12)
 
     def test_pure_function(self):
         params = small_net(seed=5)
         x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(forward(params, x), forward(params, x))
+        assert np.array_equal(forward_one(params, x), forward_one(params, x))
 
     def test_rejects_nonfinite_params(self):
         flat = np.zeros(6)
@@ -112,7 +112,9 @@ class TestForward:
     def test_rejects_wrong_input_size(self):
         params = small_net()
         with pytest.raises(ValueError):
-            forward(params, np.zeros(5))
+            forward(params, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            forward(params, np.zeros(3))  # one encoding, not a batch
 
 
 class TestGradLogProb:
@@ -132,7 +134,7 @@ class TestGradLogProb:
     def test_score_function_identity(self):
         params = small_net(seed=2)
         x = np.array([0.4, -0.2, 1.1])
-        dist = forward(params, x)
+        dist = forward_one(params, x)
         total = np.zeros(params.size)
         for a, p in enumerate(dist):
             total += p * grad_log_prob(params, x, a)
@@ -179,7 +181,7 @@ def batches(draw):
 def assert_matches_row_sum(params, x, a, c):
     """The batched kernel against the coefficient-weighted per-row gradients."""
     terms = np.array([ci * grad_log_prob(params, xi, ai) for xi, ai, ci in zip(x, a, c)])
-    out = accumulate_grad_log_prob(params, x, a, c).dense()
+    out = dense_gradient(accumulate_grad_log_prob(params, x, a, c))
     scale = np.abs(terms).sum(axis=0).max()
     assert np.abs(out - terms.sum(axis=0)).max() <= 1e-12 * scale
 
@@ -215,7 +217,7 @@ class TestBatchedGradient:
             assert (g.head is None) == factored
             assert g.rank == (n_rows if factored else 0)
             want = sum(2.0 * grad_log_prob(params, xi, 1) for xi in x)
-            assert np.allclose(g.dense(), want, rtol=0, atol=1e-14)
+            assert np.allclose(dense_gradient(g), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [-1, 4, 99])
     def test_out_of_range_action_refused(self, bad):

@@ -126,9 +126,15 @@ def test_learning_config_fields_are_the_learning_keys():
     assert fields == list(harness.SCHEMA["learning"])
 
 
-def _mentions(tree) -> Counter:
-    """How often each name, attribute or string constant occurs in `tree`;
-    docstrings do not count."""
+# What can name a definition: a top-level one is also named bare, a member
+# only as an attribute (or by a string, as `getattr` takes it).
+ANY_NAME = (ast.Name, ast.Attribute, ast.Constant)
+MEMBER_NAME = (ast.Attribute, ast.Constant)
+
+
+def _mentions(tree, kinds=ANY_NAME) -> Counter:
+    """How often each name, attribute or string constant occurs in `tree`,
+    counting only nodes of `kinds`; docstrings do not count."""
     docs = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -137,30 +143,48 @@ def _mentions(tree) -> Counter:
                 docs.add(id(body[0].value))
     found = Counter()
     for node in ast.walk(tree):
+        if not isinstance(node, kinds):
+            continue
         if isinstance(node, ast.Name):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+        elif isinstance(node.value, str) and id(node) not in docs:
             found[node.value] += 1
     return found
 
 
+def public_definitions(package, trees):
+    """(name, node, kinds) of each public top-level function or class of the
+    package and of each public method or property of its public classes,
+    with the node kinds that can name it."""
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{node.name}", node, ANY_NAME
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item, MEMBER_NAME
+
+
 def test_every_public_definition_is_used():
-    """Each public top-level function or class of the package is named by
-    package or benchmark code outside its own definition, so code that no
-    run reaches does not stay in the package."""
+    """Each public top-level function or class of the package, and each
+    public method or property of such a class, is named by package or
+    benchmark code outside its own body, so code that no run reaches does not
+    stay in the package."""
     package = sorted((ROOT / "src" / "thzvlc").glob("*.py"))
     readers = [*package, *sorted((ROOT / "perfbench").glob("*.py"))]
     trees = {path: ast.parse(path.read_text()) for path in readers}
-    everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
+    everywhere = {
+        kinds: sum((_mentions(tree, kinds) for tree in trees.values()), Counter())
+        for kinds in (ANY_NAME, MEMBER_NAME)
+    }
     unused = [
-        f"{path.stem}.{node.name}"
-        for path in package
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and everywhere[node.name] == _mentions(node)[node.name]
+        name
+        for name, node, kinds in public_definitions(package, trees)
+        if everywhere[kinds][node.name] == _mentions(node, kinds)[node.name]
     ]
     assert unused == []
 
@@ -170,7 +194,6 @@ def test_every_public_definition_is_used():
 # the reference learning settings included, is passed by the caller.
 KEPT_DEFAULTS = {
     "artifacts.atomic_open(mode)",
-    "association.hungarian_max(allow_skip)",
     "harness.serialize_spec(sections)",
     "harness.load_spec(environ)",
     "harness.load_spec(overrides)",
@@ -178,7 +201,6 @@ KEPT_DEFAULTS = {
     "meta_rl.meta_train(initial_params)",
     "meta_rl.meta_train(trajectory_sink)",
     "meta_rl.adapt(trajectory_sink)",
-    "meta_rl.train_baseline_pg(initial_params)",
     "meta_rl.train_baseline_pg(trajectory_sink)",
     "policy_net.Gradient.head",
 }
@@ -207,6 +229,7 @@ def package_defaults() -> set:
 
 
 def test_only_the_kept_defaults_remain():
-    """No parameter or field outside `KEPT_DEFAULTS` has a default, so the
-    reference configuration has one home, `harness.SCHEMA`."""
-    assert package_defaults() - KEPT_DEFAULTS == set()
+    """The parameters and fields with a default are exactly `KEPT_DEFAULTS`:
+    no other gains one, so the reference configuration has one home,
+    `harness.SCHEMA`, and no entry outlives its default."""
+    assert package_defaults() == KEPT_DEFAULTS
