@@ -190,12 +190,6 @@ class JointAction:
         if sorted(users) != users:
             raise ValueError("assignments must be sorted by user")
 
-    def assigned_sbs(self, user: int) -> int | None:
-        for u, s in self.assignments:
-            if u == user:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class ServiceOutcome:
@@ -238,24 +232,59 @@ def sample_task(
 ) -> Task:
     """Draw a movement pattern: Dirichlet rows over Chebyshev-neighbor cells.
 
+    Row by row, in cell order, it equals `rng.dirichlet([concentration] * k)`
+    over a cell's k neighbors in row-major order, drawn in one array pass.
     locality_radius 0 yields the identity matrix (users never move).
     """
     n = cells_per_side
     g = n * n
     rng = np.random.default_rng(seed)
+    r = min(locality_radius, n - 1)
+    if r == 0:
+        return Task(pattern=MovementPattern(np.eye(g)), rng_seed=seed, id=task_id)
+    # near[iy * n + ix, jy * n + jx]: within r along both axes; a row's True
+    # entries are its neighbors in the row-major order numpy draws them in
+    near_1d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= r
+    near = (near_1d[:, None, :, None] & near_1d[None, :, None, :]).reshape(g, g)
+    span = near_1d.sum(axis=1)
+    values = _dirichlet_rows(rng, np.outer(span, span).ravel(), concentration)
     matrix = np.zeros((g, g))
-    for idx in range(g):
-        ix, iy = idx % n, idx // n
-        neighbors = [
-            jy * n + jx
-            for jy in range(max(0, iy - locality_radius), min(n, iy + locality_radius + 1))
-            for jx in range(max(0, ix - locality_radius), min(n, ix + locality_radius + 1))
-        ]
-        if len(neighbors) == 1:
-            matrix[idx, neighbors[0]] = 1.0
-        else:
-            matrix[idx, neighbors] = rng.dirichlet([concentration] * len(neighbors))
+    matrix[near] = values
     return Task(pattern=MovementPattern(matrix), rng_seed=seed, id=task_id)
+
+
+def _dirichlet_rows(rng: np.random.Generator, counts: np.ndarray, concentration: float) -> np.ndarray:
+    """Symmetric Dirichlet draws for rows of counts[i] >= 2 entries, concatenated
+    in row order, bit for bit as one `rng.dirichlet` call per row.
+
+    Both of numpy's branches are followed. Rows sit right-aligned in a
+    (rows, max count) table padded on the left with zeros, so one pass over
+    its columns adds or breaks every row in numpy's order: a leading 0.0
+    leaves a sum unchanged, and a leading 0.0 stick leaves the rest at 1.0.
+    """
+    width = int(counts.max())
+    inside = np.arange(width) >= (width - counts)[:, None]
+    table = np.zeros((len(counts), width), order="F")
+    if concentration >= 0.1:
+        # gammas over their sum, added entry by entry, times its reciprocal
+        table[inside] = rng.standard_gamma(concentration, size=int(counts.sum()))
+        acc = np.zeros(len(counts))
+        for column in table.T:
+            acc += column
+        table *= (1.0 / acc)[:, None]
+    else:
+        # stick-breaking: each beta's b is the alpha sum of the row's tail,
+        # added from the row's end; the last entry is what is left
+        tails = np.cumsum(np.full(width - 1, concentration))[::-1]
+        sticks = inside[:, :-1]
+        table[:, :-1][sticks] = rng.beta(concentration, np.broadcast_to(tails, sticks.shape)[sticks])
+        acc = np.ones(len(counts))
+        for column in table.T[:-1]:
+            rest = 1.0 - column
+            column *= acc
+            acc *= rest
+        table[:, -1] = acc
+    return table[inside]
 
 
 def reset(task: Task, scenario: ScenarioConfig) -> EnvState:

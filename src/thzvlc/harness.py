@@ -414,26 +414,22 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
                 "localized", "assigned_sbs", "tx_ok", "newly_served",
             ]
         )
+        centers = [(repr(cx), repr(cy)) for cx, cy in scenario.cell_centers]
+        users = range(scenario.num_users)
         for period, traj in enumerate(trajectories):
             for step in traj.steps:
+                state = step.state
+                assigned = dict(step.action.assignments)
                 newly = set(step.newly_served)
-                for j in range(scenario.num_users):
-                    cx, cy = scenario.cell_centers[step.state.user_cells[j]]
-                    sbs = step.action.assigned_sbs(j)
-                    writer.writerow(
-                        [
-                            period,
-                            step.state.slot_index,
-                            j,
-                            repr(cx),
-                            repr(cy),
-                            repr(step.state.user_heights[j]),
-                            int(step.localized[j]),
-                            -1 if sbs is None else sbs,
-                            int(step.tx_ok[j]),
-                            int(j in newly),
-                        ]
+                writer.writerows(
+                    [
+                        period, state.slot_index, j, *centers[cell], repr(height),
+                        int(localized), assigned.get(j, -1), int(tx_ok), int(j in newly),
+                    ]
+                    for j, cell, height, localized, tx_ok in zip(
+                        users, state.user_cells, state.user_heights, step.localized, step.tx_ok
                     )
+                )
 
 
 def write_summary(out_dir: Path, summary: dict) -> None:
@@ -586,6 +582,7 @@ def _cmd_train(spec: ExperimentSpec, args) -> int:
 
 def _cmd_adapt(spec: ExperimentSpec, args) -> int:
     _check_count("--steps", args.steps, 0)
+    _check_count("--task-seed", args.task_seed, 0)
     params = _load_checkpoint(args.checkpoint, spec)
     task = spec.task(args.task_seed, args.task_seed)
     adapted, curve = meta_rl.adapt(
@@ -618,6 +615,8 @@ def _cmd_eval(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_oracle(spec: ExperimentSpec, args) -> int:
+    _check_count("--task-seed", args.task_seed, 0)
+    _check_count("--realization-seed", args.realization_seed, 0)
     task = spec.task(args.task_seed, args.task_seed)
     best, sequence = env.brute_force_oracle(task, spec.scenario, args.realization_seed)
     print(f"oracle optimum: {best}")

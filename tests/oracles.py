@@ -631,3 +631,66 @@ def rollout(task, params, decode, scenario, rng, realization=None):
             slot_index=t + 1,
         )
     return env.Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
+
+
+# --- movement patterns and the trajectory log -------------------------------------
+
+
+def sample_transition(cells_per_side, seed, concentration, locality_radius):
+    """The movement pattern as the package drew it before its array pass:
+    one `rng.dirichlet` call per cell over the cell's Chebyshev neighbours
+    in row-major order; a cell with no other neighbour keeps its user."""
+    import numpy as np
+
+    n = cells_per_side
+    g = n * n
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((g, g))
+    for idx in range(g):
+        ix, iy = idx % n, idx // n
+        neighbors = [
+            jy * n + jx
+            for jy in range(max(0, iy - locality_radius), min(n, iy + locality_radius + 1))
+            for jx in range(max(0, ix - locality_radius), min(n, ix + locality_radius + 1))
+        ]
+        if len(neighbors) == 1:
+            matrix[idx, neighbors[0]] = 1.0
+        else:
+            matrix[idx, neighbors] = rng.dirichlet([concentration] * len(neighbors))
+    return matrix
+
+
+def trajectories_csv(trajectories, scenario):
+    """The text of trajectories.csv, written one user row at a time."""
+    import csv
+    import io
+
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(
+        [
+            "period", "slot", "user", "cell_x", "cell_y", "height",
+            "localized", "assigned_sbs", "tx_ok", "newly_served",
+        ]
+    )
+    for period, traj in enumerate(trajectories):
+        for step in traj.steps:
+            newly = set(step.newly_served)
+            for j in range(scenario.num_users):
+                cx, cy = scenario.cell_centers[step.state.user_cells[j]]
+                sbs = next((s for u, s in step.action.assignments if u == j), -1)
+                writer.writerow(
+                    [
+                        period,
+                        step.state.slot_index,
+                        j,
+                        repr(cx),
+                        repr(cy),
+                        repr(step.state.user_heights[j]),
+                        int(step.localized[j]),
+                        sbs,
+                        int(step.tx_ok[j]),
+                        int(j in newly),
+                    ]
+                )
+    return fh.getvalue()

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_scenario, reference_learning, reference_scenario
-from oracles import step
+from oracles import sample_transition, step
 from thzvlc import env, meta_rl
 from thzvlc.env import (
     EnvState,
@@ -101,6 +103,41 @@ class TestSampleTask:
             for jdx in np.nonzero(t[idx])[0]:
                 jx, jy = jdx % n, jdx // n
                 assert max(abs(jx - ix), abs(jy - iy)) <= 1
+
+    @pytest.mark.parametrize("cells_per_side", [1, 2, 3, 6, 11, 32])
+    def test_equals_one_dirichlet_call_per_row(self, cells_per_side):
+        n = cells_per_side
+        # both sides of numpy's switch to stick-breaking below 0.1
+        for radius in (0, 1, 2, n - 1, n, sys.maxsize):
+            for concentration in (1e-6, 0.05, np.nextafter(0.1, 0.0), 0.1, 1.0, 1e6):
+                task = sample_task(n, seed=n, concentration=concentration, locality_radius=radius, task_id=0)
+                expected = sample_transition(n, n, concentration, radius)
+                assert np.array_equal(task.pattern.transition, expected), (radius, concentration)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        cells_per_side=st.integers(1, 12),
+        radius=st.one_of(st.integers(0, 13), st.just(sys.maxsize)),
+        concentration=st.floats(1e-9, 1e6, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_dirichlet_call_per_row_drawn(self, cells_per_side, radius, concentration, seed):
+        task = sample_task(cells_per_side, seed=seed, concentration=concentration, locality_radius=radius, task_id=0)
+        expected = sample_transition(cells_per_side, seed, concentration, radius)
+        assert np.array_equal(task.pattern.transition, expected)
+
+    @pytest.mark.parametrize("concentration", [0.05, 1.0])
+    def test_huge_radius_stays_small(self, concentration):
+        bounded = sample_task(32, seed=4, concentration=concentration, locality_radius=31, task_id=0)
+        matrix_bytes = bounded.pattern.transition.nbytes
+        tracemalloc.start()
+        try:
+            task = sample_task(32, seed=4, concentration=concentration, locality_radius=sys.maxsize, task_id=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(task.pattern.transition, bounded.pattern.transition)
+        assert peak <= 4 * matrix_bytes, peak / matrix_bytes
 
 
 class TestReset:
@@ -308,8 +345,7 @@ class TestJointActionValidation:
 
     def test_partial_assignment_allowed(self):
         action = JointAction(vap_set=(0, 1, 2), assignments=((1, 0),))
-        assert action.assigned_sbs(0) is None
-        assert action.assigned_sbs(1) == 0
+        assert dict(action.assignments) == {1: 0}
 
 
 class TestBruteForceOracle:

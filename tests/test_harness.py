@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thzvlc import env, harness, meta_rl, policy_net
 from thzvlc.artifacts import atomic_open
 from thzvlc.harness import ConfigError, build_task_stream, load_spec, main, parse_config_text, run, serialize_spec
@@ -459,6 +460,20 @@ class TestCli:
         assert err == "error: --steps must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--task-seed", "--realization-seed"])
+    def test_oracle_negative_seed_named(self, tmp_path, capsys, flag):
+        cfg = self._write_toy(tmp_path)
+        assert main(["oracle", "--config", str(cfg), flag, "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
+
+    def test_adapt_negative_task_seed_named_before_the_checkpoint_loads(self, tmp_path, capsys):
+        cfg = self._write_toy(tmp_path)
+        out = tmp_path / "adapt"
+        assert main(["adapt", "--config", str(cfg), "--checkpoint", str(tmp_path / "missing.bin"),
+                     "--task-seed", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --task-seed must be >= 0, got -3\n"
+        assert not out.exists()
+
     def _checkpoint(self, tmp_path, algo, **overrides):
         """A fresh policy for the toy scenario under `algo`, saved to disk."""
         spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, **overrides})
@@ -771,6 +786,21 @@ class TestSchemaDomains:
         with tempfile.TemporaryDirectory() as directory:
             cfg = probe_config(directory, section, key, value, others)
             assert train_probe(cfg, Path(directory) / "out") == (0, ""), value
+
+
+class TestWriteTrajectories:
+    @pytest.mark.parametrize("algo", ["mpg", "dmpg"])
+    def test_bytes_equal_one_row_per_user(self, tmp_path, algo):
+        # three users on two SBSs: every slot leaves a user unassigned
+        spec = toy_spec(tmp_path, extra={("run", "algorithm"): algo, ("scenario", "num_users"): 3})
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
+        _, trajectories = harness.evaluate_policy(params, spec, 6)
+        harness.write_trajectories(tmp_path, trajectories, spec.scenario)
+        text = (tmp_path / "trajectories.csv").read_bytes()
+        assert text == oracles.trajectories_csv(trajectories, spec.scenario).encode()
+        rows = list(csv.DictReader(io.StringIO(text.decode())))
+        assert "-1" in {row["assigned_sbs"] for row in rows}
+        assert {row["newly_served"] for row in rows} == {"0", "1"}
 
 
 class TestAtomicArtifacts:
