@@ -233,9 +233,9 @@ class ExperimentSpec:
         )
 
 
-def parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    """Strict parse of sectioned key = value text into typed values; a key
-    may be set once."""
+def parse_config_text(text: str) -> tuple[dict[str, dict[str, object]], set[tuple[str, str]]]:
+    """Strict parse of sectioned key = value text into typed values, and the
+    (section, key) pairs it sets; a key may be set once."""
     values: dict[str, dict[str, object]] = {
         section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in SCHEMA.items()
@@ -266,10 +266,12 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         set_on[section, key] = lineno
         tag = SCHEMA[section][key][0]
         values[section][key] = _parse_value(tag, raw, f"line {lineno} ({section}.{key})")
-    return values
+    return values, set(set_on)
 
 
-def apply_env_overrides(values: dict[str, dict[str, object]], environ) -> None:
+def apply_env_overrides(values: dict[str, dict[str, object]], environ) -> set[tuple[str, str]]:
+    """Set each key a THZVLC_SECTION__KEY variable names; returns those keys."""
+    given = set()
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
@@ -282,6 +284,8 @@ def apply_env_overrides(values: dict[str, dict[str, object]], environ) -> None:
             raise ConfigError(f"environment variable {name}: unknown config key {section}.{key}")
         tag = SCHEMA[section][key][0]
         values[section][key] = _parse_value(tag, raw, f"env {name} ({section}.{key})")
+        given.add((section, key))
+    return given
 
 
 def serialize_spec(values: dict[str, dict[str, object]], sections=tuple(SCHEMA)) -> str:
@@ -306,7 +310,9 @@ def domain_text(tag: str, domain) -> str:
     return "one of " + ", ".join(_format_value(tag, v) for v in domain)
 
 
-def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
+def build_spec(values: dict[str, dict[str, object]], given: set[tuple[str, str]]) -> ExperimentSpec:
+    """The spec of typed values; `given` holds the keys the config set, as
+    the checks that tell a set value from a default need them."""
     for section, keys in SCHEMA.items():
         for key, (tag, _, domain) in keys.items():
             value = values[section][key]
@@ -324,6 +330,10 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
         if len(pts) not in count:
             raise ConfigError(
                 f"scenario.{key} must hold a number of points in {count}, as scenario.{count_key}, got {len(pts)}"
+            )
+        if ("scenario", count_key) in given and sc[count_key] != len(pts):
+            raise ConfigError(
+                f"scenario.{count_key} = {sc[count_key]} disagrees with the {len(pts)} points of scenario.{key}"
             )
         return pts
 
@@ -367,11 +377,12 @@ def build_spec(values: dict[str, dict[str, object]]) -> ExperimentSpec:
 def load_spec(path: str | Path | None, environ=None, overrides: dict | None = None) -> ExperimentSpec:
     """Read a config file, apply env and explicit overrides, build the spec."""
     text = Path(path).read_text() if path is not None else ""
-    values = parse_config_text(text)
-    apply_env_overrides(values, os.environ if environ is None else environ)
+    values, given = parse_config_text(text)
+    given |= apply_env_overrides(values, os.environ if environ is None else environ)
     for (section, key), value in (overrides or {}).items():
         values[section][key] = value
-    return build_spec(values)
+        given.add((section, key))
+    return build_spec(values, given)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +457,8 @@ def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list
         meta_rl.draw_uniforms(np.random.default_rng([spec.master_seed, purpose, i]), 1, sc)[0]
         for i in range(len(tasks))
     ])
-    return meta_rl.rollout_period(tasks, params, meta_rl.policy_head(spec.kind, sc).decode, sc, uniforms)
+    decode = meta_rl.policy_head(spec.kind, sc).decode
+    return meta_rl.rollout_period(tasks, params, decode, sc, uniforms, False).trajectories
 
 
 def evaluate_policy(

@@ -7,6 +7,12 @@ rollouts, applied to the shared initialization with the meta rate). The
 meta gradient is the first-order approximation; the tests bound its error
 against a finite-difference second-order reference.
 
+Each phase's gradient reads the forward values its rollouts kept (the
+rollouts and the gradient of a phase are at the same parameters), so no
+row goes through the policy head twice. A call's shared initialization is
+one working copy of the initial vector, and each meta update is folded
+into it in place.
+
 Reproducibility: every rollout draws from an rng stream keyed by
 (master seed, iteration, batch slot, task id, phase), so results are
 identical for any worker count.
@@ -80,13 +86,25 @@ def draw_uniforms(rng: np.random.Generator, count: int, scenario: ScenarioConfig
     return rng.random((count, scenario.slots_per_period, 1 + scenario.num_users))
 
 
+class Rollouts(NamedTuple):
+    """A batch of periods and, when kept, what their gradient reads:
+    `kept`, the forward values of every distinct (slot, state) row they
+    drew from, and `rows`, each step's row there, in period then slot
+    order."""
+
+    trajectories: list[Trajectory]
+    kept: policy_net.Forward | None
+    rows: np.ndarray | None
+
+
 def rollout_period(
     tasks: list[Task],
     params: Policy,
     decode,
     scenario: ScenarioConfig,
     uniforms: np.ndarray,
-) -> list[Trajectory]:
+    keep: bool,
+) -> Rollouts:
     """One period per task, all advanced slot by slot together.
 
     Row b rolls tasks[b] on uniforms[b] (see `draw_uniforms`): per slot,
@@ -97,11 +115,22 @@ def rollout_period(
     distinct state, a `policy_net.forward` per block of at most the head's
     input width of distinct encodings (so no temporary outgrows the head
     weight), an `env.slot_links` per distinct (cells, heights) and a decode
-    and service evaluation per distinct (state, index).
+    and service evaluation per distinct (state, index). Each block is freed
+    before the next forward; with `keep`, its forward values are first
+    copied into the returned `kept` rows, for `task_gradient`.
     """
     u = np.asarray(uniforms, dtype=float)
-    if u.shape != (len(tasks), scenario.slots_per_period, 1 + scenario.num_users):
+    count, slots = len(tasks), scenario.slots_per_period
+    if u.shape != (count, slots, 1 + scenario.num_users):
         raise ValueError("need one (slots, 1 + users) block of uniforms per task")
+    kept = rows_of = None
+    if keep:  # room for one row per step; a slot's distinct states take the next rows
+        kept = policy_net.Forward(
+            [np.empty((count * slots, n_in)) for n_in, _ in params.layer_shapes],
+            np.empty((count * slots, params.action_count)),
+        )
+        rows_of = np.empty((count, slots), dtype=np.intp)
+    filled = 0
     groups: dict[int, list[int]] = {}  # the rows of each task
     for b, task in enumerate(tasks):
         groups.setdefault(id(task), []).append(b)
@@ -114,18 +143,27 @@ def rollout_period(
     links: dict[tuple, env.SlotLinks] = {}
     served: dict[tuple, tuple[env.JointAction, env.ServiceOutcome]] = {}
     steps: list[list[TrajectoryStep]] = [[] for _ in tasks]
-    for t in range(scenario.slots_per_period):
+    for t in range(slots):
         distinct = {state: i for i, state in enumerate(dict.fromkeys(states))}
         x = np.array([policy_net.encode_state(state, scenario) for state in distinct])
         x.setflags(write=False)  # rows are shared by the steps of equal states
         rows = [distinct[state] for state in states]
         indices = [0] * len(states)
         for lo in range(0, len(x), width):
-            cum = policy_net.forward(params, x[lo : lo + width])
-            np.cumsum(cum, axis=1, out=cum)
+            fw = policy_net.forward(params, x[lo : lo + width])
+            if keep:
+                at = slice(filled + lo, filled + lo + len(fw.probs))
+                for mine, block in zip(kept.inputs, fw.inputs):
+                    mine[at] = block
+                kept.probs[at] = fw.probs
+            cum = np.cumsum(fw.probs, axis=1, out=fw.probs)
             for b, r in enumerate(rows):
                 if lo <= r < lo + width:
                     indices[b] = policy_net.inverse_cdf(cum[r - lo], u[b, t, 0])
+            del fw, cum  # so the next forward does not hold two blocks
+        if keep:
+            rows_of[:, t] = [filled + r for r in rows]
+            filled += len(x)
 
         for b, (state, idx) in enumerate(zip(states, indices)):
             key = (state, idx)
@@ -160,10 +198,16 @@ def rollout_period(
             )
             for state, idx, moved in zip(states, indices, cells.tolist())
         ]
-    return [
+    trajectories = [
         Trajectory(task_id=task.id, steps=tuple(row), final_state=state)
         for task, row, state in zip(tasks, steps, states)
     ]
+    if not keep:
+        return Rollouts(trajectories, None, None)
+    kept = policy_net.Forward([a[:filled] for a in kept.inputs], kept.probs[:filled])
+    for a in (*kept.inputs, kept.probs):
+        a.setflags(write=False)
+    return Rollouts(trajectories, kept, rows_of.ravel())
 
 
 def joint_decoder(space: JointActionSpace):
@@ -178,10 +222,11 @@ def rollout_joint(
     scenario: ScenarioConfig,
     rng: np.random.Generator,
     count: int,
-) -> list[Trajectory]:
+) -> Rollouts:
     """`count` periods of one task under the head that `decode` belongs to,
-    in lockstep, from one draw of the rng: the phase entry of both heads."""
-    return rollout_period([task] * count, params, decode, scenario, draw_uniforms(rng, count, scenario))
+    in lockstep, from one draw of the rng, with the forward values their
+    gradient reads: the phase entry of both heads."""
+    return rollout_period([task] * count, params, decode, scenario, draw_uniforms(rng, count, scenario), True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +234,21 @@ def rollout_joint(
 
 
 def task_gradient(
-    trajectories: list[Trajectory],
+    rollouts: Rollouts,
     params: Policy,
     reward_baseline: bool,
     reward_to_go: bool,
 ) -> Gradient:
-    """REINFORCE estimate: trajectory return times summed score function.
+    """REINFORCE estimate: trajectory return times summed score function,
+    from the forward values the rollouts kept at `params`.
 
     reward_baseline subtracts the leave-one-out mean return, which keeps
     the estimator exactly unbiased. reward_to_go swaps the whole-period
     return for the per-step remaining reward. Steps whose coefficient is
-    zero are left out, so the head-weight factors have one row per other
-    step.
+    zero are left out, and steps of one kept row share a gradient row, so
+    the head-weight factors have one row per distinct row of the others.
     """
+    trajectories = rollouts.trajectories
     if not trajectories:
         raise ValueError("need at least one trajectory")
     k = len(trajectories)
@@ -210,21 +257,23 @@ def task_gradient(
         baselines = (returns.sum() - returns) / (k - 1)
     else:
         baselines = np.zeros(k)
-    encodings, actions, weights = [], [], []
+    coeffs, actions = [], []
     for ti, traj in enumerate(trajectories):
         if reward_to_go:
             gains = np.array([float(len(s.newly_served)) for s in traj.steps])
-            coeffs = np.cumsum(gains[::-1])[::-1] - baselines[ti]
+            coeffs.append(np.cumsum(gains[::-1])[::-1] - baselines[ti])
         else:
-            coeffs = np.full(len(traj.steps), returns[ti] - baselines[ti])
-        for step, coeff in zip(traj.steps, coeffs):
-            if coeff != 0.0:
-                encodings.append(step.encoding)
-                actions.append(step.action_index)
-                weights.append(coeff / k)
-    if not weights:
+            coeffs.append(np.full(len(traj.steps), returns[ti] - baselines[ti]))
+        actions += [s.action_index for s in traj.steps]
+    c = np.concatenate(coeffs)
+    if len(c) != len(rollouts.rows):
+        raise ValueError("need one kept row per step")
+    steps = np.flatnonzero(c)
+    if not len(steps):
         return Gradient.zero(params.layer_shapes)
-    return policy_net.accumulate_grad_log_prob(params, encodings, actions, weights)
+    return policy_net.accumulate_grad_log_prob(
+        params, rollouts.kept, rollouts.rows[steps], np.array(actions)[steps], c[steps] / k
+    )
 
 
 def inner_update(params: Policy, gradient: Gradient, lr: float) -> Policy:
@@ -236,15 +285,22 @@ def inner_update(params: Policy, gradient: Gradient, lr: float) -> Policy:
     return policy_net.ascend(params, gradient, lr)
 
 
-def meta_update(params: PolicyParams, gradients: list[Gradient], cfg: LearningConfig) -> PolicyParams:
-    """First-order meta step on the shared initialization: the batch's
-    post-adaptation gradients, each taken at its task's adapted parameters,
-    applied to the shared ones in one fold (one copy of the head weight, one
-    gemm over every task's factors), in batch order.
+def meta_update(params: PolicyParams, gradients: list[Gradient], cfg: LearningConfig) -> None:
+    """First-order meta step on the shared initialization, in place: the
+    batch's post-adaptation gradients, each taken at its task's adapted
+    parameters, folded into params' own vector (one gemm over every task's
+    factors per block of head rows), in batch order.
+
+    `params` is `meta_train`'s working copy: the one `PolicyParams` vector
+    that is ever written, here and only between batches.
     """
     if not gradients:
         raise ValueError("need at least one task gradient")
-    return policy_net.fold(params, gradients, cfg.meta_lr)
+    params.flat.setflags(write=True)
+    try:
+        policy_net.fold_into(params.flat, params, gradients, cfg.meta_lr)
+    finally:
+        params.flat.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +312,7 @@ class PolicyHead(NamedTuple):
     decode, scenario, rng, count); its `rollout_period` decoder; and its
     action table, one entry per output of the policy."""
 
-    rollout: Callable[..., list[Trajectory]]
+    rollout: Callable[..., Rollouts]
     decode: Callable
     actions: JointActionSpace | tuple
 
@@ -283,7 +339,7 @@ def rollout_phase(
     scenario: ScenarioConfig,
     rng: np.random.Generator,
     count: int,
-) -> list[Trajectory]:
+) -> Rollouts:
     """`count` rollouts of one task phase through the head's entry point."""
     head = policy_head(kind, scenario)
     return head.rollout(task, params, head.decode, scenario, rng, count)
@@ -310,10 +366,12 @@ def _run_task_phase(payload) -> TaskBatchResult:
     inner = rollout_phase(kind, task, params, scenario, rng_inner, cfg.inner_rollouts)
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
+    inner_trajs = inner.trajectories
+    del inner  # its kept rows, before the outer phase keeps its own
     rng_outer = _phase_rng(master_seed, iteration, slot, task.id, 1)
     outer = rollout_phase(kind, task, adapted, scenario, rng_outer, cfg.outer_rollouts)
     g_outer = task_gradient(outer, adapted, cfg.reward_baseline, cfg.reward_to_go)
-    return TaskBatchResult(gradient=g_outer, inner_trajs=inner, outer_trajs=outer)
+    return TaskBatchResult(gradient=g_outer, inner_trajs=inner_trajs, outer_trajs=outer.trajectories)
 
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:
@@ -334,12 +392,15 @@ def meta_train(
     workers: int,
     trajectory_sink=None,
 ) -> tuple[PolicyParams, list[IterationMetrics]]:
-    """Meta training of the joint (`mpg`) or VAP-only (`dmpg`) policy."""
+    """Meta training of the joint (`mpg`) or VAP-only (`dmpg`) policy.
+
+    The initial vector is copied once; every meta update is folded into
+    that copy in place, which is returned.
+    """
     if not tasks:
         raise ValueError("task stream is empty")
-    params = initial_params
-    if params is None:
-        params = new_policy(kind, scenario, cfg, master_seed)
+    initial = initial_params if initial_params is not None else new_policy(kind, scenario, cfg, master_seed)
+    params = PolicyParams(initial.flat.copy(), initial.layer_shapes, initial.action_count)
 
     metrics: list[IterationMetrics] = []
     workers = min(workers, cfg.tasks_per_batch)  # a batch keeps no more busy
@@ -360,13 +421,14 @@ def meta_train(
             else:
                 results = list(pool.map(_run_task_phase, payloads))
 
-            params = meta_update(params, [res.gradient for res in results], cfg)
+            meta_update(params, [res.gradient for res in results], cfg)
             outer = [t for res in results for t in res.outer_trajs]
             metrics.append(IterationMetrics.of(it, outer, start))
             if trajectory_sink is not None:
                 for res in results:
                     for traj in res.inner_trajs + res.outer_trajs:
                         trajectory_sink(traj)
+            del results, outer  # before the next batch's phases
     finally:
         if pool is not None:
             pool.shutdown()
@@ -391,12 +453,12 @@ def _policy_gradient(
     for it, task in enumerate(tasks):
         start = time.perf_counter()
         rng = _phase_rng(master_seed, it, 0, task.id, phase)
-        trajs = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
-        g = task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)
+        rollouts = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
+        g = task_gradient(rollouts, params, cfg.reward_baseline, cfg.reward_to_go)
         params = inner_update(params, g, cfg.inner_lr)
-        metrics.append(IterationMetrics.of(it, trajs, start))
+        metrics.append(IterationMetrics.of(it, rollouts.trajectories, start))
         if trajectory_sink is not None:
-            for traj in trajs:
+            for traj in rollouts.trajectories:
                 trajectory_sink(traj)
     return params.folded(), metrics
 

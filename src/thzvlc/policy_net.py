@@ -2,8 +2,12 @@
 
 Tanh hidden layers feeding a linear softmax head. Gradients of log action
 probabilities are computed analytically by reverse accumulation so that the
-training loop needs no autodiff framework. Parameters are immutable values;
-updates build new values.
+training loop needs no autodiff framework, from the forward values the
+rollouts kept (`Forward`), so no row passes through the head twice.
+Parameters are values: a `PolicyParams` vector is read-only and updates
+build new values, with one exception. `meta_rl.meta_train` copies its
+initial vector once and folds every meta update into that copy in place
+(`fold_into`); no vector that is passed in or returned is written.
 
 The head weight (action_count x width) holds almost every parameter, while
 a gradient over S steps changes it by a matrix of rank at most S. So a
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,12 +171,19 @@ def _mean(arrays: list[np.ndarray], n: int) -> np.ndarray:
     return total if n == 1 else total / n
 
 
-def fold(params: Policy, grads: list[Gradient], lr: float) -> PolicyParams:
-    """Dense params + lr * mean(grads), any pending head update included.
+# Head rows folded per block, through one (4096, width) buffer.
+_FOLD_ROWS = 4096
 
-    The new head weight takes one copy of the shared one and one gemm,
-    (action count x sum S) @ (sum S x width), over every factor pair; the
-    dense head parts are summed in order and added after.
+
+def fold_into(out: np.ndarray, params: Policy, grads: list[Gradient], lr: float) -> None:
+    """Write dense params + lr * mean(grads), any pending head update
+    included, into `out`, which may be the shared vector itself.
+
+    The head weight goes in blocks of rows: per block one gemm,
+    (rows x sum S) @ (sum S x width), over every factor pair, plus the old
+    rows, plus the dense head parts summed in order; each block is read in
+    full before it is written, so no temporary is head-sized. Refuses a
+    non-finite result; `out` may then be partly written.
     """
     base = params if isinstance(params, PolicyParams) else params.base
     body, head, bias = _parts(base.flat, base.layer_shapes)
@@ -180,8 +192,7 @@ def fold(params: Policy, grads: list[Gradient], lr: float) -> PolicyParams:
         body, bias = params.body, params.bias
         ds.append(params.d)
         hs.append(params.lr * params.h)
-    flat = np.empty(base.size)
-    new_body, new_head, new_bias = _parts(flat, base.layer_shapes)
+    new_body, new_head, new_bias = _parts(out, base.layer_shapes)
     new_body[:] = body
     new_bias[:] = bias
     n = len(grads)
@@ -190,14 +201,33 @@ def fold(params: Policy, grads: list[Gradient], lr: float) -> PolicyParams:
         new_bias += lr * _mean([g.bias for g in grads], n)
         ds += [g.d for g in grads]
         hs += [(lr / n) * g.h for g in grads]
-    if sum(len(d) for d in ds):
-        np.matmul(np.concatenate(ds).T, np.concatenate(hs), out=new_head)
-        new_head += head
-    else:
-        new_head[:] = head
+    if not (np.isfinite(new_body).all() and np.isfinite(new_bias).all()):
+        raise ValueError("policy parameters must be finite")
+    factored = sum(len(d) for d in ds) > 0
+    if factored:
+        d, h = np.concatenate(ds).T, np.concatenate(hs)
     dense = [g.head for g in grads if g.head is not None]
-    if dense:
-        new_head += lr * _mean(dense, n)
+    buffer = np.empty((min(_FOLD_ROWS, len(new_head)), new_head.shape[1]))
+    for lo in range(0, len(new_head), _FOLD_ROWS):
+        rows = slice(lo, lo + _FOLD_ROWS)
+        block = buffer[: len(new_head[rows])]
+        if factored:
+            np.matmul(d[rows], h, out=block)
+            block += head[rows]
+        else:
+            block[:] = head[rows]
+        if dense:
+            block += lr * _mean([m[rows] for m in dense], n)
+        if not np.isfinite(block).all():
+            raise ValueError("policy parameters must be finite")
+        new_head[rows] = block
+
+
+def fold(params: Policy, grads: list[Gradient], lr: float) -> PolicyParams:
+    """Dense params + lr * mean(grads) as new parameters (see `fold_into`)."""
+    base = params if isinstance(params, PolicyParams) else params.base
+    flat = np.empty(base.size)
+    fold_into(flat, params, grads, lr)
     return PolicyParams(flat=flat, layer_shapes=base.layer_shapes, action_count=base.action_count)
 
 
@@ -263,8 +293,9 @@ def _layers(params: Policy) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple 
 def _forward_rows(layers, pending, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations and logits of a 2-D batch, one `X @ W.T` per layer.
 
-    A pending head update enters as lr * (x_last @ h_p.T) @ d_p. A row's
-    logits may differ in the last bits with the rows batched beside it.
+    A pending head update enters as lr * (x_last @ h_p.T) @ d_p. A batch of
+    one row goes through gemv, so its logits may differ in the last bits
+    from the same row batched with others.
     """
     activations = [x]
     for w, b in layers[:-1]:
@@ -279,8 +310,17 @@ def _forward_rows(layers, pending, x: np.ndarray) -> tuple[list[np.ndarray], np.
     return activations, logits
 
 
-def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
-    """Action distribution of each row of a 2-D batch of encodings.
+class Forward(NamedTuple):
+    """Forward values of a batch of rows at one policy: `inputs`, the input
+    rows of every layer (the encodings, then each hidden layer's
+    activations), and `probs`, each row's action distribution."""
+
+    inputs: list[np.ndarray]
+    probs: np.ndarray
+
+
+def forward(params: Policy, encodings: np.ndarray) -> Forward:
+    """The forward values of a 2-D batch of encodings.
 
     Softmax stabilized by max subtraction, in the logits' buffer, so a batch
     of n rows holds one (n, action count) array.
@@ -288,64 +328,81 @@ def forward(params: Policy, encodings: np.ndarray) -> np.ndarray:
     x = np.asarray(encodings, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.layer_shapes[0][0]:
         raise ValueError("encodings must be one row each, as wide as the input layer")
-    _, z = _forward_rows(*_layers(params), x)
+    inputs, z = _forward_rows(*_layers(params), x)
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits; check the parameter vector")
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
-    return z
+    return Forward(inputs, z)
 
 
 def accumulate_grad_log_prob(
     params: Policy,
-    encodings,
+    kept: Forward,
+    rows,
     action_indices,
     coeffs,
 ) -> Gradient:
-    """sum_s coeffs[s] * grad log pi(action_s | encoding_s), as one Gradient.
+    """sum_s coeffs[s] * grad log pi(action_s | row_s), as one Gradient, from
+    the forward values `kept` holds for each step's row at these params.
 
-    Rows go through one batched forward and one backward pass per layer; a
-    weight gradient is the product delta.T @ activations. For the head that
-    is d.T @ h, with d the rows' coefficient-weighted one_hot(action) -
-    probs and h their last hidden activations: kept as factors while
-    `factors_fit`. Otherwise rows are taken in blocks of at most the head's
-    input width and each block's product is added into a dense head
-    matrix, so no temporary is larger than it. A pending head update
-    enters as lr * d_p.T @ (h_p @ x) in the logits and lr * (delta @ d_p.T)
-    @ h_p in the backward pass, never as a matrix.
+    No forward pass runs. Steps of one row merge into one gradient row,
+    d_r = sum c * one_hot(a) - (sum c) * probs_r, in the order the rows first
+    appear; a row of one step is (one_hot(a) - probs_r) * c. Then one
+    backward pass per layer; a weight gradient is the product delta.T @
+    inputs. For the head that is d.T @ h, with h the rows' last hidden
+    activations: kept as factors while `factors_fit`. Otherwise rows are
+    taken in blocks of at most the head's input width and each block's
+    product is added into a dense head matrix, so no temporary is larger
+    than it. A pending head update enters the backward pass as lr * (delta
+    @ d_p.T) @ h_p, never as a matrix.
     """
-    x = np.asarray(encodings, dtype=float)
+    r = np.asarray(rows, dtype=np.intp)
     actions = np.asarray(action_indices, dtype=np.intp)
     c = np.asarray(coeffs, dtype=float)
-    n_rows = len(x)
-    if x.shape != (n_rows, params.layer_shapes[0][0]):
-        raise ValueError("encodings must be one row per step, as wide as the input layer")
-    if actions.shape != (n_rows,) or c.shape != (n_rows,):
-        raise ValueError("need one action index and one coefficient per encoding")
-    if n_rows and not (0 <= actions.min() and actions.max() < params.action_count):
+    n_steps = len(c)
+    if r.shape != (n_steps,) or actions.shape != (n_steps,) or c.shape != (n_steps,):
+        raise ValueError("need one row, one action index and one coefficient per step")
+    widths = [n_in for n_in, _ in params.layer_shapes]
+    n_kept = len(kept.probs)
+    shapes = [a.shape for a in (*kept.inputs, kept.probs)]
+    if shapes != [(n_kept, n) for n in (*widths, params.action_count)]:
+        raise ValueError("kept forward values do not fit the policy's layers")
+    if n_steps and not (0 <= r.min() and r.max() < n_kept):
+        raise ValueError("row index out of range")
+    if n_steps and not (0 <= actions.min() and actions.max() < params.action_count):
         raise ValueError("action index out of range")
+    first: dict[int, int] = {}  # kept row -> its gradient row
+    merged = np.array([first.setdefault(row, len(first)) for row in r.tolist()], dtype=np.intp)
+    distinct = np.fromiter(first, dtype=np.intp, count=len(first))
+    sums = np.bincount(merged, weights=c, minlength=len(distinct))
+    alone = np.bincount(merged, minlength=len(distinct))[merged] == 1
     layers, pending = _layers(params)
     zero = Gradient.zero(params.layer_shapes)
     body, bias, d, h = zero.body, zero.bias, zero.d, zero.h
-    width = params.layer_shapes[-1][0]
-    factored = factors_fit(n_rows, params.action_count, width)
+    width = widths[-1]
+    factored = factors_fit(len(distinct), params.action_count, width)
     head = None if factored else np.zeros((params.action_count, width))
     hidden = _views(body, params.layer_shapes[:-1])
-    for lo in range(0, n_rows, width):  # one block when factored: then n_rows < width
-        rows = slice(lo, lo + width)
-        # d log pi / d logits = one_hot(action) - probs, built in the logits' buffer
-        activations, delta = _forward_rows(layers, pending, x[rows])
+    for lo in range(0, len(distinct), width):  # one block when factored: then rows < width
+        block = distinct[lo : lo + width]
+        # d log pi / d logits = one_hot(action) - probs, per step, summed per row
+        delta = kept.probs[block]
+        np.negative(delta, out=delta)
+        here = (lo <= merged) & (merged < lo + width)
+        one = here & alone
+        delta[merged[one] - lo, actions[one]] += 1.0
+        delta *= sums[lo : lo + width, None]
+        many = here & ~alone
+        for i, a, ci in zip((merged[many] - lo).tolist(), actions[many].tolist(), c[many].tolist()):
+            delta[i, a] += ci
+        activations = [a[block] for a in kept.inputs]
         w = layers[-1][0]
         last = activations[-1]
-        delta -= delta.max(axis=1, keepdims=True)
-        np.exp(delta, out=delta)
-        delta /= -delta.sum(axis=1, keepdims=True)
-        delta[np.arange(len(delta)), actions[rows]] += 1.0
-        delta *= c[rows, None]
         bias += delta.sum(axis=0)
         if factored:
-            d, h = delta, last.copy()
+            d, h = delta, last
         else:
             head += delta.T @ last
         if not hidden:

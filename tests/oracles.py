@@ -3,8 +3,9 @@
 Most of this is written directly from the model formulas with plain math,
 deliberately separate from the package code paths it checks. The rest are
 references that no run executes, built on package code: the priced period
-association solver, the one-row policy helpers over the batched gradient
-kernel, and the one-slot-at-a-time step and rollout.
+association solver, the gradient kernel that runs its own forward pass
+with the one-row policy helpers over it, and the one-slot-at-a-time step
+and rollout.
 """
 
 from __future__ import annotations
@@ -522,7 +523,7 @@ def forward_one(params, encoding):
 
     from thzvlc.policy_net import forward
 
-    return forward(params, np.asarray(encoding, dtype=float)[None])[0]
+    return forward(params, np.asarray(encoding, dtype=float)[None]).probs[0]
 
 
 def log_prob(params, encoding, action_index):
@@ -539,10 +540,99 @@ def log_prob(params, encoding, action_index):
 
 def grad_log_prob(params, encoding, action_index):
     """Exact gradient of log pi(action | encoding) w.r.t. the flat vector:
-    the package's batched kernel on one row with coefficient 1."""
-    from thzvlc.policy_net import accumulate_grad_log_prob
+    the recomputing kernel on one row with coefficient 1."""
+    return dense_gradient(recompute_grad_log_prob(params, [encoding], [action_index], [1.0]))
 
-    return dense_gradient(accumulate_grad_log_prob(params, [encoding], [action_index], [1.0]))
+
+def recompute_grad_log_prob(params, encodings, action_indices, coeffs):
+    """sum_s coeffs[s] * grad log pi(action_s | encoding_s), as one Gradient,
+    with its own forward pass: the kernel before the gradient read the
+    rollouts' kept forward values, one gradient row per step.
+
+    Rows go through one batched forward and one backward pass per layer; a
+    weight gradient is the product delta.T @ activations. For the head that
+    is d.T @ h, with d the rows' coefficient-weighted one_hot(action) -
+    probs and h their last hidden activations: kept as factors while
+    `factors_fit`. Otherwise rows are taken in blocks of at most the head's
+    input width and each block's product is added into a dense head
+    matrix, so no temporary is larger than it. A pending head update
+    enters as lr * d_p.T @ (h_p @ x) in the logits and lr * (delta @ d_p.T)
+    @ h_p in the backward pass, never as a matrix.
+    """
+    import numpy as np
+
+    from thzvlc.policy_net import Gradient, _forward_rows, _layers, _views, factors_fit
+
+    x = np.asarray(encodings, dtype=float)
+    actions = np.asarray(action_indices, dtype=np.intp)
+    c = np.asarray(coeffs, dtype=float)
+    n_rows = len(x)
+    if x.shape != (n_rows, params.layer_shapes[0][0]):
+        raise ValueError("encodings must be one row per step, as wide as the input layer")
+    if actions.shape != (n_rows,) or c.shape != (n_rows,):
+        raise ValueError("need one action index and one coefficient per encoding")
+    if n_rows and not (0 <= actions.min() and actions.max() < params.action_count):
+        raise ValueError("action index out of range")
+    layers, pending = _layers(params)
+    zero = Gradient.zero(params.layer_shapes)
+    body, bias, d, h = zero.body, zero.bias, zero.d, zero.h
+    width = params.layer_shapes[-1][0]
+    factored = factors_fit(n_rows, params.action_count, width)
+    head = None if factored else np.zeros((params.action_count, width))
+    hidden = _views(body, params.layer_shapes[:-1])
+    for lo in range(0, n_rows, width):  # one block when factored: then n_rows < width
+        rows = slice(lo, lo + width)
+        # d log pi / d logits = one_hot(action) - probs, built in the logits' buffer
+        activations, delta = _forward_rows(layers, pending, x[rows])
+        w = layers[-1][0]
+        last = activations[-1]
+        delta -= delta.max(axis=1, keepdims=True)
+        np.exp(delta, out=delta)
+        delta /= -delta.sum(axis=1, keepdims=True)
+        delta[np.arange(len(delta)), actions[rows]] += 1.0
+        delta *= c[rows, None]
+        bias += delta.sum(axis=0)
+        if factored:
+            d, h = delta, last.copy()
+        else:
+            head += delta.T @ last
+        if not hidden:
+            continue
+        back = delta @ w
+        if pending is not None:
+            lr, pd, ph = pending
+            back += (lr * (delta @ pd.T)) @ ph
+        delta = back * (1.0 - last**2)
+        for layer in range(len(hidden) - 1, -1, -1):
+            w_grad, b_grad = hidden[layer]
+            w_grad += delta.T @ activations[layer]
+            b_grad += delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ layers[layer][0]) * (1.0 - activations[layer] ** 2)
+    return Gradient(body, bias, d, h, head)
+
+
+def kept_grad_log_prob(params, encodings, action_indices, coeffs):
+    """The package kernel with every step its own kept row, the rows
+    forwarded at `params` in one batch."""
+    import numpy as np
+
+    from thzvlc.policy_net import accumulate_grad_log_prob, forward
+
+    x = np.asarray(encodings, dtype=float)
+    return accumulate_grad_log_prob(params, forward(params, x), np.arange(len(x)), action_indices, coeffs)
+
+
+def kept_rollouts(trajectories, params):
+    """`meta_rl.Rollouts` of hand-built trajectories at `params`: every
+    step its own kept row, forwarded from its `encoding` in one batch."""
+    import numpy as np
+
+    from thzvlc import meta_rl, policy_net
+
+    x = np.array([s.encoding for t in trajectories for s in t.steps], dtype=float)
+    kept = policy_net.forward(params, x.reshape(len(x), params.layer_shapes[0][0]))
+    return meta_rl.Rollouts(list(trajectories), kept, np.arange(len(x)))
 
 
 # --- one period at a time -------------------------------------------------------

@@ -39,7 +39,7 @@ class TestDmpgStep:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
             task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0,
                                    locality_radius=locality_radius, task_id=seed)
-            for traj in rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2):
+            for traj in rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2).trajectories:
                 yield actions, traj
 
     def test_no_localized_users_zero_reward(self):
@@ -83,7 +83,7 @@ class TestRolloutVap:
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(6):
             task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
+            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).trajectories
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
             ]
@@ -99,7 +99,7 @@ class TestRolloutVap:
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(8):
             task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1)
+            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).trajectories
             served = set()
             for step in traj.steps:
                 for u, _ in step.action.assignments:

@@ -270,7 +270,7 @@ class TestPeriodReliability:
         space = enumerate_joint_actions(toy_scenario)
         cfg = reference_learning(hidden_sizes=(8,))
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)
-        for traj in meta_rl.rollout_joint(task, params, meta_rl.joint_decoder(space), toy_scenario, rng, 25):
+        for traj in meta_rl.rollout_joint(task, params, meta_rl.joint_decoder(space), toy_scenario, rng, 25).trajectories:
             assert traj.total_reward == sum(traj.final_state.served)
             assert traj.total_reward <= min(
                 toy_scenario.num_users,

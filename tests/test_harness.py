@@ -113,9 +113,10 @@ class TestLoadSpec:
         assert str(exc.value) == "line 6: learning.inner_lr is already set on line 2"
 
     def test_repeated_header_with_distinct_keys_loads(self):
-        values = parse_config_text("[learning]\ninner_lr = 0.5\n[run]\nmaster_seed = 1\n[learning]\nmeta_lr = 0.3\n")
+        values, given = parse_config_text("[learning]\ninner_lr = 0.5\n[run]\nmaster_seed = 1\n[learning]\nmeta_lr = 0.3\n")
         assert (values["learning"]["inner_lr"], values["learning"]["meta_lr"]) == (0.5, 0.3)
         assert values["run"]["master_seed"] == 1
+        assert given == {("learning", "inner_lr"), ("learning", "meta_lr"), ("run", "master_seed")}
 
     def test_constraint_violation_names_field(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -126,9 +127,32 @@ class TestLoadSpec:
     def test_round_trip_canonical(self, tmp_path):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text(TOY_CONFIG)
-        once = serialize_spec(parse_config_text(TOY_CONFIG))
-        twice = serialize_spec(parse_config_text(once))
+        once = serialize_spec(parse_config_text(TOY_CONFIG)[0])
+        twice = serialize_spec(parse_config_text(once)[0])
         assert once == twice
+
+    @pytest.mark.parametrize("count_key, key, count", [("num_vaps", "vap_positions", 5), ("num_sbs", "sbs_positions", 7)])
+    def test_count_that_contradicts_its_positions_refused(self, tmp_path, count_key, key, count):
+        # the toy lists 4 VAPs and 2 SBSs; a count set in the file, the
+        # environment or on the command line must agree with its list
+        cfg = tmp_path / "toy.cfg"
+        want = f"scenario.{count_key} = {count} disagrees with the {4 if key == 'vap_positions' else 2} points of scenario.{key}"
+        cfg.write_text(TOY_CONFIG.replace("[scenario]\n", f"[scenario]\n{count_key} = {count}\n"))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(cfg, environ={})
+        assert str(exc.value) == want
+        cfg.write_text(TOY_CONFIG)
+        with pytest.raises(ConfigError, match=want):
+            load_spec(cfg, environ={f"THZVLC_SCENARIO__{count_key.upper()}": str(count)})
+        with pytest.raises(ConfigError, match=want):
+            load_spec(cfg, environ={}, overrides={("scenario", count_key): count})
+        cfg.write_text(TOY_CONFIG.replace("[scenario]\n", f"[scenario]\n{count_key} = {count}\n"))
+        code, err = train_probe(cfg, tmp_path / "out")
+        assert (code, err) == (1, f"error: {want}\n")
+        assert not (tmp_path / "out").exists()
+        agreeing = TOY_CONFIG.replace("[scenario]\n", "[scenario]\nnum_vaps = 4\nnum_sbs = 2\n")
+        cfg.write_text(agreeing)
+        assert load_spec(cfg, environ={}).scenario.num_vaps == 4
 
     def test_env_overrides(self, tmp_path):
         cfg = tmp_path / "toy.cfg"
@@ -219,7 +243,7 @@ class TestCli:
             ["oracle"], ["simulate"],
         ):
             assert main([*command, "--print-config"]) == 0
-            values = parse_config_text(capsys.readouterr().out)
+            values, _ = parse_config_text(capsys.readouterr().out)
             assert values["radio"]["carrier_freq_hz"] == 1e12
             assert values["radio"]["tx_power_w"] == 1.0
             assert values["radio"]["image_size_bits"] == 2e7
@@ -722,7 +746,9 @@ def partners(section, key, value):
 def probe_config(directory, section, key, value, others=None) -> Path:
     """The toy config, whose steps all move the policy by the learning
     rates, with `others` set and then `section.key = value`."""
-    values = parse_config_text(TOY_CONFIG)
+    values, _ = parse_config_text(TOY_CONFIG)
+    sc = values["scenario"]  # the canonical text sets the unit counts; the toy's lists hold them
+    sc["num_vaps"], sc["num_sbs"] = len(sc["vap_positions"]), len(sc["sbs_positions"])
     for (s, k), v in (others or {}).items():
         values[s][k] = v
     values[section][key] = None  # left out, so the file sets it once
@@ -810,7 +836,7 @@ class TestAtomicArtifacts:
         out.mkdir()
         task = spec.task(1, 1)
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, 0)
-        trajs = meta_rl.rollout_phase(spec.kind, task, params, spec.scenario, np.random.default_rng(0), 3)
+        trajs = meta_rl.rollout_phase(spec.kind, task, params, spec.scenario, np.random.default_rng(0), 3).trajectories
         harness.write_trajectories(out, trajs[:1], spec.scenario)
         before = (out / "trajectories.csv").read_bytes()
         # the third period breaks the writer after two periods of rows

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_toy_scenario, reference_learning, reference_scenario
-from oracles import dense_gradient, forward_one
+from oracles import dense_gradient, forward_one, kept_rollouts
 from thzvlc import env, meta_rl, policy_net
 from thzvlc.env import EnvState, Trajectory, TrajectoryStep
 from thzvlc.meta_rl import (
@@ -87,13 +87,13 @@ class TestCollectTrajectories:
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
         out = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 0)
-        assert out == []
+        assert out.trajectories == [] and len(out.kept.probs) == 0 and len(out.rows) == 0
 
     def test_horizon(self, toy_scenario):
         task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
-        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3)
+        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3).trajectories
         assert len(trajs) == 3
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
@@ -101,7 +101,7 @@ class TestCollectTrajectories:
         task = env.sample_task(toy_scenario.cells_per_side, seed=2, concentration=1.0, locality_radius=0, task_id=2)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
-        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5)
+        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5).trajectories
         assert all(trajectories_equal(trajs[0], t) for t in trajs[1:])
 
 
@@ -150,7 +150,7 @@ class TestLockstep:
         kind, scenario, params, seed = case
         task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count)
+        got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count).trajectories
         decode = meta_rl.policy_head(kind, scenario).decode
         want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
         assert_same_rollouts(got, want)
@@ -170,7 +170,9 @@ class TestLockstep:
         draws = [meta_rl.draw_uniforms(rng, 1, scenario) for rng in rngs]
         decode = meta_rl.policy_head(kind, scenario).decode
         shape = (len(tasks), scenario.slots_per_period, 1 + scenario.num_users)
-        got = meta_rl.rollout_period(tasks, params, decode, scenario, np.array(draws).reshape(shape))
+        got = meta_rl.rollout_period(tasks, params, decode, scenario, np.array(draws).reshape(shape), False)
+        assert got.kept is None and got.rows is None
+        got = got.trajectories
         ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
         want = [oracles.rollout(t, params, decode, scenario, r) for t, r in zip(tasks, ref_rngs)]
         assert_same_rollouts(got, want)
@@ -191,18 +193,18 @@ class TestLockstep:
         decode = meta_rl.policy_head("mpg", toy_scenario).decode
         uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
         with pytest.raises(ValueError, match="uniforms"):
-            meta_rl.rollout_period([task] * 3, params, decode, toy_scenario, uniforms)
+            meta_rl.rollout_period([task] * 3, params, decode, toy_scenario, uniforms, True)
 
 
 class TestTaskGradient:
     def test_zero_returns_zero_gradient(self):
         params = init_params(((2, 4), (4, 3)), seed=0)
-        trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [0]) for i in range(4)]
+        trajs = kept_rollouts([synthetic_trajectory([[0.1, 0.2]], [i % 3], [0]) for i in range(4)], params)
         assert np.all(dense_gradient(task_gradient(trajs, params, reward_baseline=False, reward_to_go=False)) == 0.0)
 
     def test_identical_returns_with_baseline(self):
         params = init_params(((2, 4), (4, 3)), seed=1)
-        trajs = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
+        trajs = kept_rollouts([synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)], params)
         g = task_gradient(trajs, params, reward_baseline=True, reward_to_go=False)
         assert np.all(dense_gradient(g) == 0.0)
 
@@ -234,8 +236,8 @@ class TestTaskGradient:
         samples = np.empty((n, params.size))
         for s in range(n):
             a = policy_net.sample_action(dist, rng)
-            traj = synthetic_trajectory([x], [a], [rewards[a]])
-            samples[s] = dense_gradient(task_gradient([traj], params, reward_baseline=False, reward_to_go=False))
+            traj = kept_rollouts([synthetic_trajectory([x], [a], [rewards[a]])], params)
+            samples[s] = dense_gradient(task_gradient(traj, params, reward_baseline=False, reward_to_go=False))
         mean = samples.mean(axis=0)
         sem = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(mean - exact_grad) <= 3 * sem + 1e-9)
@@ -253,7 +255,7 @@ class TestTaskGradient:
         baselined = np.empty((n, params.size))
         for s in range(n):
             pair = [policy_net.sample_action(dist, rng) for _ in range(2)]
-            trajs = [synthetic_trajectory([x], [a], [rewards[a]]) for a in pair]
+            trajs = kept_rollouts([synthetic_trajectory([x], [a], [rewards[a]]) for a in pair], params)
             plain[s] = dense_gradient(task_gradient(trajs, params, reward_baseline=False, reward_to_go=False))
             baselined[s] = dense_gradient(task_gradient(trajs, params, reward_baseline=True, reward_to_go=False))
         diff = baselined.mean(axis=0) - plain.mean(axis=0)
@@ -263,31 +265,31 @@ class TestTaskGradient:
     def test_empty_rejected(self):
         params = init_params(((2, 2),), seed=0)
         with pytest.raises(ValueError):
-            task_gradient([], params, reward_baseline=False, reward_to_go=False)
+            task_gradient(meta_rl.Rollouts([], None, None), params, reward_baseline=False, reward_to_go=False)
 
     def test_all_zero_coefficients_skip_the_kernel(self, monkeypatch):
         params = init_params(((2, 4), (4, 3)), seed=1)
         calls = []
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", lambda *a: calls.append(a))
-        zero = [synthetic_trajectory([[0.1, 0.2]] * 2, [i % 3, 1], [0, 0]) for i in range(3)]
-        equal = [synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)]
+        zero = kept_rollouts([synthetic_trajectory([[0.1, 0.2]] * 2, [i % 3, 1], [0, 0]) for i in range(3)], params)
+        equal = kept_rollouts([synthetic_trajectory([[0.1, 0.2]], [i % 3], [2]) for i in range(4)], params)
         assert np.all(dense_gradient(task_gradient(zero, params, reward_baseline=False, reward_to_go=False)) == 0.0)
         assert np.all(dense_gradient(task_gradient(equal, params, reward_baseline=True, reward_to_go=False)) == 0.0)
         assert calls == []
 
     def test_one_kernel_call_over_nonzero_steps_in_order(self, monkeypatch):
         params = init_params(((2, 4), (4, 3)), seed=2)
-        trajs = [
+        trajs = kept_rollouts([
             synthetic_trajectory([[0.1, 0.2], [0.3, 0.4]], [0, 1], [1, 0]),
             synthetic_trajectory([[0.5, 0.6], [0.7, 0.8]], [2, 0], [0, 0]),
             synthetic_trajectory([[0.9, 1.0]], [1], [3]),
-        ]
+        ], params)
         calls = []
         original = policy_net.accumulate_grad_log_prob
 
-        def spy(params, encodings, action_indices, coeffs):
-            calls.append((np.array(encodings), list(action_indices), list(coeffs)))
-            return original(params, encodings, action_indices, coeffs)
+        def spy(params, kept, rows, action_indices, coeffs):
+            calls.append((kept.inputs[0][rows], list(action_indices), list(coeffs)))
+            return original(params, kept, rows, action_indices, coeffs)
 
         monkeypatch.setattr(policy_net, "accumulate_grad_log_prob", spy)
         g = task_gradient(trajs, params, reward_to_go=True, reward_baseline=False)
@@ -357,17 +359,25 @@ def make_fixture_task(rng, cfg, shapes=((3, 4), (4, 3))):
         ]
 
     inner = random_trajs(6)
-    g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
+    g = task_gradient(kept_rollouts(inner, params), params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
     return params, (adapted, inner, random_trajs(4))
+
+
+def updated(params, gradients, cfg):
+    """`meta_update` folded into a working copy of params, as `meta_train`
+    folds it; params stays as it was."""
+    work = PolicyParams(params.flat.copy(), params.layer_shapes, params.action_count)
+    assert meta_update(work, gradients, cfg) is None
+    return work
 
 
 class TestMetaUpdate:
     def test_zero_task_gradients_leave_params(self):
         cfg = reference_learning(inner_rollouts=2, outer_rollouts=2)
         params = init_params(((2, 3),), seed=0)
-        trajs = [synthetic_trajectory([[0.0, 0.1]], [i % 3], [0]) for i in range(3)]
-        out = meta_update(params, [task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)], cfg)
+        trajs = kept_rollouts([synthetic_trajectory([[0.0, 0.1]], [i % 3], [0]) for i in range(3)], params)
+        out = updated(params, [task_gradient(trajs, params, cfg.reward_baseline, cfg.reward_to_go)], cfg)
         assert np.array_equal(out.flat, params.flat)
 
     def test_converged_point_mass_update_is_tiny(self, toy_scenario):
@@ -385,7 +395,7 @@ class TestMetaUpdate:
         adapted = inner_update(params, g, cfg.inner_lr)
         outer = rollout_joint(task, adapted, decode, toy_scenario, rng, 3)
         g_outer = task_gradient(outer, adapted, cfg.reward_baseline, reward_to_go=False)
-        out = meta_update(params, [g_outer], cfg)
+        out = updated(params, [g_outer], cfg)
         assert np.linalg.norm(out.flat - params.flat) < 1e-6
 
     def test_first_order_vs_fd_cosine(self):
@@ -398,8 +408,8 @@ class TestMetaUpdate:
             )
             params, task = make_fixture_task(rng, cfg)
             adapted, _, outer = task
-            g_outer = task_gradient(outer, adapted, cfg.reward_baseline, cfg.reward_to_go)
-            first = meta_update(params, [g_outer], cfg)
+            g_outer = task_gradient(kept_rollouts(outer, adapted), adapted, cfg.reward_baseline, cfg.reward_to_go)
+            first = updated(params, [g_outer], cfg)
             fd = oracles.fd_meta_update(params.flat, params.layer_shapes, [task], cfg)
             da = first.flat - params.flat
             db = fd - params.flat
@@ -596,7 +606,7 @@ class TestLowRankAgainstDense:
         cfg = reference_learning(inner_lr=lr, meta_lr=0.7, reward_baseline=False)
         gradients = []
         for inner, outer in batches:
-            g = task_gradient(inner, params, reward_baseline=False, reward_to_go=False)
+            g = task_gradient(kept_rollouts(inner, params), params, reward_baseline=False, reward_to_go=False)
             rank = sum(1 for t in inner if t.total_reward)
             fits = factors_fit(rank, actions, width)
             assert (g.head is None) == fits and g.rank == (rank if fits else 0)
@@ -609,11 +619,11 @@ class TestLowRankAgainstDense:
                 for a in range(actions):
                     assert_rel(oracles.log_prob(adapted, x, a), oracles.dense_log_prob(flat, shapes, x, a))
             rows = oracles.score_rows(outer + inner, False, False)
-            got = dense_gradient(policy_net.accumulate_grad_log_prob(adapted, *map(list, zip(*rows))))
+            got = dense_gradient(oracles.kept_grad_log_prob(adapted, *map(list, zip(*rows))))
             scale = sum(np.abs(oracles.dense_grad(flat, shapes, [row])).max() for row in rows)
             assert_rel(got, oracles.dense_grad(flat, shapes, rows), scale)
-            gradients.append(task_gradient(outer, adapted, reward_baseline=False, reward_to_go=False))
-        out = meta_update(params, gradients, cfg)
+            gradients.append(task_gradient(kept_rollouts(outer, adapted), adapted, reward_baseline=False, reward_to_go=False))
+        out = updated(params, gradients, cfg)
         assert isinstance(out, PolicyParams)
         assert_rel(out.flat, oracles.dense_meta_update(params.flat, shapes, batches, cfg))
 
@@ -748,3 +758,160 @@ class TestTaskPhaseResult:
         params = meta_rl.new_policy("mpg", scenario, cfg, seed=0)
         result = meta_rl._run_task_phase(("mpg", scenario, cfg, task, params, 0, 0, 0))
         assert len(pickle.dumps(result)) < params.flat.nbytes / 10
+
+
+def random_pending(params, seed):
+    """params with one random rank-1 head update pending on it."""
+    rng = np.random.default_rng(seed)
+    zero = policy_net.Gradient.zero(params.layer_shapes)
+    grad = policy_net.Gradient(
+        rng.normal(size=zero.body.shape), rng.normal(size=zero.bias.shape),
+        rng.normal(size=(1, params.action_count)), rng.normal(size=(1, params.layer_shapes[-1][0])),
+    )
+    adapted = policy_net.ascend(params, grad, 0.7)
+    assert isinstance(adapted, AdaptedParams)
+    return adapted
+
+
+class TestKeptGradient:
+    """`task_gradient` reads the rollouts' kept forward values; the
+    recomputing kernel of `tests/oracles.py`, one row per step, is its
+    reference."""
+
+    @pytest.mark.parametrize("kind", ["mpg", "dmpg"])
+    @pytest.mark.parametrize("hidden", [(2,), (4, 3), (16,)])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_equals_the_recomputing_kernel(self, kind, hidden, pending):
+        seen = set()
+        for seed in range(12):
+            scenario = make_toy_scenario(num_users=2 + seed % 2)
+            params = meta_rl.new_policy(kind, scenario, reference_learning(hidden_sizes=hidden), seed)
+            if pending:
+                params = random_pending(params, seed)
+            task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0,
+                                   locality_radius=seed % 2, task_id=seed)
+            rollouts = meta_rl.rollout_phase(kind, task, params, scenario, np.random.default_rng(seed), 1 + seed % 6)
+            for baseline, to_go in ((False, False), (True, False), (False, True), (True, True)):
+                g = task_gradient(rollouts, params, baseline, to_go)
+                scored = oracles.score_rows(rollouts.trajectories, baseline, to_go)
+                steps = [i for i, (_, _, c) in enumerate(scored) if c != 0.0]
+                rows = [scored[i] for i in steps]
+                merged = len(set(rollouts.rows[steps].tolist()))
+                fits = factors_fit(merged, params.action_count, hidden[-1])
+                assert (g.head is None) == fits and g.rank == (merged if fits else 0)
+                seen.add(("factored" if fits else "dense", merged < len(steps)))
+                if not rows:
+                    assert np.all(dense_gradient(g) == 0.0)
+                    continue
+                want = dense_gradient(oracles.recompute_grad_log_prob(params, *map(list, zip(*rows))))
+                scale = sum(np.abs(dense_gradient(oracles.recompute_grad_log_prob(params, [x], [a], [c]))).max()
+                            for x, a, c in rows)
+                assert_rel(dense_gradient(g), want, scale)
+        # one-row slots and merged rows on both paths, where the head is narrow
+        if hidden != (16,):
+            assert {("dense", True), ("dense", False)} <= seen
+        assert any(path == "factored" for path, _ in seen)
+
+    def test_steps_of_one_row_merge(self, toy_scenario):
+        # slot 0 starts every period of a task from one state: one kept row
+        params = meta_rl.new_policy("mpg", toy_scenario, reference_learning(hidden_sizes=(16,)), 0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
+        rollouts = meta_rl.rollout_phase("mpg", task, params, toy_scenario, np.random.default_rng(0), 4)
+        slots = toy_scenario.slots_per_period
+        assert np.all(rollouts.rows[::slots] == 0)
+        assert len(rollouts.kept.probs) == len(set(rollouts.rows.tolist())) < 4 * slots
+        assert not rollouts.kept.probs.flags.writeable
+        g = task_gradient(rollouts, params, reward_baseline=False, reward_to_go=False)
+        nonzero = [t.total_reward != 0 for t in rollouts.trajectories for _ in range(slots)]
+        assert g.rank == len(set(rollouts.rows[nonzero].tolist())) < sum(nonzero)
+
+
+class TestWorkingVector:
+    """`meta_train` folds each batch into its own copy of the initial vector."""
+
+    def test_in_place_fold_equals_fold(self):
+        # a 9000-action head: three blocks of head rows; factored and dense
+        # head gradients in one batch
+        shapes = layer_shapes_for(3, (4,), 9000)
+        params = init_params(shapes, seed=0)
+        rng = np.random.default_rng(1)
+        zero = policy_net.Gradient.zero(shapes)
+
+        def factored(rank):
+            return policy_net.Gradient(rng.normal(size=zero.body.shape), rng.normal(size=zero.bias.shape),
+                                       rng.normal(size=(rank, 9000)), rng.normal(size=(rank, 4)))
+
+        dense = oracles.flat_gradient(rng.normal(size=params.size), shapes)
+        cfg = reference_learning(meta_lr=0.3)
+        for grads in ([factored(2)], [dense], [factored(3), dense, factored(1)], [dense, dense]):
+            want = policy_net.fold(params, grads, cfg.meta_lr)
+            got = updated(params, grads, cfg)
+            assert got.flat.tobytes() == want.flat.tobytes()
+            assert not got.flat.flags.writeable
+            assert_rel(got.flat, params.flat + cfg.meta_lr * sum(dense_gradient(g) for g in grads) / len(grads))
+
+    def test_non_finite_update_refused(self):
+        params = init_params(((2, 3),), seed=0)
+        g = oracles.flat_gradient(np.full(params.size, 1e308), params.layer_shapes)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            updated(params, [g], reference_learning(meta_lr=1000.0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_meta_train_returns_the_fold_loop_and_writes_no_vector_it_shares(self, toy_scenario, workers):
+        cfg = tiny_cfg(meta_iterations=3)
+        tasks = TestTraining()._tasks(toy_scenario)
+        init = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
+        before = init.flat.tobytes()
+        got, _ = meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=5, initial_params=init, workers=workers)
+        assert init.flat.tobytes() == before
+        params = init
+        for it in range(cfg.meta_iterations):
+            batch = [tasks[(it * cfg.tasks_per_batch + k) % len(tasks)] for k in range(cfg.tasks_per_batch)]
+            results = [meta_rl._run_task_phase(("mpg", toy_scenario, cfg, task, params, 5, it, slot))
+                       for slot, task in enumerate(batch)]
+            params = policy_net.fold(params, [r.gradient for r in results], cfg.meta_lr)
+        assert got.flat.tobytes() == params.flat.tobytes()
+        returned = got.flat.tobytes()
+        meta_train(cfg, toy_scenario, tasks, "mpg", master_seed=6, initial_params=got, workers=workers)
+        assert got.flat.tobytes() == returned
+
+    def test_training_call_peak_below_two_vectors(self):
+        # the 4-user joint head (29,400 actions, 1.9 M parameters), 6 meta
+        # iterations of 2 tasks: one working vector, no second one per update
+        import tracemalloc
+
+        scenario = reference_scenario(num_users=4)
+        cfg = reference_learning(inner_rollouts=2, outer_rollouts=1, reward_baseline=False,
+                                 meta_iterations=6, tasks_per_batch=2)
+        tasks = [env.sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s)
+                 for s in range(4)]
+        params = meta_rl.new_policy("mpg", scenario, cfg, seed=0)
+        tracemalloc.start()
+        try:
+            meta_train(cfg, scenario, tasks, "mpg", master_seed=0, initial_params=params, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * params.flat.nbytes, peak / params.flat.nbytes
+
+
+def test_evaluation_holds_one_slot_block():
+    # 30 evaluation periods on the 4-user joint head: each slot's (30,
+    # 29,400) block of probabilities is freed before the next forward
+    import tracemalloc
+
+    scenario = reference_scenario(num_users=4)
+    params = meta_rl.new_policy("mpg", scenario, reference_learning(), 0)
+    tasks = [env.sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s)
+             for s in range(30)]
+    decode = meta_rl.policy_head("mpg", scenario).decode
+    uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 30, scenario)
+    meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, False)  # link tables built
+    tracemalloc.start()
+    try:
+        meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 30 * params.action_count * 8
+    assert peak < 1.5 * block, peak / block

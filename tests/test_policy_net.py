@@ -26,7 +26,7 @@ from thzvlc.policy_net import (
     save_params,
 )
 from conftest import make_toy_scenario
-from oracles import dense_gradient, forward_one, grad_log_prob
+from oracles import dense_gradient, forward_one, grad_log_prob, kept_grad_log_prob
 
 
 def small_net(seed=0, shapes=((3, 8), (8, 4))):
@@ -179,9 +179,10 @@ def batches(draw):
 
 
 def assert_matches_row_sum(params, x, a, c):
-    """The batched kernel against the coefficient-weighted per-row gradients."""
+    """The batched kernel, every step its own kept row, against the
+    coefficient-weighted per-row gradients."""
     terms = np.array([ci * grad_log_prob(params, xi, ai) for xi, ai, ci in zip(x, a, c)])
-    out = dense_gradient(accumulate_grad_log_prob(params, x, a, c))
+    out = dense_gradient(kept_grad_log_prob(params, x, a, c))
     scale = np.abs(terms).sum(axis=0).max()
     assert np.abs(out - terms.sum(axis=0)).max() <= 1e-12 * scale
 
@@ -213,24 +214,59 @@ class TestBatchedGradient:
         rng = np.random.default_rng(8)
         for n_rows, factored in ((1, True), (2, True), (3, False), (9, False)):
             x = rng.normal(size=(n_rows, 3))
-            g = accumulate_grad_log_prob(params, x, [1] * n_rows, [2.0] * n_rows)
+            g = kept_grad_log_prob(params, x, [1] * n_rows, [2.0] * n_rows)
             assert (g.head is None) == factored
             assert g.rank == (n_rows if factored else 0)
             want = sum(2.0 * grad_log_prob(params, xi, 1) for xi in x)
             assert np.allclose(dense_gradient(g), want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_rows_of_one_step_keep_the_recomputing_bits(self, pending):
+        # every step its own row, forwarded as the recomputing kernel forwards
+        # them (one batch of 2 to 8 rows): the same bits
+        from oracles import recompute_grad_log_prob
+
+        params = small_net(seed=11)
+        if pending:
+            grad = kept_grad_log_prob(params, np.ones((1, 3)), [2], [1.5])
+            params = policy_net.ascend(params, grad, 0.3)
+        rng = np.random.default_rng(12)
+        for n_rows in range(2, 9):
+            x, a, c = rng.normal(size=(n_rows, 3)), rng.integers(0, 4, n_rows), rng.normal(size=n_rows)
+            got, want = kept_grad_log_prob(params, x, a, c), recompute_grad_log_prob(params, x, a, c)
+            assert np.array_equal(dense_gradient(got), dense_gradient(want))
+
+    def test_steps_of_one_row_merge_into_one_gradient_row(self):
+        # rows 0 and 1 kept; steps (0, a=1), (1, a=0), (0, a=1), (0, a=3)
+        params = small_net(seed=13)
+        x = np.array([[0.2, -0.4, 1.0], [0.5, 0.5, -0.1]])
+        kept = forward(params, x)
+        steps = dict(rows=[0, 1, 0, 0], action_indices=[1, 0, 1, 3], coeffs=[0.5, -1.0, 2.0, 0.25])
+        g = accumulate_grad_log_prob(params, kept, **steps)
+        assert g.rank == 2
+        probs = kept.probs
+        assert np.allclose(g.d[0], np.eye(4)[1] * 2.5 + np.eye(4)[3] * 0.25 - 2.75 * probs[0], rtol=0, atol=1e-15)
+        assert np.array_equal(g.d[1], (np.eye(4)[0] - probs[1]) * -1.0)
+        want = kept_grad_log_prob(params, x[steps["rows"]], steps["action_indices"], steps["coeffs"])
+        assert np.allclose(dense_gradient(g), dense_gradient(want), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("bad", [-1, 4, 99])
     def test_out_of_range_action_refused(self, bad):
         params = small_net()
         with pytest.raises(ValueError, match="action index"):
-            accumulate_grad_log_prob(params, np.zeros((3, 3)), [0, bad, 1], [1.0, 1.0, 1.0])
+            kept_grad_log_prob(params, np.zeros((3, 3)), [0, bad, 1], [1.0, 1.0, 1.0])
 
     def test_mismatched_rows_refused(self):
         params = small_net()
         with pytest.raises(ValueError):
-            accumulate_grad_log_prob(params, np.zeros((2, 3)), [0], [1.0, 1.0])
+            kept_grad_log_prob(params, np.zeros((2, 3)), [0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            accumulate_grad_log_prob(params, np.zeros((2, 4)), [0, 1], [1.0, 1.0])
+            kept_grad_log_prob(params, np.zeros((2, 4)), [0, 1], [1.0, 1.0])
+        kept = forward(params, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="row index"):
+            accumulate_grad_log_prob(params, kept, [0, 2], [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="fit the policy"):
+            accumulate_grad_log_prob(small_net(shapes=((3, 8), (8, 5))), kept, [0, 1], [0, 1], [1.0, 1.0])
 
 
 class TestSampleAction:
@@ -283,7 +319,7 @@ class TestCheckpoint:
 
     def test_adapted_policy_saves_its_folded_vector(self, tmp_path):
         params = small_net(seed=9)
-        grad = accumulate_grad_log_prob(params, np.ones((1, 3)), [2], [1.5])
+        grad = kept_grad_log_prob(params, np.ones((1, 3)), [2], [1.5])
         adapted = policy_net.ascend(params, grad, 0.3)
         assert isinstance(adapted, policy_net.AdaptedParams)
         path = tmp_path / "ckpt.bin"

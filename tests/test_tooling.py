@@ -233,3 +233,50 @@ def test_only_the_kept_defaults_remain():
     no other gains one, so the reference configuration has one home,
     `harness.SCHEMA`, and no entry outlives its default."""
     assert package_defaults() == KEPT_DEFAULTS
+
+
+def _writes_through_flat(tree, module: str):
+    """(module.function, what) of each statement that makes an array
+    writable again or writes through a `.flat` attribute: `setflags(write=
+    True)`, an assignment into `x.flat[...]` or to `x.flat`, an `out=` that
+    names `x.flat`, or `x.flat` passed as a `fold_into` output."""
+
+    def names_flat(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "flat" for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute | ast.Name):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            flags = [k.value for k in node.keywords if k.arg == "write"] + node.args[:1]
+            if name == "setflags" and any(isinstance(v, ast.Constant) and v.value is True for v in flags):
+                found.append((where, "setflags(write=True)"))
+            if name == "fold_into" and node.args and names_flat(node.args[0]):
+                found.append((where, "fold_into(.flat)"))
+            if any(k.arg == "out" and names_flat(k.value) for k in node.keywords):
+                found.append((where, "out=.flat"))
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AugAssign) else []
+        for target in targets:
+            if names_flat(target):
+                found.append((where, "assignment to .flat"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_one_site_writes_a_policy_vector():
+    """A `PolicyParams` vector is read-only once built. The one site that
+    makes it writable again, and writes it, is the meta update's working
+    vector: `meta_train`'s own copy, folded in place by `meta_update`."""
+    found = []
+    for path in sorted((ROOT / "src" / "thzvlc").glob("*.py")):
+        found += _writes_through_flat(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == [
+        ("meta_rl.meta_update", "fold_into(.flat)"),
+        ("meta_rl.meta_update", "setflags(write=True)"),
+    ]
