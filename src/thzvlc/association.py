@@ -4,11 +4,12 @@ Per slot, the candidate pool is the localized, not-yet-served users. Each
 (SBS, user) pair carries weight h, the binary transmission feasibility of
 the THz link. The slot subproblem is a rectangular maximum-weight matching
 solved exactly by the Hungarian algorithm, except where every SBS reaches
-every candidate: there `slot_assign` returns the Hungarian's own answer in
-closed form, SBS i to the i-th candidate, without running it. Leaving served
-users out of the pool enforces the serve-at-most-once-per-period coupling;
-the priced period solver that enforces it with dual multipliers is the
-reference in `tests/oracles.py`.
+every candidate: there `match_slots` returns the Hungarian's own answer in
+closed form, SBS i to the i-th candidate, without running it, for every
+such matrix of a batch at once. Leaving served users out of the pool
+enforces the serve-at-most-once-per-period coupling; the priced period
+solver that enforces it with dual multipliers is the reference in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -140,24 +141,38 @@ def build_slot_problem(
 def slot_assign(
     state: env.EnvState, vap_set: tuple[int, int, int], links: env.SlotLinks
 ) -> AssignmentSolution:
-    """One slot's matching of SBSs to localized unserved users.
+    """One slot's matching of SBSs to localized unserved users (`match_slots`
+    of one state).
 
     Weights are the link feasibility h per (SBS, user) from the state's
     `env.slot_links`; physical blockage counts every body in the room,
     localized or not. Matching entries are (sbs_index, user_index) with
-    global user indices.
-
-    When every weight is 1 the Hungarian is skipped: on a constant matrix
-    it matches row i to column i, the lowest free column, for every
-    i < min(m, n), so those pairs are its answer.
+    global user indices, in SBS order.
     """
-    problem = build_slot_problem(state, vap_set, links)
-    if not problem.candidates:
-        return AssignmentSolution(matching=())
-    if problem.weights.all():
-        return AssignmentSolution(matching=tuple(zip(range(len(problem.weights)), problem.candidates)))
-    sol = hungarian_max(problem.weights)
-    return AssignmentSolution(matching=tuple((i, problem.candidates[col]) for i, col in sol.matching))
+    pool = links.localized(vap_set) & ~np.array(state.served)
+    (assigned,) = match_slots(links.h[None], pool[None]).tolist()
+    return AssignmentSolution(matching=tuple(sorted((s, j) for j, s in enumerate(assigned) if s >= 0)))
+
+
+def match_slots(h: np.ndarray, pools: np.ndarray) -> np.ndarray:
+    """assigned[p, user]: the SBS matched to the user in slot matching p,
+    -1 for none, from the links h[p, sbs, user] and the candidates
+    pools[p, user] (the localized, not-yet-served users).
+
+    Where every SBS reaches every candidate the Hungarian is skipped: on a
+    constant matrix it matches row i to column i, the lowest free column,
+    for every i < min(m, n), so SBS i takes the i-th candidate. It runs on
+    the other matrices, one at a time.
+    """
+    rank = np.cumsum(pools, axis=1) - 1
+    assigned = np.where(pools & (rank < h.shape[1]), rank, -1)
+    full = (h | ~pools[:, None, :]).all(axis=(1, 2))
+    for p in np.flatnonzero(~full).tolist():
+        candidates = np.flatnonzero(pools[p])
+        assigned[p] = -1
+        for i, col in hungarian_max(h[p][:, candidates]).matching:
+            assigned[p, candidates[col]] = i
+    return assigned
 
 
 def check_period_feasible(per_slot, num_users: int, num_sbs: int) -> bool:

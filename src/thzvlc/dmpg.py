@@ -9,18 +9,20 @@ period solver is the reference in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import association, env, meta_rl
-from .env import JointAction
 
 
 def vap_decoder(actions: tuple[tuple[int, int, int], ...]):
-    """Decoder for `meta_rl.rollout_period`: the VAP subset plus its slot matching."""
+    """Decoder for `meta_rl.rollout_period`: each index's VAP subset, who it
+    localizes, and the slot matching of the localized unserved users."""
+    vap_table = np.array(actions)
 
-    def decode(idx: int, state: env.EnvState, links: env.SlotLinks) -> JointAction:
-        vap_set = actions[idx]
-        solution = association.slot_assign(state, vap_set, links)
-        pairs = tuple(sorted((user, sbs) for sbs, user in solution.matching))
-        return JointAction(vap_set=vap_set, assignments=pairs)
+    def decode(indices: np.ndarray, visible: np.ndarray, h: np.ndarray, served: np.ndarray):
+        vap_sets = vap_table[indices]
+        localized = env.lit(visible, vap_sets)
+        return vap_sets, localized, association.match_slots(h, localized & ~served)
 
     return decode
 

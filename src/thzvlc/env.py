@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations, permutations
 from math import perm
 from typing import Callable
 
 import numpy as np
 
 from . import channel
-from .geometry import below_top, crossings
+from .geometry import crossings
 from .channel import OpticsParams, RadioParams
 
 # Above this many joint actions the flat policy head becomes impractical.
@@ -80,7 +80,7 @@ class ScenarioConfig:
     @cached_property
     def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], np.ndarray]]:
         """The crossing table, and the link table of each tuple of user
-        heights (see `slot_links`).
+        heights (see `ceiling_links`).
 
         A link table is bool[user, cell, unit], VAPs first: the unit's link
         to user j standing in that cell passes its test other than blockage
@@ -206,7 +206,6 @@ class TrajectoryStep:
     """State seen by the policy, the action taken, and what it produced."""
 
     state: EnvState
-    encoding: np.ndarray
     action_index: int
     action: JointAction
     newly_served: tuple[int, ...]
@@ -214,17 +213,78 @@ class TrajectoryStep:
     tx_ok: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One rollout of a full period."""
+@dataclass(frozen=True, eq=False)
+class Periods:
+    """A batch of periods as arrays: row b is one period of T slots and U users.
 
-    task_id: int
-    steps: tuple[TrajectoryStep, ...]
-    final_state: EnvState
+    cells[b, t] and served[b, t] hold the users' cells and served flags at
+    the start of slot t, and at t = T after the period; heights[b] the
+    users' heights. Per slot: action[b, t] the sampled index, vap_sets[b, t]
+    its three lit VAPs, assigned[b, t, j] the SBS associated with user j
+    (-1 for none), and what the service found, localized and tx_ok.
+    """
+
+    heights: np.ndarray
+    cells: np.ndarray
+    served: np.ndarray
+    action: np.ndarray
+    vap_sets: np.ndarray
+    assigned: np.ndarray
+    localized: np.ndarray
+    tx_ok: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    @property
+    def newly_served(self) -> np.ndarray:
+        """bool[b, t, user]: served after slot t and not before."""
+        return self.served[:, 1:] & ~self.served[:, :-1]
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One rollout of a full period: row `row` of a batch of periods.
+
+    Its steps and final state are built from the arrays the first time
+    they are read, with the types of `TrajectoryStep` and `EnvState`.
+    """
+
+    periods: Periods
+    row: int
 
     @property
     def total_reward(self) -> int:
-        return sum(len(s.newly_served) for s in self.steps)
+        return int(self.periods.newly_served[self.row].sum())
+
+    @cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        p, b = self.periods, self.row
+        heights = tuple(p.heights[b].tolist())
+        cells, served = p.cells[b].tolist(), p.served[b].tolist()
+        newly = p.newly_served[b]
+        return tuple(
+            TrajectoryStep(
+                state=EnvState(tuple(cells[t]), heights, tuple(served[t]), t),
+                action_index=int(p.action[b, t]),
+                action=JointAction(
+                    tuple(p.vap_sets[b, t].tolist()),
+                    tuple((j, s) for j, s in enumerate(p.assigned[b, t].tolist()) if s >= 0),
+                ),
+                newly_served=tuple(np.flatnonzero(newly[t]).tolist()),
+                localized=tuple(p.localized[b, t].tolist()),
+                tx_ok=tuple(p.tx_ok[b, t].tolist()),
+            )
+            for t in range(len(p.action[b]))
+        )
+
+    @cached_property
+    def final_state(self) -> EnvState:
+        p, b = self.periods, self.row
+        slots = len(p.action[b])
+        return EnvState(
+            tuple(p.cells[b, slots].tolist()), tuple(p.heights[b].tolist()), tuple(p.served[b, slots].tolist()), slots
+        )
 
 
 def sample_task(
@@ -315,19 +375,30 @@ class SlotLinks:
 
     def localized(self, vap_set: tuple[int, int, int]) -> np.ndarray:
         """bool[user]: all three lit VAPs reach the user."""
-        a, b, c = vap_set
-        return self.visible[a] & self.visible[b] & self.visible[c]
+        return lit(self.visible[None], np.array([vap_set]))[0]
+
+
+def lit(visible: np.ndarray, vap_sets: np.ndarray) -> np.ndarray:
+    """bool[p, user]: all three VAPs of set p reach the user, from
+    visible[p, vap, user] and vap_sets[p, 3]."""
+    return visible[np.arange(len(vap_sets))[:, None], vap_sets].all(axis=1)
 
 
 class _Crossings:
-    """The XY stage of the blockage test for every (receiver cell, unit,
-    body cell) of a scenario.
+    """The XY stage of the blockage test for every (receiver cell, body
+    cell, unit) of a scenario, as one float: where the link's floor
+    projection first comes within the body's radius, as a share of the way
+    from the receiver up to the unit (`geometry.crossings`' lo), or NaN
+    where it never does.
 
-    Users stand on cell centres and every body has the scenario's radius,
-    so only the z stage depends on a state. A receiver cell's row is
-    worked out the first time a user stands there, so memory pages are
-    touched only for cells users visit: the whole table grows with the
-    fourth power of `cells_per_side`.
+    Every unit hangs from the ceiling, above every receiver, so the lowest
+    point of a link inside a body's footprint is always that first point
+    (`geometry.below_top` takes lo), and lo is all the z stage reads. Users
+    stand on cell centres and every body has the scenario's radius, so only
+    the z stage depends on a state. A receiver cell's row is worked out the
+    first time a user stands there, so memory pages are touched only for
+    cells users visit: the whole table grows with the fourth power of
+    `cells_per_side`.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -335,25 +406,19 @@ class _Crossings:
         self.units = np.array([(x, y, scenario.ceiling_z) for x, y in units])
         self.centers = np.array(scenario.cell_centers)
         self.radius = scenario.body_radius
-        shape = (len(self.centers), len(units), len(self.centers))
-        self.meets = np.zeros(shape, dtype=bool)
-        self.lo = np.zeros(shape)
-        self.hi = np.zeros(shape)
+        self.lo = np.empty((len(self.centers), len(self.centers), len(units)))
         self.filled = np.zeros(len(self.centers), dtype=bool)
 
-    def gather(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(meets, lo, hi)[unit, user, other user] for users in these cells."""
+    def gather(self, cells: np.ndarray) -> np.ndarray:
+        """lo[state, user, other user, unit] for users in cells[state, user]."""
         if not self.filled[cells].all():
             visited = np.zeros_like(self.filled)
             visited[cells] = True
             todo = np.flatnonzero(visited & ~self.filled)
-            meets, lo, hi = crossings(self.units, self.centers[todo], self.centers, self.radius)
-            self.meets[todo] = meets.transpose(1, 0, 2)
-            self.lo[todo] = lo.transpose(1, 0, 2)
-            self.hi[todo] = hi.transpose(1, 0, 2)
+            meets, lo, _ = crossings(self.units, self.centers[todo], self.centers, self.radius)
+            self.lo[todo] = np.where(meets, lo, np.nan).transpose(1, 2, 0)
             self.filled[todo] = True
-        # rows first, then their body columns: [user, unit, other user]
-        return tuple(a[cells][:, :, cells].transpose(1, 0, 2) for a in (self.meets, self.lo, self.hi))
+        return self.lo[cells[:, :, None], cells[:, None, :]]
 
 
 def _link_table(
@@ -371,23 +436,61 @@ def _link_table(
     return table
 
 
-def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
-    """The state's VAP visibility and SBS feasibility.
+# Bytes of crossing-table entries one `ceiling_links` block gathers: a
+# state takes users**2 * units floats (45 KB at the reference room).
+_LINK_BLOCK_BYTES = 1 << 18
 
-    The blockage test's XY stage comes from the scenario's crossing table;
-    only its z stage runs here, with every other body counted.
+
+def ceiling_links(cells: np.ndarray, heights: np.ndarray, free: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
+    """bool[state, unit, user]: the unit's link to the user passes its test
+    other than blockage (free[state, user, unit], from the link tables) and
+    no other user's body blocks it, for the states of users in
+    cells[state, user] at heights[state, user].
+
+    The XY stage comes from the scenario's crossing table; only the z stage
+    runs here, over every user, body and unit of a block of states in one
+    numpy pass, with the float operations of `geometry.below_top`. Every
+    height must lie below the ceiling, as a scenario's do.
     """
-    cross, link_table = scenario.tables
-    users = np.arange(scenario.num_users)
-    cells = np.array(state.user_cells)
-    free = link_table(state.user_heights)[users, cells]
-    heights = np.array(state.user_heights)
+    count, users, units = free.shape
+    ok = np.empty(free.shape, dtype=bool)
+    block = max(1, _LINK_BLOCK_BYTES // (8 * users * users * units))
+    others = np.arange(users)
+    for lo in range(0, count, block):
+        at = slice(lo, lo + block)
+        z = scenario.tables[0].gather(cells[at])
+        rx = heights[at, :, None, None]
+        z *= scenario.ceiling_z - rx
+        z += rx
+        hit = z <= heights[at, None, :, None]  # NaN, where the XY stage misses, is never
+        hit[:, others, others] = False  # a receiver's own body
+        np.logical_and(free[at], ~hit.any(axis=2), out=ok[at])
+    return ok.transpose(0, 2, 1)
 
-    meets, lo, hi = cross.gather(cells)
-    hit = below_top(meets, lo, hi, cross.units[:, 2], heights, heights)
-    hit[:, users, users] = False  # a receiver's own body
-    ok = free.T & ~hit.any(axis=2)
+
+def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
+    """The state's VAP visibility and SBS feasibility (`ceiling_links` of
+    one state)."""
+    heights = np.array([state.user_heights])
+    if not (heights < scenario.ceiling_z).all():
+        raise ValueError(f"every user must stand below the ceiling at {scenario.ceiling_z!r} m")
+    cells = np.array([state.user_cells])
+    free = scenario.tables[1](state.user_heights)[np.arange(scenario.num_users), cells]
+    (ok,) = ceiling_links(cells, heights, free, scenario)
     return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])
+
+
+def serve(
+    localized: np.ndarray, h: np.ndarray, assigned: np.ndarray, served: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tx_ok, served after) of slots: user j's assigned SBS delivers to it
+    (False when it has none), and j is served after the slot when it was
+    before or is localized with tx_ok. h[p, sbs, user] are slot p's SBS
+    links and assigned[p, user] each user's SBS or -1."""
+    slots, users = assigned.shape
+    reach = h[np.arange(slots)[:, None], np.maximum(assigned, 0), np.arange(users)]
+    tx_ok = reach & (assigned >= 0)
+    return tx_ok, served | (localized & tx_ok)
 
 
 def evaluate_service(
@@ -400,15 +503,17 @@ def evaluate_service(
 
     `links` are the state's `slot_links`.
     """
-    loc = links.localized(action.vap_set).tolist()
-    tx = [False] * scenario.num_users
+    assigned = np.full(scenario.num_users, -1, dtype=np.intp)
     for j, sbs in action.assignments:
-        tx[j] = bool(links.h[sbs, j])
-
-    served_after = tuple((p and h) or w for p, h, w in zip(loc, tx, state.served))
-    newly = tuple(j for j in range(scenario.num_users) if served_after[j] and not state.served[j])
+        assigned[j] = sbs
+    before = np.array(state.served)
+    loc = links.localized(action.vap_set)
+    ((tx,), (after,)) = serve(loc[None], links.h[None], assigned[None], before[None])
     return ServiceOutcome(
-        localized=tuple(loc), tx_ok=tuple(tx), served_after=served_after, newly_served=newly
+        localized=tuple(loc.tolist()),
+        tx_ok=tuple(tx.tolist()),
+        served_after=tuple(after.tolist()),
+        newly_served=tuple(np.flatnonzero(after & ~before).tolist()),
     )
 
 
@@ -462,49 +567,58 @@ class JointActionSpace:
     """Deterministically ordered joint actions: every 3-VAP subset crossed
     with every full one-to-one association of the smaller side.
 
-    Actions are materialized on demand; index i maps to the i-th pair of the
-    VAP subset in `enumerate_vap_actions` order and the lexicographic
-    assignment permutation.
+    Index i is assoc_count * v + r: the v-th VAP subset in
+    `enumerate_vap_actions` order and the r-th association, the r-th
+    permutation in lexicographic order of the larger side's indices taken
+    as many at a time as the smaller side has (the SBS of each user when
+    users are fewer, else the user of each SBS). Actions are materialized
+    on demand from the table of those permutations.
     """
 
     def __init__(self, num_vaps: int, num_users: int, num_sbs: int):
-        self._vap_sets = enumerate_vap_actions(num_vaps)
+        self.vap_sets = enumerate_vap_actions(num_vaps)
         self.num_vaps = num_vaps
         self.num_users = num_users
         self.num_sbs = num_sbs
-        hi, lo = max(num_users, num_sbs), min(num_users, num_sbs)
-        self._assoc_count = perm(hi, lo)
-        self._len = len(self._vap_sets) * self._assoc_count
+        self.assoc_count = perm(max(num_users, num_sbs), min(num_users, num_sbs))
+        self._len = len(self.vap_sets) * self.assoc_count
 
     def __len__(self) -> int:
         return self._len
 
+    def assigned(self, ranks: np.ndarray) -> np.ndarray:
+        """[rank, user]: each user's SBS in these associations, -1 for none."""
+        table = _permutations(max(self.num_users, self.num_sbs), min(self.num_users, self.num_sbs))[ranks]
+        if self.num_users <= self.num_sbs:
+            return table
+        out = np.full((len(table), self.num_users), -1, dtype=np.intp)
+        np.put_along_axis(out, table, np.arange(self.num_sbs), axis=1)
+        return out
+
     def __getitem__(self, index: int) -> JointAction:
         if not 0 <= index < self._len:
             raise IndexError(index)
-        vap_rank, assoc_rank = divmod(index, self._assoc_count)
-        vap_set = self._vap_sets[vap_rank]
-        if self.num_users <= self.num_sbs:
-            stations = _unrank_permutation(assoc_rank, self.num_sbs, self.num_users)
-            pairs = tuple((u, s) for u, s in enumerate(stations))
-        else:
-            users = _unrank_permutation(assoc_rank, self.num_users, self.num_sbs)
-            pairs = tuple(sorted((u, s) for s, u in enumerate(users)))
-        return JointAction(vap_set=vap_set, assignments=pairs)
+        vap_rank, assoc_rank = divmod(index, self.assoc_count)
+        (row,) = self.assigned(np.array([assoc_rank])).tolist()
+        return JointAction(
+            vap_set=self.vap_sets[vap_rank], assignments=tuple((u, s) for u, s in enumerate(row) if s >= 0)
+        )
 
     def __iter__(self):
         for i in range(self._len):
             yield self[i]
 
 
-def _unrank_permutation(rank: int, n: int, k: int) -> tuple[int, ...]:
-    avail = list(range(n))
-    out = []
-    for i in range(k):
-        block = perm(n - 1 - i, k - 1 - i)
-        idx, rank = divmod(rank, block)
-        out.append(avail.pop(idx))
-    return tuple(out)
+# A head's action space is built again for every task phase; its table is
+# kept for the last few room shapes instead.
+@lru_cache(maxsize=8)
+def _permutations(n: int, k: int) -> np.ndarray:
+    """Every k-permutation of range(n), one per row, in lexicographic order
+    (read-only)."""
+    table = np.fromiter(chain.from_iterable(permutations(range(n), k)), dtype=np.intp, count=perm(n, k) * k)
+    table = table.reshape(perm(n, k), k)
+    table.setflags(write=False)
+    return table
 
 
 def enumerate_joint_actions(scenario: ScenarioConfig) -> JointActionSpace:

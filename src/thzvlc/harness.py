@@ -27,6 +27,7 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,9 @@ ALGORITHMS = ("mpg", "dmpg", "pg")
 #   41,664 at 64 VAPs (a million VAPs ask for 1.7e17).
 # - cells_per_side <= 32: each task's movement pattern is a dense cells^2 x
 #   cells^2 matrix, 8 MiB at 32 and 128 MiB at 64, and a run holds
-#   `tasks.count` of them.
+#   `tasks.count` of them. The crossing table holds one float per (receiver
+#   cell, body cell, unit), 8 MiB per ceiling unit at 32 (112 MiB for the
+#   reference 14 units), touched only in the rows of cells users visit.
 # - noise_density_dbm_per_hz in [-3000, 3000]: the density in W/Hz overflows
 #   to inf above about 3112 and underflows to 0 below about -3203.
 # - concentration <= 1e6: numpy's Dirichlet rows come back all zero from
@@ -312,7 +315,10 @@ def domain_text(tag: str, domain) -> str:
 
 def build_spec(values: dict[str, dict[str, object]], given: set[tuple[str, str]]) -> ExperimentSpec:
     """The spec of typed values; `given` holds the keys the config set, as
-    the checks that tell a set value from a default need them."""
+    the checks that tell a set value from a default need them. The spec
+    holds a copy of the values in which the count of an explicit position
+    list is the list's length, so its canonical text loads back."""
+    values = {section: dict(keys) for section, keys in values.items()}
     for section, keys in SCHEMA.items():
         for key, (tag, _, domain) in keys.items():
             value = values[section][key]
@@ -335,6 +341,7 @@ def build_spec(values: dict[str, dict[str, object]], given: set[tuple[str, str]]
             raise ConfigError(
                 f"scenario.{count_key} = {sc[count_key]} disagrees with the {len(pts)} points of scenario.{key}"
             )
+        sc[count_key] = len(pts)
         return pts
 
     # keys named as RadioParams fields pass through; the noise is in dBm/Hz
@@ -417,6 +424,8 @@ def write_metrics(out_dir: Path, metrics: list[meta_rl.IterationMetrics]) -> Non
 
 
 def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConfig) -> None:
+    """One row per (period, slot, user), read from the arrays each
+    trajectory's periods hold; a period's rows go in one `writerows`."""
     with atomic_open(out_dir / "trajectories.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -426,21 +435,18 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
             ]
         )
         centers = [(repr(cx), repr(cy)) for cx, cy in scenario.cell_centers]
-        users = range(scenario.num_users)
         for period, traj in enumerate(trajectories):
-            for step in traj.steps:
-                state = step.state
-                assigned = dict(step.action.assignments)
-                newly = set(step.newly_served)
-                writer.writerows(
-                    [
-                        period, state.slot_index, j, *centers[cell], repr(height),
-                        int(localized), assigned.get(j, -1), int(tx_ok), int(j in newly),
-                    ]
-                    for j, cell, height, localized, tx_ok in zip(
-                        users, state.user_cells, state.user_heights, step.localized, step.tx_ok
-                    )
-                )
+            p, b = traj.periods, traj.row
+            slots, users = p.assigned.shape[1:]
+            heights = [repr(h) for h in p.heights[b].tolist()]
+            columns = [a.ravel().tolist() for a in (
+                p.cells[b, :slots], p.localized[b].view(np.int8), p.assigned[b],
+                p.tx_ok[b].view(np.int8), p.newly_served[b].view(np.int8),
+            )]
+            writer.writerows(
+                (period, t, j, *centers[cell], heights[j], localized, sbs, tx_ok, newly)
+                for (t, j), cell, localized, sbs, tx_ok, newly in zip(product(range(slots), range(users)), *columns)
+            )
 
 
 def write_summary(out_dir: Path, summary: dict) -> None:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import env, policy_net
-from .env import JointActionSpace, ScenarioConfig, Task, Trajectory, TrajectoryStep
+from .env import JointActionSpace, Periods, ScenarioConfig, Task, Trajectory
 from .policy_net import Gradient, Policy, PolicyParams
 
 
@@ -92,9 +92,28 @@ class Rollouts(NamedTuple):
     drew from, and `rows`, each step's row there, in period then slot
     order."""
 
-    trajectories: list[Trajectory]
+    periods: Periods
     kept: policy_net.Forward | None
     rows: np.ndarray | None
+
+    @property
+    def trajectories(self) -> list[Trajectory]:
+        return [Trajectory(self.periods, b) for b in range(len(self.periods))]
+
+
+def _first_of(keys) -> tuple[np.ndarray, np.ndarray]:
+    """(first, which) over a sequence of hashable keys: `first` holds the
+    position of each distinct key's first appearance, in that order, and
+    which[b] is key b's position in it."""
+    seen: dict = {}
+    first: list[int] = []
+    which: list[int] = []
+    for b, key in enumerate(keys):
+        i = seen.setdefault(key, len(seen))
+        if i == len(first):
+            first.append(b)
+        which.append(i)
+    return np.array(first, dtype=np.intp), np.array(which, dtype=np.intp)
 
 
 def rollout_period(
@@ -105,23 +124,25 @@ def rollout_period(
     uniforms: np.ndarray,
     keep: bool,
 ) -> Rollouts:
-    """One period per task, all advanced slot by slot together.
+    """One period per task, all advanced slot by slot together, held as
+    arrays (`env.Periods`).
 
     Row b rolls tasks[b] on uniforms[b] (see `draw_uniforms`): per slot,
     the action index is the inverse-CDF draw of the policy at
-    uniforms[b, t, 0], `decode(index, state, links)` turns it into the
-    JointAction that is evaluated, and the users move by uniforms[b, t, 1:].
-    What rows share is worked out once: a reset per task, an encoding per
-    distinct state, a `policy_net.forward` per block of at most the head's
-    input width of distinct encodings (so no temporary outgrows the head
-    weight), an `env.slot_links` per distinct (cells, heights) and a decode
-    and service evaluation per distinct (state, index). Each block is freed
+    uniforms[b, t, 0], `decode(indices, visible, h, served)` turns indices
+    into their lit VAP sets, who those localize, and each user's SBS (-1 for
+    none), and the users move by uniforms[b, t, 1:]. Each step runs once per
+    slot over every distinct state (equal cells, heights and served flags):
+    one encoding pass, a `policy_net.forward` per block of at most the
+    head's input width of distinct encodings (so no temporary outgrows the
+    head weight), one `env.ceiling_links` pass, then one decode and one
+    service pass over every distinct (state, index). Each block is freed
     before the next forward; with `keep`, its forward values are first
     copied into the returned `kept` rows, for `task_gradient`.
     """
     u = np.asarray(uniforms, dtype=float)
-    count, slots = len(tasks), scenario.slots_per_period
-    if u.shape != (count, slots, 1 + scenario.num_users):
+    count, slots, users = len(tasks), scenario.slots_per_period, scenario.num_users
+    if u.shape != (count, slots, 1 + users):
         raise ValueError("need one (slots, 1 + users) block of uniforms per task")
     kept = rows_of = None
     if keep:  # room for one row per step; a slot's distinct states take the next rows
@@ -131,24 +152,46 @@ def rollout_period(
         )
         rows_of = np.empty((count, slots), dtype=np.intp)
     filled = 0
+    cross, link_table = scenario.tables
+    p = Periods(
+        heights=np.empty((count, users)),
+        cells=np.empty((count, slots + 1, users), dtype=np.intp),
+        served=np.zeros((count, slots + 1, users), dtype=bool),
+        action=np.empty((count, slots), dtype=np.intp),
+        vap_sets=np.empty((count, slots, 3), dtype=np.intp),
+        assigned=np.empty((count, slots, users), dtype=np.intp),
+        localized=np.empty((count, slots, users), dtype=bool),
+        tx_ok=np.empty((count, slots, users), dtype=bool),
+    )
     groups: dict[int, list[int]] = {}  # the rows of each task
     for b, task in enumerate(tasks):
         groups.setdefault(id(task), []).append(b)
-    states: list[env.EnvState] = [None] * len(tasks)
+    table_of: dict[tuple[float, ...], int] = {}  # each tuple of heights' link table
+    kin = np.empty(count, dtype=np.intp)  # each row's link table
     for group in groups.values():
         start = env.reset(tasks[group[0]], scenario)
-        for b in group:
-            states[b] = start
+        p.cells[group, 0] = start.user_cells
+        p.heights[group] = start.user_heights
+        kin[group] = table_of.setdefault(start.user_heights, len(table_of))
+    link_tables = np.array([link_table(heights) for heights in table_of], dtype=bool).reshape(
+        len(table_of), users, scenario.num_cells, len(cross.units)
+    )
+    # a state is its row's link table (so its heights), cells and served
+    # flags, compared as the bytes of one key row
+    keys = np.empty((count, 1 + 2 * users), dtype=np.intp)
+    keys[:, 0] = kin
+    key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
     width = params.layer_shapes[-1][0]
-    links: dict[tuple, env.SlotLinks] = {}
-    served: dict[tuple, tuple[env.JointAction, env.ServiceOutcome]] = {}
-    steps: list[list[TrajectoryStep]] = [[] for _ in tasks]
+    everyone = np.arange(users)
     for t in range(slots):
-        distinct = {state: i for i, state in enumerate(dict.fromkeys(states))}
-        x = np.array([policy_net.encode_state(state, scenario) for state in distinct])
-        x.setflags(write=False)  # rows are shared by the steps of equal states
-        rows = [distinct[state] for state in states]
-        indices = [0] * len(states)
+        keys[:, 1 : 1 + users] = p.cells[:, t]
+        keys[:, 1 + users :] = p.served[:, t]
+        first, state_of = _first_of(keys.view(key_bytes).ravel().tolist())
+        cells, heights, served = p.cells[first, t], p.heights[first], p.served[first, t]
+        x = policy_net.encode_states(cells, heights, served, cross.centers, scenario)
+        rows = state_of.tolist()
+        draws = u[:, t, 0].tolist()
+        indices = [0] * count
         for lo in range(0, len(x), width):
             fw = policy_net.forward(params, x[lo : lo + width])
             if keep:
@@ -159,60 +202,48 @@ def rollout_period(
             cum = np.cumsum(fw.probs, axis=1, out=fw.probs)
             for b, r in enumerate(rows):
                 if lo <= r < lo + width:
-                    indices[b] = policy_net.inverse_cdf(cum[r - lo], u[b, t, 0])
+                    indices[b] = policy_net.inverse_cdf(cum[r - lo], draws[b])
             del fw, cum  # so the next forward does not hold two blocks
         if keep:
-            rows_of[:, t] = [filled + r for r in rows]
+            rows_of[:, t] = filled + state_of
             filled += len(x)
+        p.action[:, t] = indices
 
-        for b, (state, idx) in enumerate(zip(states, indices)):
-            key = (state, idx)
-            if key not in served:
-                where = (state.user_cells, state.user_heights)
-                if where not in links:
-                    links[where] = env.slot_links(state, scenario)
-                action = decode(idx, state, links[where])
-                served[key] = action, env.evaluate_service(state, action, scenario, links[where])
-            action, outcome = served[key]
-            steps[b].append(
-                TrajectoryStep(
-                    state=state,
-                    encoding=x[distinct[state]],
-                    action_index=idx,
-                    action=action,
-                    newly_served=outcome.newly_served,
-                    localized=outcome.localized,
-                    tx_ok=outcome.tx_ok,
-                )
-            )
-
-        cells = np.array([state.user_cells for state in states])
+        free = link_tables[kin[first][:, None], everyone, cells]
+        ok = env.ceiling_links(cells, heights, free, scenario)
+        pair, pair_of = _first_of(zip(rows, indices))
+        on = state_of[pair]
+        h, before = ok[on, scenario.num_vaps :], served[on]
+        vap_sets, localized, assigned = decode(p.action[pair, t], ok[on, : scenario.num_vaps], h, before)
+        tx_ok, after = env.serve(localized, h, assigned, before)
+        p.vap_sets[:, t] = vap_sets[pair_of]
+        p.localized[:, t] = localized[pair_of]
+        p.assigned[:, t] = assigned[pair_of]
+        p.tx_ok[:, t] = tx_ok[pair_of]
+        p.served[:, t + 1] = after[pair_of]
         for group in groups.values():
-            cells[group] = env.next_cells(tasks[group[0]].pattern, cells[group], u[group, t, 1:])
-        states = [
-            env.EnvState(
-                user_cells=tuple(moved),
-                user_heights=state.user_heights,
-                served=served[(state, idx)][1].served_after,
-                slot_index=t + 1,
-            )
-            for state, idx, moved in zip(states, indices, cells.tolist())
-        ]
-    trajectories = [
-        Trajectory(task_id=task.id, steps=tuple(row), final_state=state)
-        for task, row, state in zip(tasks, steps, states)
-    ]
+            p.cells[group, t + 1] = env.next_cells(tasks[group[0]].pattern, p.cells[group, t], u[group, t, 1:])
+    for a in vars(p).values():
+        a.setflags(write=False)
     if not keep:
-        return Rollouts(trajectories, None, None)
+        return Rollouts(p, None, None)
     kept = policy_net.Forward([a[:filled] for a in kept.inputs], kept.probs[:filled])
     for a in (*kept.inputs, kept.probs):
         a.setflags(write=False)
-    return Rollouts(trajectories, kept, rows_of.ravel())
+    return Rollouts(p, kept, rows_of.ravel())
 
 
 def joint_decoder(space: JointActionSpace):
-    """Decoder for `rollout_period`: the joint action of the sampled index."""
-    return lambda idx, state, links: space[idx]
+    """Decoder for `rollout_period`: each index's VAP subset, who it
+    localizes, and its association, from the space's index tables."""
+    vap_table = np.array(space.vap_sets)
+
+    def decode(indices: np.ndarray, visible: np.ndarray, h: np.ndarray, served: np.ndarray):
+        vap, rank = np.divmod(indices, space.assoc_count)
+        vap_sets = vap_table[vap]
+        return vap_sets, env.lit(visible, vap_sets), space.assigned(rank)
+
+    return decode
 
 
 def rollout_joint(
@@ -248,31 +279,28 @@ def task_gradient(
     zero are left out, and steps of one kept row share a gradient row, so
     the head-weight factors have one row per distinct row of the others.
     """
-    trajectories = rollouts.trajectories
-    if not trajectories:
+    periods = rollouts.periods
+    k = len(periods)
+    if not k:
         raise ValueError("need at least one trajectory")
-    k = len(trajectories)
-    returns = np.array([float(t.total_reward) for t in trajectories])
+    gains = periods.newly_served.sum(axis=2).astype(float)
+    returns = gains.sum(axis=1)
     if reward_baseline and k > 1:
         baselines = (returns.sum() - returns) / (k - 1)
     else:
         baselines = np.zeros(k)
-    coeffs, actions = [], []
-    for ti, traj in enumerate(trajectories):
-        if reward_to_go:
-            gains = np.array([float(len(s.newly_served)) for s in traj.steps])
-            coeffs.append(np.cumsum(gains[::-1])[::-1] - baselines[ti])
-        else:
-            coeffs.append(np.full(len(traj.steps), returns[ti] - baselines[ti]))
-        actions += [s.action_index for s in traj.steps]
-    c = np.concatenate(coeffs)
+    if reward_to_go:
+        coeffs = np.cumsum(gains[:, ::-1], axis=1)[:, ::-1] - baselines[:, None]
+    else:
+        coeffs = np.repeat((returns - baselines)[:, None], gains.shape[1], axis=1)
+    c = coeffs.ravel()
     if len(c) != len(rollouts.rows):
         raise ValueError("need one kept row per step")
     steps = np.flatnonzero(c)
     if not len(steps):
         return Gradient.zero(params.layer_shapes)
     return policy_net.accumulate_grad_log_prob(
-        params, rollouts.kept, rollouts.rows[steps], np.array(actions)[steps], c[steps] / k
+        params, rollouts.kept, rollouts.rows[steps], periods.action.ravel()[steps], c[steps] / k
     )
 
 

@@ -265,15 +265,26 @@ def init_params(layer_shapes: tuple[tuple[int, int], ...], seed: int) -> PolicyP
 
 def encode_state(state: EnvState, scenario: ScenarioConfig) -> np.ndarray:
     """Per-user (x, y, height) normalized to [0, 1], then the served bits."""
-    centers = scenario.cell_centers
-    coords = np.empty(3 * scenario.num_users)
-    for j, (cell, h) in enumerate(zip(state.user_cells, state.user_heights)):
-        cx, cy = centers[cell]
-        coords[3 * j] = cx / scenario.room_side
-        coords[3 * j + 1] = cy / scenario.room_side
-        coords[3 * j + 2] = h / scenario.ceiling_z
-    served = np.array([1.0 if w else 0.0 for w in state.served])
-    return np.concatenate([coords, served])
+    (row,) = encode_states(
+        np.array([state.user_cells]), np.array([state.user_heights]), np.array([state.served]),
+        np.array(scenario.cell_centers), scenario,
+    )
+    return row
+
+
+def encode_states(
+    cells: np.ndarray, heights: np.ndarray, served: np.ndarray, centers: np.ndarray, scenario: ScenarioConfig
+) -> np.ndarray:
+    """The `encode_state` row of each state given as arrays: the users'
+    cells, heights and served flags [state, user], with the cells' (x, y)
+    centres [cell, 2]."""
+    count, users = cells.shape
+    out = np.empty((count, 4 * users))
+    coords = out[:, : 3 * users].reshape(count, users, 3)
+    np.divide(centers[cells], scenario.room_side, out=coords[:, :, :2])
+    np.divide(heights, scenario.ceiling_z, out=coords[:, :, 2])
+    out[:, 3 * users :] = served
+    return out
 
 
 def encoding_dim(scenario: ScenarioConfig) -> int:

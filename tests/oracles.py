@@ -4,8 +4,8 @@ Most of this is written directly from the model formulas with plain math,
 deliberately separate from the package code paths it checks. The rest are
 references that no run executes, built on package code: the priced period
 association solver, the gradient kernel that runs its own forward pass
-with the one-row policy helpers over it, and the one-slot-at-a-time step
-and rollout.
+with the one-row policy helpers over it, the one-slot-at-a-time step and
+rollout, and the lockstep loop that built one object per step.
 """
 
 from __future__ import annotations
@@ -412,7 +412,8 @@ def dense_grad(flat, layer_shapes, rows):
 
 def score_rows(trajectories, reward_baseline, reward_to_go):
     """(encoding, action, coefficient) of every step in a REINFORCE estimate
-    with the leave-one-out baseline, zero coefficients included."""
+    with the leave-one-out baseline, zero coefficients included, from
+    trajectories whose steps carry their encodings (`Step`)."""
     k = len(trajectories)
     returns = [float(sum(len(s.newly_served) for s in t.steps)) for t in trajectories]
     rows = []
@@ -624,18 +625,100 @@ def kept_grad_log_prob(params, encodings, action_indices, coeffs):
 
 
 def kept_rollouts(trajectories, params):
-    """`meta_rl.Rollouts` of hand-built trajectories at `params`: every
-    step its own kept row, forwarded from its `encoding` in one batch."""
+    """`meta_rl.Rollouts` at `params` of hand-built trajectories of equal
+    length (`Traj`): every step its own kept row, forwarded from its
+    `encoding` in one batch. Each step newly serves as many users as its
+    `newly_served` holds, the next users of a room as large as the largest
+    return; only the served flags and action indices are set."""
     import numpy as np
 
-    from thzvlc import meta_rl, policy_net
+    from thzvlc import env, meta_rl, policy_net
 
     x = np.array([s.encoding for t in trajectories for s in t.steps], dtype=float)
     kept = policy_net.forward(params, x.reshape(len(x), params.layer_shapes[0][0]))
-    return meta_rl.Rollouts(list(trajectories), kept, np.arange(len(x)))
+    count, slots = len(trajectories), len(trajectories[0].steps) if trajectories else 0
+    users = max([t.total_reward for t in trajectories] + [1])
+    served = np.zeros((count, slots + 1, users), dtype=bool)
+    for b, traj in enumerate(trajectories):
+        assert len(traj.steps) == slots, "trajectories of one batch have equal length"
+        total = 0
+        for t, step in enumerate(traj.steps):
+            total += len(step.newly_served)
+            served[b, t + 1, :total] = True
+    action = np.array([[s.action_index for s in t.steps] for t in trajectories], dtype=np.intp).reshape(count, slots)
+    periods = env.Periods(
+        heights=np.ones((count, users)),
+        cells=np.zeros((count, slots + 1, users), dtype=np.intp),
+        served=served,
+        action=action,
+        vap_sets=np.zeros((count, slots, 3), dtype=np.intp),
+        assigned=np.full((count, slots, users), -1, dtype=np.intp),
+        localized=served[:, 1:],
+        tx_ok=served[:, 1:],
+    )
+    return meta_rl.Rollouts(periods, kept, np.arange(len(x)))
 
 
-# --- one period at a time -------------------------------------------------------
+# --- one period at a time and the object loop -----------------------------------
+
+
+class Step:
+    """One step of a reference rollout: what the package's `TrajectoryStep`
+    holds, plus the encoding the policy saw."""
+
+    def __init__(self, state, encoding, action_index, action, newly_served, localized, tx_ok):
+        self.state = state
+        self.encoding = encoding
+        self.action_index = action_index
+        self.action = action
+        self.newly_served = newly_served
+        self.localized = localized
+        self.tx_ok = tx_ok
+
+
+class Traj:
+    """A reference rollout: its `Step`s and the state after them."""
+
+    def __init__(self, steps, final_state):
+        self.steps = tuple(steps)
+        self.final_state = final_state
+
+    @property
+    def total_reward(self):
+        return sum(len(s.newly_served) for s in self.steps)
+
+
+def encoded(trajectories, scenario):
+    """The package's trajectories as `Traj`s, each step with the
+    `encode_state` of its state."""
+    from thzvlc import policy_net
+
+    return [
+        Traj(
+            [Step(s.state, policy_net.encode_state(s.state, scenario), s.action_index, s.action,
+                  s.newly_served, s.localized, s.tx_ok) for s in t.steps],
+            t.final_state,
+        )
+        for t in trajectories
+    ]
+
+
+def decoder(kind, scenario):
+    """The one-state decoder of a head, `decode(idx, state, links)`: the
+    joint action of the index, or its VAP subset with the slot matching
+    `association.slot_assign`."""
+    from thzvlc import association, env
+
+    if kind == "mpg":
+        space = env.enumerate_joint_actions(scenario)
+        return lambda idx, state, links: space[idx]
+    actions = env.enumerate_vap_actions(scenario.num_vaps)
+
+    def decode(idx, state, links):
+        solution = association.slot_assign(state, actions[idx], links)
+        return env.JointAction(actions[idx], tuple(sorted((user, sbs) for sbs, user in solution.matching)))
+
+    return decode
 
 
 def move(pattern, cells, rng):
@@ -683,9 +766,9 @@ def rollout(task, params, decode, scenario, rng, realization=None):
     before it advanced a batch in lockstep.
 
     Per slot: encode the state, one forward pass of that encoding, an
-    inverse-CDF action draw from the rng, the slot's links, decode, serve,
-    then the users' move draws from the rng, unless a fixed realization
-    supplies the moves.
+    inverse-CDF action draw from the rng, the slot's links, decode (a
+    one-state `decoder`), serve, then the users' move draws from the rng,
+    unless a fixed realization supplies the moves.
     """
     from thzvlc import env, policy_net
 
@@ -703,24 +786,95 @@ def rollout(task, params, decode, scenario, rng, realization=None):
             next_cells = realization.cells[t + 1]
         else:
             next_cells = move(task.pattern, state.user_cells, rng)
-        steps.append(
-            env.TrajectoryStep(
-                state=state,
-                encoding=enc,
-                action_index=idx,
-                action=action,
-                newly_served=outcome.newly_served,
-                localized=outcome.localized,
-                tx_ok=outcome.tx_ok,
-            )
-        )
+        steps.append(Step(state, enc, idx, action, outcome.newly_served, outcome.localized, outcome.tx_ok))
         state = env.EnvState(
             user_cells=next_cells,
             user_heights=state.user_heights,
             served=outcome.served_after,
             slot_index=t + 1,
         )
-    return env.Trajectory(task_id=task.id, steps=tuple(steps), final_state=state)
+    return Traj(steps, state)
+
+
+def object_rollouts(tasks, params, decode, scenario, uniforms, keep):
+    """`meta_rl.rollout_period` as the package ran it with one object per
+    step: (trajectories as `Traj`s, kept forward values or None, each
+    step's kept row or None).
+
+    What rows share is worked out once: a reset per task, an encoding per
+    distinct state (an `EnvState`, hashed), a forward pass per block of at
+    most the head's input width of distinct encodings, an `env.slot_links`
+    per distinct (cells, heights), and a one-state decode (`decoder`) and
+    `env.evaluate_service` per distinct (state, index).
+    """
+    import numpy as np
+
+    from thzvlc import env, policy_net
+
+    u = np.asarray(uniforms, dtype=float)
+    count, slots = len(tasks), scenario.slots_per_period
+    kept = rows_of = None
+    if keep:
+        kept = policy_net.Forward(
+            [np.empty((count * slots, n_in)) for n_in, _ in params.layer_shapes],
+            np.empty((count * slots, params.action_count)),
+        )
+        rows_of = np.empty((count, slots), dtype=np.intp)
+    filled = 0
+    groups = {}
+    for b, task in enumerate(tasks):
+        groups.setdefault(id(task), []).append(b)
+    states = [None] * len(tasks)
+    for group in groups.values():
+        start = env.reset(tasks[group[0]], scenario)
+        for b in group:
+            states[b] = start
+    width = params.layer_shapes[-1][0]
+    links = {}
+    served = {}
+    steps = [[] for _ in tasks]
+    for t in range(slots):
+        distinct = {state: i for i, state in enumerate(dict.fromkeys(states))}
+        x = np.array([policy_net.encode_state(state, scenario) for state in distinct])
+        rows = [distinct[state] for state in states]
+        indices = [0] * len(states)
+        for lo in range(0, len(x), width):
+            fw = policy_net.forward(params, x[lo : lo + width])
+            if keep:
+                at = slice(filled + lo, filled + lo + len(fw.probs))
+                for mine, block in zip(kept.inputs, fw.inputs):
+                    mine[at] = block
+                kept.probs[at] = fw.probs
+            cum = np.cumsum(fw.probs, axis=1)
+            for b, r in enumerate(rows):
+                if lo <= r < lo + width:
+                    indices[b] = policy_net.inverse_cdf(cum[r - lo], u[b, t, 0])
+        if keep:
+            rows_of[:, t] = [filled + r for r in rows]
+            filled += len(x)
+        for b, (state, idx) in enumerate(zip(states, indices)):
+            key = (state, idx)
+            if key not in served:
+                where = (state.user_cells, state.user_heights)
+                if where not in links:
+                    links[where] = env.slot_links(state, scenario)
+                action = decode(idx, state, links[where])
+                served[key] = action, env.evaluate_service(state, action, scenario, links[where])
+            action, outcome = served[key]
+            steps[b].append(Step(state, x[distinct[state]], idx, action, outcome.newly_served,
+                                 outcome.localized, outcome.tx_ok))
+        cells = np.array([state.user_cells for state in states])
+        for group in groups.values():
+            cells[group] = env.next_cells(tasks[group[0]].pattern, cells[group], u[group, t, 1:])
+        states = [
+            env.EnvState(tuple(moved), state.user_heights, served[(state, idx)][1].served_after, t + 1)
+            for state, idx, moved in zip(states, indices, cells.tolist())
+        ]
+    trajectories = [Traj(row, state) for row, state in zip(steps, states)]
+    if not keep:
+        return trajectories, None, None
+    kept = policy_net.Forward([a[:filled] for a in kept.inputs], kept.probs[:filled])
+    return trajectories, kept, rows_of.ravel()
 
 
 # --- movement patterns and the trajectory log -------------------------------------

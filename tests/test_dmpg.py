@@ -64,7 +64,7 @@ class TestDmpgStep:
             best, _ = env.brute_force_oracle(task, toy_scenario, 0)
             real = env.sample_realization(task, toy_scenario, 0)
             params = meta_rl.new_policy("dmpg", toy_scenario, cfg, seed=seed)
-            decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
+            decode = oracles.decoder("dmpg", toy_scenario)
             for k in range(4):
                 traj = oracles.rollout(
                     task, params, decode, toy_scenario, np.random.default_rng(k), realization=real

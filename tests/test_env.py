@@ -17,7 +17,6 @@ from thzvlc.env import (
     JointAction,
     JointActionSpace,
     Trajectory,
-    TrajectoryStep,
     brute_force_oracle,
     enumerate_joint_actions,
     evaluate_service,
@@ -221,46 +220,47 @@ class TestStep:
                 prev = state.served
 
 
+def one_period(state, slots):
+    """A batch of one period from its start state and the (action,
+    outcome) of each slot; the users stay where they are."""
+    users, n = len(state.served), len(slots)
+    assigned = np.full((1, n, users), -1, dtype=np.intp)
+    for t, (action, _) in enumerate(slots):
+        for j, sbs in action.assignments:
+            assigned[0, t, j] = sbs
+    return env.Periods(
+        heights=np.array([state.user_heights]),
+        cells=np.array([[state.user_cells] * (n + 1)], dtype=np.intp),
+        served=np.array([[state.served] + [o.served_after for _, o in slots]]),
+        action=np.zeros((1, n), dtype=np.intp),
+        vap_sets=np.array([[a.vap_set for a, _ in slots]], dtype=np.intp).reshape(1, n, 3),
+        assigned=assigned,
+        localized=np.array([[o.localized for _, o in slots]]).reshape(1, n, users),
+        tx_ok=np.array([[o.tx_ok for _, o in slots]]).reshape(1, n, users),
+    )
+
+
 class TestPeriodReliability:
     def test_empty_service(self, toy_scenario):
         task = identity_task(toy_scenario)
         state = reset(task, toy_scenario)
-        steps = tuple(
-            TrajectoryStep(
-                state=state,
-                encoding=np.zeros(1),
-                action_index=0,
-                action=enumerate_joint_actions(toy_scenario)[0],
-                newly_served=(),
-                localized=(False, False),
-                tx_ok=(False, False),
-            )
-            for _ in range(2)
-        )
-        traj = Trajectory(task_id=0, steps=steps, final_state=state)
+        nothing = env.ServiceOutcome(localized=(False, False), tx_ok=(False, False),
+                                     served_after=state.served, newly_served=())
+        action = enumerate_joint_actions(toy_scenario)[0]
+        traj = Trajectory(one_period(state, [(action, nothing)] * 2), 0)
         assert traj.total_reward == 0
+        assert [s.newly_served for s in traj.steps] == [(), ()]
 
     def test_saturation_single_slot(self, toy_scenario):
         state = make_state(toy_scenario, cells=[4, 2])
         for action in enumerate_joint_actions(toy_scenario):
             out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
             if len(out.newly_served) == toy_scenario.num_users:
-                traj = Trajectory(
-                    task_id=0,
-                    steps=(
-                        TrajectoryStep(
-                            state=state,
-                            encoding=np.zeros(1),
-                            action_index=0,
-                            action=action,
-                            newly_served=out.newly_served,
-                            localized=out.localized,
-                            tx_ok=out.tx_ok,
-                        ),
-                    ),
-                    final_state=state,
-                )
+                traj = Trajectory(one_period(state, [(action, out)]), 0)
                 assert traj.total_reward == toy_scenario.num_users
+                assert traj.steps[0].newly_served == out.newly_served
+                assert traj.steps[0].action == action
+                assert traj.final_state.served == out.served_after
                 return
         pytest.skip("no single action serves both users in this layout")
 

@@ -65,11 +65,12 @@ SIMULATE = {
 }
 
 # (config_hash, scenario_hash) of each config, as a checkpoint records them;
-# the empty config is the reference room
+# the empty config is the reference room. The toy configs' canonical text
+# writes each count as the length of its position list.
 IDENTITY = {
-    "toy_mpg": (TOY_MPG, "3f2c4c7345524355", "e7299b1749abb203"),
+    "toy_mpg": (TOY_MPG, "0d9c56603d4c7d57", "6e1a249d9b81a4e1"),
     "readme_dmpg": (README_DMPG, "ab770f96390aafb6", "2eae577672a82f51"),
-    "toy_mpg_learning": (TOY_MPG_LEARNING, "0573ec9eb71f5ffa", "e7299b1749abb203"),
+    "toy_mpg_learning": (TOY_MPG_LEARNING, "e5ab846a4c9dfb7d", "6e1a249d9b81a4e1"),
     "empty": ("", "23cd08b5bf0c0b86", "2eae577672a82f51"),
 }
 
@@ -162,3 +163,14 @@ def test_golden_adapt_digests(learned_toy, tmp_path, capsys):
         "adapted_checkpoint.bin": hashlib.sha256(_rounded_payload(out / "adapted_checkpoint.bin")).hexdigest(),
     }
     assert digest == ADAPT
+
+
+def test_eval_accepts_the_runs_own_config(learned_toy, tmp_path, capsys):
+    # the config.txt a run writes loads back as the config its checkpoint
+    # was trained under
+    _, checkpoint = learned_toy
+    written = checkpoint.parent / "config.txt"
+    argv = ["eval", "--config", str(written), "--checkpoint", str(checkpoint), "--periods", "4"]
+    assert harness.main(argv + ["--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+    digest = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in EVAL}
+    assert digest == EVAL

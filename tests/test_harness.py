@@ -179,6 +179,100 @@ class TestLoadSpec:
         assert spec.algorithm == "dmpg"
 
 
+def finite(lo, hi, ends="()"):
+    """Floats of an interval of the schema's kind."""
+    return st.floats(min_value=lo, max_value=hi, exclude_min=ends[0] == "(", exclude_max=ends[1] == ")",
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def config_texts(draw):
+    """A config text of valid values for a drawn subset of `harness.SCHEMA`
+    keys, the others left to their defaults: unit positions as lists inside
+    the room or as counts, with and without an agreeing count beside a
+    list, and a joint head under its action cap."""
+    algorithm = draw(st.sampled_from(harness.ALGORITHMS))
+    small = algorithm != "dmpg"  # the joint head lists every action
+    room = draw(st.one_of(st.just(6.0), finite(0, 1000, "(]")))
+    ceiling = draw(st.one_of(st.just(3.0), finite(1e-300, 1000, "[]")))
+    top = draw(finite(0, ceiling, "()"))
+    keys = {
+        ("scenario", "room_side"): room,
+        ("scenario", "ceiling"): ceiling,
+        ("scenario", "user_height_max"): top,
+        ("scenario", "user_height_min"): draw(finite(0, top, "(]")),
+        ("scenario", "num_users"): draw(st.integers(1, 3 if small else 30)),
+        ("scenario", "body_radius"): draw(finite(0, 10, "[]")),
+        ("scenario", "cells_per_side"): draw(st.integers(1, 32)),
+        ("scenario", "slots_per_period"): draw(st.integers(1, 5)),
+        ("radio", "carrier_freq_hz"): draw(finite(0, 1e15, "(]")),
+        ("radio", "noise_density_dbm_per_hz"): draw(finite(-3000, 3000, "[]")),
+        ("radio", "slot_duration_s"): draw(finite(0, 1, "(]")),
+        ("optics", "fov_semi_angle_deg"): draw(finite(0, 90, "()")),
+        ("learning", "inner_lr"): draw(finite(0, 1000, "(]")),
+        ("learning", "inner_rollouts"): draw(st.integers(1, 100)),
+        ("learning", "meta_iterations"): draw(st.integers(0, 500)),
+        ("learning", "reward_to_go"): draw(st.booleans()),
+        ("learning", "hidden_sizes"): tuple(draw(st.lists(st.integers(1, 128), min_size=1, max_size=3))),
+        ("tasks", "concentration"): draw(finite(0, 1e6, "(]")),
+        ("tasks", "locality_radius"): draw(st.integers(0, 40)),
+        ("run", "algorithm"): algorithm,
+        ("run", "master_seed"): draw(st.integers(0, 2**40)),
+        ("run", "output_dir"): draw(st.text("abcxyz_/.-0123456789", min_size=1, max_size=12)),
+        ("run", "workers"): draw(st.integers(1, 256)),
+    }
+    for count_key, key, least in (("num_vaps", "vap_positions", 3), ("num_sbs", "sbs_positions", 1)):
+        most = 8 if small or count_key == "num_vaps" else 30
+        if draw(st.booleans()):
+            points = draw(st.lists(st.tuples(finite(0, room, "[]"), finite(0, room, "[]")),
+                                   min_size=least, max_size=most))
+            keys["scenario", key] = tuple(points)
+            if draw(st.booleans()):
+                keys["scenario", count_key] = len(points)
+        elif draw(st.booleans()):
+            keys["scenario", count_key] = draw(st.integers(least, most))
+    chosen = [k for k in keys if draw(st.booleans()) or k[1].endswith(("positions", "num_vaps", "num_sbs"))]
+    if small:
+        chosen.append(("scenario", "num_users"))
+    if ("scenario", "user_height_max") in chosen or ("scenario", "user_height_min") in chosen:
+        chosen += [("scenario", "ceiling"), ("scenario", "user_height_max"), ("scenario", "user_height_min")]
+    if any(k[1].endswith("positions") for k in chosen):
+        chosen.append(("scenario", "room_side"))
+    lines = []
+    for section in harness.SCHEMA:
+        lines.append(f"[{section}]")
+        for (s, key) in dict.fromkeys(chosen):
+            if s == section:
+                lines.append(f"{key} = {harness._format_value(harness.SCHEMA[s][key][0], keys[s, key])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCanonicalRoundTrip:
+    """What a run writes as its config (`config.txt`, `--print-config`)
+    loads back as the same config."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(config_texts())
+    def test_canonical_text_loads_back(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            cfg = Path(directory) / "drawn.cfg"
+            cfg.write_text(text)
+            spec = load_spec(cfg, environ={})
+            again = Path(directory) / "config.txt"
+            again.write_text(spec.canonical_text)
+            back = load_spec(again, environ={})
+        assert back.canonical_text == spec.canonical_text
+        assert (back.config_hash, back.scenario_hash) == (spec.config_hash, spec.scenario_hash)
+        assert back.scenario == spec.scenario and back.learning == spec.learning
+
+    def test_explicit_positions_write_their_counts(self, tmp_path):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG)
+        values = load_spec(cfg, environ={}).values["scenario"]
+        assert (values["num_vaps"], values["num_sbs"]) == (4, 2)
+        assert parse_config_text(TOY_CONFIG)[0]["scenario"]["num_vaps"] == 7  # the parse is left as it was
+
+
 class TestRun:
     def test_artifacts_and_metrics_length(self, tmp_path):
         spec = toy_spec(tmp_path)

@@ -228,6 +228,32 @@ class TestCrossingTable:
             assert np.array_equal(links.visible, visible)
             assert np.array_equal(links.h, h)
 
+    @PROPERTY
+    @given(crowded_rooms(), st.data())
+    def test_one_pass_over_states_of_mixed_heights(self, room, data):
+        # one `ceiling_links` pass over every state, some of them with heights
+        # of their own, as an evaluation batch of several tasks has
+        scenario, states = room
+        n = scenario.num_users
+        height = st.sampled_from((1.4, 1.5, 1.625, 1.9))
+        states = [
+            dataclasses.replace(state, user_heights=tuple(data.draw(st.lists(height, min_size=n, max_size=n))))
+            if data.draw(st.booleans()) else state
+            for state in states
+        ]
+        cells = np.array([state.user_cells for state in states])
+        free = np.array([scenario.tables[1](state.user_heights)[np.arange(n), state.user_cells] for state in states])
+        ok = env.ceiling_links(cells, np.array([state.user_heights for state in states]), free, scenario)
+        for row, state in zip(ok, states):
+            visible, h = direct_links(state, scenario)
+            assert np.array_equal(row[: scenario.num_vaps], visible)
+            assert np.array_equal(row[scenario.num_vaps :], h)
+
+    def test_a_user_at_the_ceiling_refused(self, toy_scenario):
+        state = env.EnvState(user_cells=(0, 1), user_heights=(1.5, 3.0), served=(False, False), slot_index=0)
+        with pytest.raises(ValueError, match="below the ceiling"):
+            env.slot_links(state, toy_scenario)
+
     def test_vertical_link_and_shared_cell(self):
         # VAP 0 and SBS 0 hang over the centre of cell 4; users 0 and 1 share
         # it, so user 1's body stands on user 0's vertical links and c < 0.
@@ -246,7 +272,7 @@ class TestCrossingTable:
         assert links.visible[0, 1] and links.h[0, 1]
 
     def test_first_slot_fills_only_its_users_rows(self):
-        # 400 cells: the full table would be 14 x 400 x 400 entries (38 MB)
+        # 400 cells: the full table would be 400 x 400 x 14 floats (18 MB)
         scenario = reference_scenario(cells_per_side=20)
         task = env.sample_task(scenario.cells_per_side, seed=3, concentration=1.0, locality_radius=1, task_id=3)
         state = env.reset(task, scenario)

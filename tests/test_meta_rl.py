@@ -12,7 +12,7 @@ import oracles
 from conftest import make_toy_scenario, reference_learning, reference_scenario
 from oracles import dense_gradient, forward_one, kept_rollouts
 from thzvlc import env, meta_rl, policy_net
-from thzvlc.env import EnvState, Trajectory, TrajectoryStep
+from thzvlc.env import EnvState
 from thzvlc.meta_rl import (
     adapt,
     inner_update,
@@ -46,7 +46,7 @@ def synthetic_trajectory(encodings, actions, rewards, scenario=None):
     steps = []
     for enc, a, r in zip(encodings, actions, rewards):
         steps.append(
-            TrajectoryStep(
+            oracles.Step(
                 state=dummy_state(),
                 encoding=np.asarray(enc, dtype=float),
                 action_index=int(a),
@@ -56,7 +56,7 @@ def synthetic_trajectory(encodings, actions, rewards, scenario=None):
                 tx_ok=(True,) * 3,
             )
         )
-    return Trajectory(task_id=0, steps=tuple(steps), final_state=dummy_state())
+    return oracles.Traj(steps, dummy_state())
 
 
 def point_mass_params(scenario, action_count, favored=0, hidden=(8,)):
@@ -127,17 +127,23 @@ def lockstep_cases(draw):
 
 
 def assert_same_rollouts(got, want):
-    """Step for step: states, encodings, action indices, actions and outcomes."""
+    """Step for step: states, action indices, actions and outcomes, with
+    the package's types, and the returns."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.task_id == b.task_id and len(a.steps) == len(b.steps)
+        assert len(a.steps) == len(b.steps)
         for sa, sb in zip(a.steps, b.steps):
             assert sa.state == sb.state
-            assert np.array_equal(sa.encoding, sb.encoding)
             assert sa.action_index == sb.action_index
             assert sa.action == sb.action
             assert (sa.newly_served, sa.localized, sa.tx_ok) == (sb.newly_served, sb.localized, sb.tx_ok)
+            fields = (*sa.state.user_cells, *sa.state.served, sa.state.slot_index, sa.action_index,
+                      *sa.newly_served, *sa.localized, *sa.tx_ok, *sa.action.vap_set,
+                      *(x for pair in sa.action.assignments for x in pair))
+            assert {type(x) for x in fields} <= {int, bool}
+            assert {type(x) for x in sa.state.user_heights} == {float}
         assert a.final_state == b.final_state
+        assert a.total_reward == b.total_reward
 
 
 class TestLockstep:
@@ -151,7 +157,7 @@ class TestLockstep:
         task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count).trajectories
-        decode = meta_rl.policy_head(kind, scenario).decode
+        decode = oracles.decoder(kind, scenario)
         want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
         assert_same_rollouts(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -174,7 +180,8 @@ class TestLockstep:
         assert got.kept is None and got.rows is None
         got = got.trajectories
         ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
-        want = [oracles.rollout(t, params, decode, scenario, r) for t, r in zip(tasks, ref_rngs)]
+        want = [oracles.rollout(t, params, oracles.decoder(kind, scenario), scenario, r)
+                for t, r in zip(tasks, ref_rngs)]
         assert_same_rollouts(got, want)
         for a, b in zip(rngs, ref_rngs):
             assert a.bit_generator.state == b.bit_generator.state
@@ -194,6 +201,64 @@ class TestLockstep:
         uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 2, toy_scenario)
         with pytest.raises(ValueError, match="uniforms"):
             meta_rl.rollout_period([task] * 3, params, decode, toy_scenario, uniforms, True)
+
+
+class TestArrayRollouts:
+    """The array loop equals the loop that built one object per step
+    (`oracles.object_rollouts`): the same steps with the same types, and,
+    kept, the same forward values bit for bit in the same row order."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lockstep_cases(), st.lists(st.integers(0, 3), max_size=9), st.booleans(), st.booleans())
+    def test_equals_the_object_loop(self, case, picks, keep, phase):
+        kind, scenario, params, seed = case
+        pool = [  # moving and static tasks; two with one seed, so equal heights
+            env.sample_task(scenario.cells_per_side, seed=seed + i % 3, concentration=1.0, locality_radius=i % 2,
+                            task_id=i)
+            for i in range(4)
+        ]
+        tasks = [pool[0]] * len(picks) if phase else [pool[i] for i in picks]
+        uniforms = meta_rl.draw_uniforms(np.random.default_rng(seed), len(tasks), scenario)
+        decode = meta_rl.policy_head(kind, scenario).decode
+        got = meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, keep)
+        want, kept, rows = oracles.object_rollouts(tasks, params, oracles.decoder(kind, scenario), scenario,
+                                                   uniforms, keep)
+        assert_same_rollouts(got.trajectories, want)
+        assert len(got.periods) == len(tasks)
+        if not keep:
+            assert got.kept is None and got.rows is None
+            return
+        assert np.array_equal(got.rows, rows)
+        for a, b in zip((*got.kept.inputs, got.kept.probs), (*kept.inputs, kept.probs)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+        encodings = [s.encoding for t in want for s in t.steps]
+        assert all(np.array_equal(got.kept.inputs[0][r], x) for r, x in zip(got.rows, encodings))
+
+    @pytest.mark.parametrize("kind", ["mpg", "dmpg"])
+    def test_states_of_other_heights_stay_apart(self, kind):
+        # one cell: every user of every task stands in it, and the tasks'
+        # states differ by their heights alone
+        scenario = make_toy_scenario(cells_per_side=1)
+        params = meta_rl.new_policy(kind, scenario, reference_learning(hidden_sizes=(4,)), 0)
+        tasks = [env.sample_task(1, seed=s, concentration=1.0, locality_radius=0, task_id=s) for s in (0, 1, 0)]
+        uniforms = meta_rl.draw_uniforms(np.random.default_rng(0), 3, scenario)
+        got = meta_rl.rollout_period(tasks, params, meta_rl.policy_head(kind, scenario).decode, scenario,
+                                     uniforms, True)
+        want, kept, rows = oracles.object_rollouts(tasks, params, oracles.decoder(kind, scenario), scenario,
+                                                   uniforms, True)
+        assert_same_rollouts(got.trajectories, want)
+        assert np.array_equal(got.rows, rows) and got.kept.probs.tobytes() == kept.probs.tobytes()
+        assert got.rows[0] == got.rows[2 * scenario.slots_per_period] != got.rows[scenario.slots_per_period]
+
+    def test_periods_are_read_only_and_steps_built_once(self, toy_scenario):
+        params = meta_rl.new_policy("dmpg", toy_scenario, reference_learning(hidden_sizes=(4,)), 0)
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
+        rollouts = meta_rl.rollout_phase("dmpg", task, params, toy_scenario, np.random.default_rng(0), 3)
+        for a in vars(rollouts.periods).values():
+            assert not a.flags.writeable
+        traj = rollouts.trajectories[1]
+        assert traj.steps is traj.steps and traj.final_state is traj.final_state
+        assert traj.total_reward == sum(len(s.newly_served) for s in traj.steps)
 
 
 class TestTaskGradient:
@@ -282,7 +347,7 @@ class TestTaskGradient:
         trajs = kept_rollouts([
             synthetic_trajectory([[0.1, 0.2], [0.3, 0.4]], [0, 1], [1, 0]),
             synthetic_trajectory([[0.5, 0.6], [0.7, 0.8]], [2, 0], [0, 0]),
-            synthetic_trajectory([[0.9, 1.0]], [1], [3]),
+            synthetic_trajectory([[0.9, 1.0], [0.1, 0.1]], [1, 2], [3, 0]),
         ], params)
         calls = []
         original = policy_net.accumulate_grad_log_prob
@@ -295,7 +360,8 @@ class TestTaskGradient:
         g = task_gradient(trajs, params, reward_to_go=True, reward_baseline=False)
         assert len(calls) == 1
         encodings, actions, coeffs = calls[0]
-        # reward-to-go: 1 then 0 for the first trajectory, 0 and 0 for the second
+        # reward-to-go: 1 then 0 for the first trajectory, 0 and 0 for the
+        # second, 3 then 0 for the third
         assert encodings.tolist() == [[0.1, 0.2], [0.9, 1.0]]
         assert actions == [0, 1]
         assert coeffs == [1 / 3, 3 / 3]
@@ -669,7 +735,7 @@ class TestChainedUpdates:
                              hidden_sizes=(16,))
         task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=0)
-        decode = meta_rl.policy_head("mpg", toy_scenario).decode
+        decode = oracles.decoder("mpg", toy_scenario)
 
         def trajs_at(s, policy):
             rng = meta_rl._phase_rng(3, s, 0, task.id, 2)
@@ -692,7 +758,7 @@ class TestChainedUpdates:
                        hidden_sizes=(16,))
         tasks = TestTraining()._tasks(toy_scenario)
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)  # the run's own start
-        decode = meta_rl.policy_head("mpg", toy_scenario).decode
+        decode = oracles.decoder("mpg", toy_scenario)
 
         def trajs_at(s, policy):
             task = tasks[s % len(tasks)]
@@ -793,7 +859,7 @@ class TestKeptGradient:
             rollouts = meta_rl.rollout_phase(kind, task, params, scenario, np.random.default_rng(seed), 1 + seed % 6)
             for baseline, to_go in ((False, False), (True, False), (False, True), (True, True)):
                 g = task_gradient(rollouts, params, baseline, to_go)
-                scored = oracles.score_rows(rollouts.trajectories, baseline, to_go)
+                scored = oracles.score_rows(oracles.encoded(rollouts.trajectories, scenario), baseline, to_go)
                 steps = [i for i, (_, _, c) in enumerate(scored) if c != 0.0]
                 rows = [scored[i] for i in steps]
                 merged = len(set(rollouts.rows[steps].tolist()))

@@ -280,3 +280,52 @@ def test_one_site_writes_a_policy_vector():
         ("meta_rl.meta_update", "fold_into(.flat)"),
         ("meta_rl.meta_update", "setflags(write=True)"),
     ]
+
+
+def test_traced_calls_give_every_per_layer_metric(tmp_path):
+    """Set-up, then a short training call and an evaluation, of `dmpg` and
+    of `mpg`, under the benchmark's tracer, as its trace mode runs them: no
+    hook raises, and the traced call's `run_metrics` with the set-up spans
+    give every per-layer metric of BENCHMARK.json but the tracer's own
+    overhead share (which the benchmark's runner adds)."""
+    import json
+
+    from thzvlc import association, channel, dmpg, env, harness, meta_rl, policy_net
+
+    spans = {"__name__": "spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
+    modules = {
+        "association": association, "channel": channel, "dmpg": dmpg, "env": env,
+        "harness": harness, "meta_rl": meta_rl, "policy_net": policy_net,
+    }
+    wanted = {row["name"] for row in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    wanted.discard("trace.overhead_frac")
+    for algorithm, users in (("dmpg", 6), ("mpg", 2)):
+        overrides = {
+            ("scenario", "num_users"): users, ("learning", "inner_rollouts"): 2,
+            ("learning", "outer_rollouts"): 1, ("learning", "meta_iterations"): 2,
+            ("learning", "tasks_per_batch"): 2, ("learning", "hidden_sizes"): (8,),
+            ("tasks", "count"): 2, ("run", "algorithm"): algorithm,
+        }
+        tracer = spans["Tracer"](modules)  # run 0: set-up
+        tracer.install()
+        try:
+            spec = harness.load_spec(None, environ={}, overrides=overrides)
+            tasks = harness.build_task_stream(spec)
+        finally:
+            tracer.uninstall()
+        tracer.begin_run(1)
+        tracer.install()
+        try:
+            params, _ = meta_rl.meta_train(spec.learning, spec.scenario, tasks, spec.kind,
+                                           master_seed=spec.master_seed, workers=1)
+            _, trajectories = harness.evaluate_policy(params, spec, 2)
+            harness.write_trajectories(tmp_path, trajectories, spec.scenario)
+        finally:
+            tracer.uninstall()
+        metrics = spans["run_metrics"](tracer.runs[1])
+        names = set(metrics) | {f"{name}.s" for name in tracer.runs[0]["stats"]}
+        assert wanted <= names, sorted(wanted - names)
+        assert metrics["policy_net.forward.calls"] > 0 and metrics["meta_rl.task_gradient.calls"] == 8
+        assert metrics["harness.write_trajectories.bytes"] > 0
+        assert (metrics["dmpg.rollout_vap.calls"] > 0) == (algorithm == "dmpg")
