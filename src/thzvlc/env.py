@@ -30,6 +30,9 @@ JOINT_ACTION_CAP = 2_000_000
 # `brute_force_oracle` refuses to search more action sequences than this.
 ORACLE_SEQUENCE_CAP = 10_000_000
 
+# Entries a scenario keeps of its link tables, and of its task starts.
+_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -78,22 +81,27 @@ class ScenarioConfig:
         return tuple(((ix + 0.5) * cell, (iy + 0.5) * cell) for iy in range(n) for ix in range(n))
 
     @cached_property
-    def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], np.ndarray]]:
-        """The crossing table, and the link table of each tuple of user
-        heights (see `ceiling_links`).
+    def tables(self) -> tuple[_Crossings, Callable[[tuple[float, ...]], np.ndarray], Callable[[int], TaskStart]]:
+        """The crossing table, the link table of each tuple of user heights
+        (see `ceiling_links`), and the start of each task seed.
 
         A link table is bool[user, cell, unit], VAPs first: the unit's link
         to user j standing in that cell passes its test other than blockage
         (the FOV for a VAP, delivery within the slot over a clear path for
         an SBS). It is built whole on first use, one pass over every cell
-        per user, and is read-only. A run keeps revisiting the same heights,
-        as they are fixed per task; the bound keeps an evaluation over many
-        fresh tasks from growing the cache without end. Pickles leave the
-        tables out, and the cell centres too.
+        per user, and is read-only. A task's start (`TaskStart`) is drawn
+        once per seed. A run keeps revisiting the same tasks and heights;
+        the bound keeps an evaluation over many fresh tasks from growing
+        either cache without end. The caches hold the crossing table, not
+        the scenario, so a room is freed with its last reference. Pickles
+        leave the tables out, and the cell centres too.
         """
         cross = _Crossings(self)
-        link_table = partial(_link_table, cross, self.num_vaps, self.optics, self.radio)
-        return cross, lru_cache(maxsize=1024)(link_table)
+        link_table = lru_cache(maxsize=_CACHE_SIZE)(
+            partial(_link_table, cross, self.num_vaps, self.optics, self.radio)
+        )
+        start = partial(_task_start, cross, link_table, self.num_users, self.user_height_range)
+        return cross, link_table, lru_cache(maxsize=_CACHE_SIZE)(start)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -348,17 +356,45 @@ def _dirichlet_rows(rng: np.random.Generator, counts: np.ndarray, concentration:
 
 
 def reset(task: Task, scenario: ScenarioConfig) -> EnvState:
-    """Initial state of a period; deterministic in the task seed."""
-    rng = np.random.default_rng([task.rng_seed])
-    cells = rng.integers(0, scenario.num_cells, scenario.num_users)
-    lo, hi = scenario.user_height_range
-    heights = rng.uniform(lo, hi, scenario.num_users)
+    """Initial state of a period; deterministic in the task seed, and read
+    from the scenario's start of that seed (`TaskStart`)."""
+    start = scenario.tables[2](task.rng_seed)
     return EnvState(
-        user_cells=tuple(int(c) for c in cells),
-        user_heights=tuple(float(h) for h in heights),
+        user_cells=tuple(start.cells.tolist()),
+        user_heights=start.heights,
         served=(False,) * scenario.num_users,
         slot_index=0,
     )
+
+
+class TaskStart:
+    """Where a task's periods start: every user's cell (read-only) and
+    height, drawn from the task seed, and the ceiling links there
+    (bool[unit, user], `ceiling_links`), worked out when first read."""
+
+    def __init__(self, cells: np.ndarray, heights: tuple[float, ...], cross: _Crossings, link_table):
+        self.cells = cells
+        self.heights = heights
+        self._tables = cross, link_table
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        cross, link_table = self._tables
+        free = link_table(self.heights)[np.arange(len(self.cells)), self.cells]
+        (ok,) = ceiling_links(self.cells[None], np.array([self.heights]), free[None], cross)
+        ok.setflags(write=False)
+        return ok
+
+
+def _task_start(
+    cross: _Crossings, link_table, num_users: int, height_range: tuple[float, float], seed: int
+) -> TaskStart:
+    rng = np.random.default_rng([seed])
+    cells = rng.integers(0, len(cross.centers), num_users)
+    lo, hi = height_range
+    heights = rng.uniform(lo, hi, num_users)
+    cells.setflags(write=False)
+    return TaskStart(cells, tuple(heights.tolist()), cross, link_table)
 
 
 @dataclass(frozen=True)
@@ -389,36 +425,41 @@ class _Crossings:
     cell, unit) of a scenario, as one float: where the link's floor
     projection first comes within the body's radius, as a share of the way
     from the receiver up to the unit (`geometry.crossings`' lo), or NaN
-    where it never does.
+    where it never does; and meet[receiver cell, body cell], whether the
+    projection of any unit's link to the one comes within that radius of
+    the other at all.
 
     Every unit hangs from the ceiling, above every receiver, so the lowest
     point of a link inside a body's footprint is always that first point
     (`geometry.below_top` takes lo), and lo is all the z stage reads. Users
     stand on cell centres and every body has the scenario's radius, so only
-    the z stage depends on a state. A receiver cell's row is worked out the
-    first time a user stands there, so memory pages are touched only for
-    cells users visit: the whole table grows with the fourth power of
-    `cells_per_side`.
+    the z stage depends on a state, and only over cell pairs that meet. A
+    receiver cell's row is worked out the first time a user stands there,
+    so memory pages are touched only for cells users visit: the whole table
+    grows with the fourth power of `cells_per_side`.
     """
 
     def __init__(self, scenario: ScenarioConfig):
         units = scenario.vap_positions + scenario.sbs_positions
         self.units = np.array([(x, y, scenario.ceiling_z) for x, y in units])
+        self.ceiling = scenario.ceiling_z
         self.centers = np.array(scenario.cell_centers)
         self.radius = scenario.body_radius
         self.lo = np.empty((len(self.centers), len(self.centers), len(units)))
+        self.meet = np.zeros((len(self.centers), len(self.centers)), dtype=bool)
         self.filled = np.zeros(len(self.centers), dtype=bool)
 
-    def gather(self, cells: np.ndarray) -> np.ndarray:
-        """lo[state, user, other user, unit] for users in cells[state, user]."""
+    def fill(self, cells: np.ndarray) -> None:
+        """Work out the rows of the receiver cells among `cells` not yet
+        filled."""
         if not self.filled[cells].all():
             visited = np.zeros_like(self.filled)
             visited[cells] = True
             todo = np.flatnonzero(visited & ~self.filled)
             meets, lo, _ = crossings(self.units, self.centers[todo], self.centers, self.radius)
             self.lo[todo] = np.where(meets, lo, np.nan).transpose(1, 2, 0)
+            self.meet[todo] = meets.any(axis=0)
             self.filled[todo] = True
-        return self.lo[cells[:, :, None], cells[:, None, :]]
 
 
 def _link_table(
@@ -436,35 +477,33 @@ def _link_table(
     return table
 
 
-# Bytes of crossing-table entries one `ceiling_links` block gathers: a
-# state takes users**2 * units floats (45 KB at the reference room).
-_LINK_BLOCK_BYTES = 1 << 18
-
-
-def ceiling_links(cells: np.ndarray, heights: np.ndarray, free: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
+def ceiling_links(cells: np.ndarray, heights: np.ndarray, free: np.ndarray, cross: _Crossings) -> np.ndarray:
     """bool[state, unit, user]: the unit's link to the user passes its test
     other than blockage (free[state, user, unit], from the link tables) and
     no other user's body blocks it, for the states of users in
     cells[state, user] at heights[state, user].
 
-    The XY stage comes from the scenario's crossing table; only the z stage
-    runs here, over every user, body and unit of a block of states in one
-    numpy pass, with the float operations of `geometry.below_top`. Every
-    height must lie below the ceiling, as a scenario's do.
+    The XY stage comes from the scenario's crossing table (`cross`,
+    `ScenarioConfig.tables`); only the z stage runs here, with the float
+    operations of `geometry.below_top`, over every unit of each (state,
+    user, other user) whose cells meet, in one numpy pass. Every height must
+    lie below the ceiling, as a scenario's do.
     """
-    count, users, units = free.shape
-    ok = np.empty(free.shape, dtype=bool)
-    block = max(1, _LINK_BLOCK_BYTES // (8 * users * users * units))
-    others = np.arange(users)
-    for lo in range(0, count, block):
-        at = slice(lo, lo + block)
-        z = scenario.tables[0].gather(cells[at])
-        rx = heights[at, :, None, None]
-        z *= scenario.ceiling_z - rx
-        z += rx
-        hit = z <= heights[at, None, :, None]  # NaN, where the XY stage misses, is never
-        hit[:, others, others] = False  # a receiver's own body
-        np.logical_and(free[at], ~hit.any(axis=2), out=ok[at])
+    _, users, units = free.shape
+    cross.fill(cells)
+    pair = cells[:, :, None] * len(cross.centers) + cells[:, None, :]  # [state, user, other user]
+    meet = cross.meet.ravel()[pair]
+    meet[:, np.arange(users), np.arange(users)] = False  # a receiver's own body
+    at = np.flatnonzero(meet)
+    z = cross.lo.reshape(-1, units).take(pair.ravel()[at], axis=0)
+    rx, other = np.divmod(at, users)  # rx: flat (state, user)
+    top = heights.ravel()[rx - rx % users + other][:, None]
+    rx_z = heights.ravel()[rx][:, None]
+    z *= cross.ceiling - rx_z
+    z += rx_z
+    at, unit = np.nonzero(z <= top)  # NaN, where the XY stage misses, is never
+    ok = free.copy()
+    ok.reshape(-1, units)[rx[at], unit] = False
     return ok.transpose(0, 2, 1)
 
 
@@ -475,8 +514,9 @@ def slot_links(state: EnvState, scenario: ScenarioConfig) -> SlotLinks:
     if not (heights < scenario.ceiling_z).all():
         raise ValueError(f"every user must stand below the ceiling at {scenario.ceiling_z!r} m")
     cells = np.array([state.user_cells])
-    free = scenario.tables[1](state.user_heights)[np.arange(scenario.num_users), cells]
-    (ok,) = ceiling_links(cells, heights, free, scenario)
+    cross, link_table, _ = scenario.tables
+    free = link_table(state.user_heights)[np.arange(scenario.num_users), cells]
+    (ok,) = ceiling_links(cells, heights, free, cross)
     return SlotLinks(visible=ok[: scenario.num_vaps], h=ok[scenario.num_vaps :])
 
 

@@ -138,7 +138,10 @@ def rollout_period(
     head weight), one `env.ceiling_links` pass, then one decode and one
     service pass over every distinct (state, index). Each block is freed
     before the next forward; with `keep`, its forward values are first
-    copied into the returned `kept` rows, for `task_gradient`.
+    copied into the returned `kept` rows, for `task_gradient`. A task's
+    start and the links of slot 0, where every state is a task's start,
+    come from the scenario's cache of task starts (`env.TaskStart`), so no
+    period of a task draws its start or works out those links again.
     """
     u = np.asarray(uniforms, dtype=float)
     count, slots, users = len(tasks), scenario.slots_per_period, scenario.num_users
@@ -152,7 +155,7 @@ def rollout_period(
         )
         rows_of = np.empty((count, slots), dtype=np.intp)
     filled = 0
-    cross, link_table = scenario.tables
+    cross, link_table, start_of = scenario.tables
     p = Periods(
         heights=np.empty((count, users)),
         cells=np.empty((count, slots + 1, users), dtype=np.intp),
@@ -168,11 +171,12 @@ def rollout_period(
         groups.setdefault(id(task), []).append(b)
     table_of: dict[tuple[float, ...], int] = {}  # each tuple of heights' link table
     kin = np.empty(count, dtype=np.intp)  # each row's link table
-    for group in groups.values():
-        start = env.reset(tasks[group[0]], scenario)
-        p.cells[group, 0] = start.user_cells
-        p.heights[group] = start.user_heights
-        kin[group] = table_of.setdefault(start.user_heights, len(table_of))
+    starts = {}
+    for key, group in groups.items():
+        start = starts[key] = start_of(tasks[group[0]].rng_seed)
+        p.cells[group, 0] = start.cells
+        p.heights[group] = start.heights
+        kin[group] = table_of.setdefault(start.heights, len(table_of))
     link_tables = np.array([link_table(heights) for heights in table_of], dtype=bool).reshape(
         len(table_of), users, scenario.num_cells, len(cross.units)
     )
@@ -209,8 +213,13 @@ def rollout_period(
             filled += len(x)
         p.action[:, t] = indices
 
-        free = link_tables[kin[first][:, None], everyone, cells]
-        ok = env.ceiling_links(cells, heights, free, scenario)
+        if t == 0:  # each state is a task's start
+            ok = np.array([starts[id(tasks[b])].links for b in first.tolist()], dtype=bool).reshape(
+                len(first), len(cross.units), users
+            )
+        else:
+            free = link_tables[kin[first][:, None], everyone, cells]
+            ok = env.ceiling_links(cells, heights, free, cross)
         pair, pair_of = _first_of(zip(rows, indices))
         on = state_of[pair]
         h, before = ok[on, scenario.num_vaps :], served[on]

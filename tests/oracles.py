@@ -5,7 +5,8 @@ deliberately separate from the package code paths it checks. The rest are
 references that no run executes, built on package code: the priced period
 association solver, the gradient kernel that runs its own forward pass
 with the one-row policy helpers over it, the one-slot-at-a-time step and
-rollout, and the lockstep loop that built one object per step.
+rollout, the lockstep loop that built one object per step, the dense
+link pass and the reset that drew a task's start afresh on every call.
 """
 
 from __future__ import annotations
@@ -794,6 +795,55 @@ def rollout(task, params, decode, scenario, rng, realization=None):
             slot_index=t + 1,
         )
     return Traj(steps, state)
+
+
+# Bytes of crossing-table entries one `dense_ceiling_links` block gathers:
+# a state takes users**2 * units floats (45 KB at the reference room).
+LINK_BLOCK_BYTES = 1 << 18
+
+
+def dense_ceiling_links(cells, heights, free, scenario):
+    """`env.ceiling_links` as the package ran it before it skipped the cell
+    pairs that never meet: per block of states, one gather of the crossing
+    table over every (state, user, other user, unit) and the z stage over
+    all of it."""
+    import numpy as np
+
+    count, users, units = free.shape
+    ok = np.empty(free.shape, dtype=bool)
+    block = max(1, LINK_BLOCK_BYTES // (8 * users * users * units))
+    others = np.arange(users)
+    cross = scenario.tables[0]
+    for lo in range(0, count, block):
+        at = slice(lo, lo + block)
+        cross.fill(cells[at])
+        z = cross.lo[cells[at, :, None], cells[at, None, :]]
+        rx = heights[at, :, None, None]
+        z *= scenario.ceiling_z - rx
+        z += rx
+        hit = z <= heights[at, None, :, None]  # NaN, where the XY stage misses, is never
+        hit[:, others, others] = False  # a receiver's own body
+        np.logical_and(free[at], ~hit.any(axis=2), out=ok[at])
+    return ok.transpose(0, 2, 1)
+
+
+def reset_uncached(task, scenario):
+    """`env.reset` as the package ran it before a scenario kept each task's
+    start: a fresh rng of the task seed on every call."""
+    import numpy as np
+
+    from thzvlc import env
+
+    rng = np.random.default_rng([task.rng_seed])
+    cells = rng.integers(0, scenario.num_cells, scenario.num_users)
+    lo, hi = scenario.user_height_range
+    heights = rng.uniform(lo, hi, scenario.num_users)
+    return env.EnvState(
+        user_cells=tuple(int(c) for c in cells),
+        user_heights=tuple(float(h) for h in heights),
+        served=(False,) * scenario.num_users,
+        slot_index=0,
+    )
 
 
 def object_rollouts(tasks, params, decode, scenario, uniforms, keep):

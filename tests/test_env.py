@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_scenario, reference_learning, reference_scenario
+import oracles
 from oracles import sample_transition, step
-from thzvlc import env, meta_rl
+from thzvlc import env, harness, meta_rl
 from thzvlc.env import (
     EnvState,
     JointAction,
@@ -62,6 +63,56 @@ class TestScenarioHash:
         env.slot_links(reset(task, scenario), scenario)
         assert {"tables", "cell_centers"} <= set(scenario.__dict__)
         assert pickle.dumps(scenario) == before
+
+
+class TestTaskStarts:
+    """Each task's start is drawn once per scenario and seed."""
+
+    @pytest.mark.parametrize("keys", [{}, {"num_users": 3, "cells_per_side": 2}, {"body_radius": 0.5}])
+    def test_reset_equals_a_fresh_draw(self, keys):
+        scenario = reference_scenario(**keys)
+        for seed in range(300):
+            task = identity_task(scenario, seed)
+            assert reset(task, scenario) == oracles.reset_uncached(task, scenario)
+            assert reset(task, scenario) == oracles.reset_uncached(task, scenario)  # read from the cache
+
+    def test_start_links_are_the_links_of_the_start(self):
+        scenario = reference_scenario()
+        for seed in range(40):
+            start = scenario.tables[2](seed)
+            links = env.slot_links(reset(identity_task(scenario, seed), scenario), scenario)
+            assert np.array_equal(start.links, np.concatenate((links.visible, links.h)))
+            assert not start.links.flags.writeable and not start.cells.flags.writeable
+
+    def test_an_evaluation_over_more_tasks_stays_at_the_bound(self):
+        spec = harness.load_spec(None, environ={}, overrides={
+            ("scenario", "num_users"): 2, ("scenario", "cells_per_side"): 2, ("learning", "hidden_sizes"): (4,),
+        })
+        params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
+        harness.evaluate_policy(params, spec, env._CACHE_SIZE + 50)
+        _, link_table, start_of = spec.scenario.tables
+        assert start_of.cache_info().currsize == env._CACHE_SIZE
+        assert link_table.cache_info().currsize == env._CACHE_SIZE
+
+    def test_a_pickled_scenario_carries_no_starts(self):
+        scenario = reference_scenario()
+        before = pickle.dumps(scenario)
+        reset(identity_task(scenario, 5), scenario)
+        assert scenario.tables[2].cache_info().currsize == 1
+        assert pickle.dumps(scenario) == before
+        assert "tables" not in pickle.loads(pickle.dumps(scenario)).__dict__
+
+    def test_rooms_never_share_starts(self):
+        # a room freed and another made in its place may get its id back;
+        # each must still read its own starts
+        for radius, users in [(0.2, 20), (0.5, 20), (0.2, 5), (0.2, 20)] * 3:
+            scenario = reference_scenario(body_radius=radius, num_users=users)
+            for seed in (1, 2, 3):
+                task = identity_task(scenario, seed)
+                assert reset(task, scenario) == oracles.reset_uncached(task, scenario)
+                links = env.slot_links(oracles.reset_uncached(task, scenario), scenario)
+                assert np.array_equal(scenario.tables[2](seed).links, np.concatenate((links.visible, links.h)))
+            del scenario
 
 
 class TestScenarioCells:

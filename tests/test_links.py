@@ -4,7 +4,10 @@ The blockage kernel is checked against the dense sweep of `oracles` and
 against its own two stages; every flag of a link table against the
 plain-math flags of `oracles.free_links`; the rows of `env.slot_links`
 against the one-point `channel` entry points (`localized`, `link_budget`)
-and against one direct `geometry.blocked` pass over the state's positions.
+and against one direct `geometry.blocked` pass over the state's positions;
+and `env.ceiling_links`, which works out only the cell pairs that meet,
+bit for bit against the dense pass over every pair
+(`oracles.dense_ceiling_links`).
 Geometry sits on a 1/4 m lattice, body radii on 1/8 m and body tops on odd
 multiples of 1/8 m, so sweeps on a 2**12 grid evaluate exactly and no drawn
 body top ties with a link endpoint.
@@ -12,6 +15,7 @@ body top ties with a link endpoint.
 
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -190,6 +194,29 @@ def assert_table_matches(scenario, heights, edges=False):
 
 
 @st.composite
+def link_passes(draw):
+    """A room and the inputs of two `ceiling_links` passes over it: a first
+    pass over some of the states, then one over all of them, so the second
+    may visit cells for the first time. Users crowd into a few cells, and
+    some stand just below the ceiling."""
+    cells_per_side = draw(st.integers(2, 12))
+    num_users = draw(st.integers(1, 24))
+    scenario = dataclasses.replace(
+        make_toy_scenario(num_users=num_users, cells_per_side=cells_per_side),
+        body_radius=draw(st.sampled_from((0.0, 0.125, 0.2, 0.5, 1.25))),
+    )
+    count = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    crowd = draw(st.integers(1, scenario.num_cells))  # users share the first `crowd` cells
+    cells = rng.integers(0, crowd, (count, num_users))
+    top = scenario.ceiling_z
+    heights = rng.choice((1.4, 1.5, 1.9, top - 1e-9, np.nextafter(top, 0.0)), (count, num_users))
+    units = scenario.num_vaps + scenario.num_sbs
+    free = rng.random((count, num_users, units)) < 0.9
+    return scenario, cells, heights, free, draw(st.integers(0, count))
+
+
+@st.composite
 def crowded_rooms(draw):
     """A scenario whose units may sit directly above cell centres, plus
     states of it whose users crowd into a few cells."""
@@ -243,11 +270,41 @@ class TestCrossingTable:
         ]
         cells = np.array([state.user_cells for state in states])
         free = np.array([scenario.tables[1](state.user_heights)[np.arange(n), state.user_cells] for state in states])
-        ok = env.ceiling_links(cells, np.array([state.user_heights for state in states]), free, scenario)
+        ok = env.ceiling_links(cells, np.array([state.user_heights for state in states]), free, scenario.tables[0])
         for row, state in zip(ok, states):
             visible, h = direct_links(state, scenario)
             assert np.array_equal(row[: scenario.num_vaps], visible)
             assert np.array_equal(row[scenario.num_vaps :], h)
+
+    @PROPERTY
+    @given(link_passes())
+    def test_ceiling_links_equal_the_dense_pass(self, case):
+        # only pairs of cells that meet are worked out; no flag may move
+        scenario, cells, heights, free, first = case
+        cross = scenario.tables[0]
+        early = env.ceiling_links(cells[:first], heights[:first], free[:first], cross)
+        late = env.ceiling_links(cells, heights, free, cross)
+        assert np.array_equal(early, oracles.dense_ceiling_links(cells[:first], heights[:first], free[:first], scenario))
+        assert np.array_equal(late, oracles.dense_ceiling_links(cells, heights, free, scenario))
+
+    def test_a_link_pass_allocates_far_less_than_a_dense_gather(self):
+        # the dense (state, user, user, unit) gather alone took 50 x 20 x 20 x 14 floats
+        scenario = reference_scenario()
+        cross, link_table, _ = scenario.tables
+        rng = np.random.default_rng(11)
+        cells = rng.integers(0, scenario.num_cells, (50, scenario.num_users))
+        heights = rng.uniform(*scenario.user_height_range, (50, scenario.num_users))
+        free = np.ones((50, scenario.num_users, len(cross.units)), dtype=bool)
+        env.ceiling_links(cells, heights, free, cross)  # fills the crossing table's rows
+        dense = 8 * heights.size * scenario.num_users * len(cross.units)
+        assert dense == 2_240_000
+        tracemalloc.start()
+        try:
+            env.ceiling_links(cells, heights, free, cross)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * dense  # 1.05 MB when written
 
     def test_a_user_at_the_ceiling_refused(self, toy_scenario):
         state = env.EnvState(user_cells=(0, 1), user_heights=(1.5, 3.0), served=(False, False), slot_index=0)
