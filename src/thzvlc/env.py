@@ -132,32 +132,37 @@ def ring_positions(count: int, room_side: float, phase: float) -> tuple[tuple[fl
 
 @dataclass(frozen=True)
 class MovementPattern:
-    """Row-stochastic transition matrix over grid cells, shared by all users."""
+    """Markov movement over grid cells, shared by all users, as neighbour
+    rows: from cell c a user moves to cell to[c, i] with probability
+    probs[c, i]. A row's k entries are its neighbours in row-major order,
+    right-aligned and padded on the left with 0.0 entries."""
 
-    transition: np.ndarray
+    to: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        t = self.transition
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("MovementPattern.transition must be a square matrix")
-        if not np.isfinite(t).all():
-            raise ValueError("MovementPattern.transition entries must be finite")
-        if (t < 0).any():
-            raise ValueError("MovementPattern.transition entries must be >= 0")
-        if np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("every MovementPattern.transition row must sum to 1")
-        t.setflags(write=False)
+        to, p = self.to, self.probs
+        if p.ndim != 2 or to.shape != p.shape:
+            raise ValueError("MovementPattern.to and .probs must be (cells, k) arrays of one shape")
+        if not np.isfinite(p).all():
+            raise ValueError("MovementPattern.probs entries must be finite")
+        if (p < 0).any():
+            raise ValueError("MovementPattern.probs entries must be >= 0")
+        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
+            raise ValueError("every MovementPattern.probs row must sum to 1")
+        to.setflags(write=False)
+        p.setflags(write=False)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Running sums along each row, for drawing the next cell."""
-        return np.cumsum(self.transition, axis=1)
+        return np.cumsum(self.probs, axis=1)
 
     @cached_property
     def last_support(self) -> np.ndarray:
-        """Each row's last cell with positive probability."""
-        t = self.transition
-        return t.shape[1] - 1 - np.argmax(t[:, ::-1] > 0, axis=1)
+        """Each row's last entry with positive probability."""
+        p = self.probs
+        return p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -302,33 +307,42 @@ def sample_task(
 
     Row by row, in cell order, it equals `rng.dirichlet([concentration] * k)`
     over a cell's k neighbors in row-major order, drawn in one array pass.
-    locality_radius 0 yields the identity matrix (users never move).
+    locality_radius 0 yields one entry per row, the cell itself (users never
+    move).
     """
-    n = cells_per_side
-    g = n * n
-    rng = np.random.default_rng(seed)
-    r = min(locality_radius, n - 1)
-    if r == 0:
-        return Task(pattern=MovementPattern(np.eye(g)), rng_seed=seed, id=task_id)
-    # near[iy * n + ix, jy * n + jx]: within r along both axes; a row's True
-    # entries are its neighbors in the row-major order numpy draws them in
-    near_1d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= r
-    near = (near_1d[:, None, :, None] & near_1d[None, :, None, :]).reshape(g, g)
-    span = near_1d.sum(axis=1)
-    values = _dirichlet_rows(rng, np.outer(span, span).ravel(), concentration)
-    matrix = np.zeros((g, g))
-    matrix[near] = values
-    return Task(pattern=MovementPattern(matrix), rng_seed=seed, id=task_id)
+    r = min(locality_radius, cells_per_side - 1)
+    counts, to = _neighbours(cells_per_side, r)
+    probs = _dirichlet_rows(np.random.default_rng(seed), counts, concentration) if r else np.ones(to.shape)
+    return Task(pattern=MovementPattern(to, probs), rng_seed=seed, id=task_id)
+
+
+@lru_cache(maxsize=8)  # the tasks of a run share their room's table
+def _neighbours(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's count of neighbours within r along both axes of an n x n
+    grid, and the read-only (cells, max count) int32 table of those
+    neighbours in row-major order, right-aligned; padding names the first."""
+    lo = np.maximum(np.arange(n, dtype=np.int32) - r, 0)  # i reaches lo[i], ..., lo[i] + span[i] - 1
+    span = np.minimum(np.arange(n, dtype=np.int32) + r + 1, n) - lo
+    counts = np.outer(span, span)
+    # entry j of cell (iy, ix) is its neighbour i = j - padding (0 on the
+    # padding): i // span[ix] rows and i % span[ix] columns past the first
+    i = np.maximum(np.arange(counts.max(), dtype=np.int32) - (counts.max() - counts)[..., None], 0)
+    to = i // span[:, None]
+    to *= n - span[:, None]
+    to += i
+    to += np.add.outer(lo * n, lo)[..., None]
+    to.setflags(write=False)
+    return counts.ravel(), to.reshape(n * n, -1)
 
 
 def _dirichlet_rows(rng: np.random.Generator, counts: np.ndarray, concentration: float) -> np.ndarray:
-    """Symmetric Dirichlet draws for rows of counts[i] >= 2 entries, concatenated
-    in row order, bit for bit as one `rng.dirichlet` call per row.
+    """Symmetric Dirichlet draws for rows of counts[i] >= 2 entries, bit for
+    bit as one `rng.dirichlet` call per row, as a C-ordered (rows, max count)
+    table: each row right-aligned and padded on the left with 0.0.
 
-    Both of numpy's branches are followed. Rows sit right-aligned in a
-    (rows, max count) table padded on the left with zeros, so one pass over
-    its columns adds or breaks every row in numpy's order: a leading 0.0
-    leaves a sum unchanged, and a leading 0.0 stick leaves the rest at 1.0.
+    Both of numpy's branches are followed. One pass over the table's columns
+    adds or breaks every row in numpy's order: a leading 0.0 leaves a sum
+    unchanged, and a leading 0.0 stick leaves the rest at 1.0.
     """
     width = int(counts.max())
     inside = np.arange(width) >= (width - counts)[:, None]
@@ -352,7 +366,7 @@ def _dirichlet_rows(rng: np.random.Generator, counts: np.ndarray, concentration:
             column *= acc
             acc *= rest
         table[:, -1] = acc
-    return table[inside]
+    return np.ascontiguousarray(table)
 
 
 def reset(task: Task, scenario: ScenarioConfig) -> EnvState:
@@ -560,12 +574,13 @@ def evaluate_service(
 def next_cells(pattern: MovementPattern, cells, draws: np.ndarray) -> np.ndarray:
     """One Markov transition for every user, from the users' uniform draws.
 
-    Each user's next cell is the first whose running row sum exceeds its
-    draw (else the row's last cell of positive probability). `cells` and
-    `draws` may carry leading row axes, one row per period.
+    Each user's next cell is that of the first entry of its row whose
+    running sum exceeds its draw (else of the row's last entry of positive
+    probability). `cells` and `draws` may carry leading row axes, one row
+    per period.
     """
-    cumulative = pattern.cumulative[cells]
-    return np.minimum((cumulative <= draws[..., None]).sum(axis=-1), pattern.last_support[cells])
+    at = np.minimum((pattern.cumulative[cells] <= draws[..., None]).sum(axis=-1), pattern.last_support[cells])
+    return pattern.to[cells, at]
 
 
 def sample_next_cells(pattern: MovementPattern, cells: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
@@ -643,10 +658,6 @@ class JointActionSpace:
         return JointAction(
             vap_set=self.vap_sets[vap_rank], assignments=tuple((u, s) for u, s in enumerate(row) if s >= 0)
         )
-
-    def __iter__(self):
-        for i in range(self._len):
-            yield self[i]
 
 
 # A head's action space is built again for every task phase; its table is

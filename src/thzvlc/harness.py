@@ -76,11 +76,10 @@ ALGORITHMS = ("mpg", "dmpg", "pg")
 #   near 1e154 m and heights near 1e307 m.
 # - num_vaps <= 64: a run lists all C(V, 3) subsets of 3 VAPs at load,
 #   41,664 at 64 VAPs (a million VAPs ask for 1.7e17).
-# - cells_per_side <= 32: each task's movement pattern is a dense cells^2 x
-#   cells^2 matrix, 8 MiB at 32 and 128 MiB at 64, and a run holds
-#   `tasks.count` of them. The crossing table holds one float per (receiver
-#   cell, body cell, unit), 8 MiB per ceiling unit at 32 (112 MiB for the
-#   reference 14 units), touched only in the rows of cells users visit.
+# - cells_per_side <= 32: the crossing table holds one float per (receiver
+#   cell, body cell, unit), cells_per_side^4 of them per ceiling unit: 8 MiB
+#   per unit at 32 (112 MiB for the reference 14 units) and 128 MiB per
+#   unit at 64, touched only in the rows of cells users visit.
 # - noise_density_dbm_per_hz in [-3000, 3000]: the density in W/Hz overflows
 #   to inf above about 3112 and underflows to 0 below about -3203.
 # - concentration <= 1e6: numpy's Dirichlet rows come back all zero from
@@ -475,7 +474,7 @@ def evaluate_policy(
     tasks = [spec.task(s, 10_000 + i) for i, s in enumerate(seeds)]
     trajectories = rollout_periods(params, spec, tasks, 17)
     total = sum(traj.total_reward for traj in trajectories)
-    avg = total / (spec.scenario.num_users * periods) if periods else 0.0
+    avg = total / (spec.scenario.num_users * periods)
     return avg, trajectories
 
 

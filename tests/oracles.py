@@ -6,7 +6,8 @@ references that no run executes, built on package code: the priced period
 association solver, the gradient kernel that runs its own forward pass
 with the one-row policy helpers over it, the one-slot-at-a-time step and
 rollout, the lockstep loop that built one object per step, the dense
-link pass and the reset that drew a task's start afresh on every call.
+link pass, the reset that drew a task's start afresh on every call and
+the dense (cells, cells) form of a movement pattern.
 """
 
 from __future__ import annotations
@@ -728,9 +729,10 @@ def move(pattern, cells, rng):
     cell with positive probability."""
     import numpy as np
 
+    matrix = dense_transition(pattern)
     out = []
     for cell, u in zip(cells, rng.random(len(cells))):
-        row = pattern.transition[cell]
+        row = matrix[cell]
         running = np.cumsum(row)
         out.append(min(int(np.searchsorted(running, u, side="right")), int(np.flatnonzero(row)[-1])))
     return tuple(out)
@@ -928,6 +930,36 @@ def object_rollouts(tasks, params, decode, scenario, uniforms, keep):
 
 
 # --- movement patterns and the trajectory log -------------------------------------
+
+
+def dense_transition(pattern):
+    """The pattern as a dense (cells, cells) matrix: row c holds probs[c, i]
+    in column to[c, i]. The 0.0 padding adds nothing to the column it names."""
+    import numpy as np
+
+    g = len(pattern.to)
+    matrix = np.zeros((g, g))
+    np.add.at(matrix, (np.arange(g)[:, None], pattern.to), pattern.probs)
+    return matrix
+
+
+def pattern_from_dense(matrix):
+    """The neighbour rows of a dense row-stochastic matrix: each row's
+    positive entries in column order, right-aligned and padded on the left
+    with 0.0 entries that name cell 0."""
+    import numpy as np
+
+    from thzvlc import env
+
+    matrix = np.asarray(matrix, dtype=float)
+    support = matrix > 0
+    counts = support.sum(axis=1)
+    inside = np.arange(counts.max()) >= (counts.max() - counts)[:, None]
+    to = np.zeros(inside.shape, dtype=np.intp)
+    probs = np.zeros(inside.shape)
+    to[inside] = np.nonzero(support)[1]
+    probs[inside] = matrix[support]
+    return env.MovementPattern(to, probs)
 
 
 def sample_transition(cells_per_side, seed, concentration, locality_radius):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_toy_scenario, reference_learning, reference_scenario
 import oracles
-from oracles import sample_transition, step
+from oracles import dense_transition, sample_transition, step
 from thzvlc import env, harness, meta_rl
 from thzvlc.env import (
     EnvState,
@@ -132,22 +132,22 @@ class TestScenarioCells:
 class TestSampleTask:
     def test_locality_zero_is_identity(self, toy_scenario):
         task = sample_task(toy_scenario.cells_per_side, seed=5, concentration=1.0, locality_radius=0, task_id=5)
-        assert np.array_equal(task.pattern.transition, np.eye(toy_scenario.num_cells))
+        assert np.array_equal(dense_transition(task.pattern), np.eye(toy_scenario.num_cells))
 
     def test_rows_are_stochastic(self, toy_scenario):
         task = sample_task(toy_scenario.cells_per_side, seed=9, concentration=0.5, locality_radius=1, task_id=9)
-        sums = task.pattern.transition.sum(axis=1)
+        sums = dense_transition(task.pattern).sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_deterministic_in_seed(self, toy_scenario):
         a = sample_task(toy_scenario.cells_per_side, seed=42, concentration=1.0, locality_radius=1, task_id=42)
         b = sample_task(toy_scenario.cells_per_side, seed=42, concentration=1.0, locality_radius=1, task_id=42)
-        assert np.array_equal(a.pattern.transition, b.pattern.transition)
+        assert np.array_equal(dense_transition(a.pattern), dense_transition(b.pattern))
 
     def test_locality_limits_support(self, toy_scenario):
         task = sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         n = toy_scenario.cells_per_side
-        t = task.pattern.transition
+        t = dense_transition(task.pattern)
         for idx in range(toy_scenario.num_cells):
             ix, iy = idx % n, idx // n
             for jdx in np.nonzero(t[idx])[0]:
@@ -162,7 +162,7 @@ class TestSampleTask:
             for concentration in (1e-6, 0.05, np.nextafter(0.1, 0.0), 0.1, 1.0, 1e6):
                 task = sample_task(n, seed=n, concentration=concentration, locality_radius=radius, task_id=0)
                 expected = sample_transition(n, n, concentration, radius)
-                assert np.array_equal(task.pattern.transition, expected), (radius, concentration)
+                assert np.array_equal(dense_transition(task.pattern), expected), (radius, concentration)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
@@ -174,20 +174,68 @@ class TestSampleTask:
     def test_equals_one_dirichlet_call_per_row_drawn(self, cells_per_side, radius, concentration, seed):
         task = sample_task(cells_per_side, seed=seed, concentration=concentration, locality_radius=radius, task_id=0)
         expected = sample_transition(cells_per_side, seed, concentration, radius)
-        assert np.array_equal(task.pattern.transition, expected)
+        assert np.array_equal(dense_transition(task.pattern), expected)
 
     @pytest.mark.parametrize("concentration", [0.05, 1.0])
     def test_huge_radius_stays_small(self, concentration):
         bounded = sample_task(32, seed=4, concentration=concentration, locality_radius=31, task_id=0)
-        matrix_bytes = bounded.pattern.transition.nbytes
+        matrix_bytes = 1024**2 * 8  # one dense float matrix over the 32 x 32 cells
+        env._neighbours.cache_clear()  # count building the neighbour table too
         tracemalloc.start()
         try:
             task = sample_task(32, seed=4, concentration=concentration, locality_radius=sys.maxsize, task_id=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(task.pattern.transition, bounded.pattern.transition)
+        for field in dataclasses.fields(env.MovementPattern):
+            assert np.array_equal(getattr(task.pattern, field.name), getattr(bounded.pattern, field.name)), field.name
         assert peak <= 4 * matrix_bytes, peak / matrix_bytes
+
+    def test_holds_its_neighbour_rows_only(self):
+        # 1024 cells by 9 neighbours: probs and the running sums, 72 KiB each,
+        # their int32 cells, 36 KiB, and one last entry per row
+        pattern = sample_task(32, seed=4, concentration=1.0, locality_radius=1, task_id=0).pattern
+        env.next_cells(pattern, [0, 1023], np.array([0.5, 0.5]))
+        held = sum(value.nbytes for value in vars(pattern).values() if isinstance(value, np.ndarray))
+        assert held <= 256 * 1024, held
+
+
+class TestMovementPattern:
+    def make(self, to, probs):
+        return env.MovementPattern(np.array(to), np.array(probs, dtype=float))
+
+    def test_accepts_neighbour_rows(self):
+        pattern = self.make([[0, 0, 1], [0, 0, 1]], [[0.0, 0.5, 0.5], [0.0, 0.25, 0.75]])
+        assert pattern.last_support.tolist() == [2, 2]
+        with pytest.raises(ValueError):
+            pattern.probs[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "to, probs",
+        [
+            ([[0, 1], [0, 1]], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+            ([0, 1], [1.0, 1.0]),
+            ([[0, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+        ],
+    )
+    def test_refuses_mismatched_shapes(self, to, probs):
+        with pytest.raises(ValueError, match="MovementPattern.to"):
+            self.make(to, probs)
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            ([[1.5, -0.5], [0.5, 0.5]], ">= 0"),
+            ([[-1e-300, 1.0], [0.5, 0.5]], ">= 0"),
+            ([[np.nan, 1.0], [0.5, 0.5]], "finite"),
+            ([[np.inf, 1.0], [0.5, 0.5]], "finite"),
+            ([[0.5, 0.5], [0.5, 0.5 - 1e-8]], "sum to 1"),
+            ([[0.5, 0.5], [0.5, 0.5 + 1e-8]], "sum to 1"),
+        ],
+    )
+    def test_refuses_bad_entries(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            self.make([[0, 1], [0, 1]], probs)
 
 
 class TestReset:

@@ -15,6 +15,7 @@ body top ties with a link endpoint.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import types
 
@@ -471,7 +472,7 @@ class TestNextCells:
         matrix = np.eye(9)
         matrix[0] = 0.0
         matrix[0, [0, 1, 3]] = (0.25, 0.25, 0.5 - 5e-10)
-        pattern = env.MovementPattern(matrix)
+        pattern = oracles.pattern_from_dense(matrix)
         draw = 1.0 - 1e-10
         assert pattern.cumulative[0, -1] < draw
         assert env.next_cells(pattern, [0], np.array([draw])).tolist() == [3]
@@ -488,8 +489,35 @@ class TestNextCells:
         got = env.sample_next_cells(task.pattern, cells, np.random.default_rng([seed, 1]))
         draws = np.random.default_rng([seed, 1]).random(len(cells))
         want = []
+        matrix = oracles.dense_transition(task.pattern)
         for c, u in zip(cells, draws):
-            cum = np.cumsum(task.pattern.transition[c])
-            last = np.flatnonzero(task.pattern.transition[c])[-1]
+            cum = np.cumsum(matrix[c])
+            last = np.flatnonzero(matrix[c])[-1]
             want.append(int(min(np.searchsorted(cum, u, side="right"), last)))
         assert got == tuple(want)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        config=st.sampled_from([
+            (6, 1, 1.0), (32, 1, 1.0), (32, 3, 0.05), (11, 2, 0.5),  # the reference and larger rooms
+            (6, 1, 1e-6), (11, 2, 1e-6), (32, 3, 1e-6),  # most entries exactly 0.0
+            (5, sys.maxsize, 0.5), (32, sys.maxsize, 1e-6),  # every cell a neighbour
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_dense_rule(self, config, seed):
+        # the dense rule: count the running sums over all cells at or below
+        # the draw, clamped to the row's last cell of positive probability
+        cells_per_side, radius, concentration = config
+        pattern = env.sample_task(cells_per_side, seed, concentration, radius, task_id=0).pattern
+        matrix = oracles.dense_transition(pattern)
+        last = matrix.shape[1] - 1 - np.argmax(matrix[:, ::-1] > 0, axis=1)
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, cells_per_side**2, (4, 20))
+        draws = rng.random((4, 20))
+        totals = pattern.cumulative[cells, -1]
+        draws[1, :10] = totals[1, :10]  # at the row's total
+        draws[1, 10:] = np.nextafter(totals[1, 10:], 2.0)  # above it
+        draws[2, :10] = 0.0
+        want = np.minimum((np.cumsum(matrix, axis=1)[cells] <= draws[..., None]).sum(axis=-1), last[cells])
+        assert np.array_equal(env.next_cells(pattern, cells, draws), want)
