@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, permutations
 from math import perm
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -249,10 +250,24 @@ class Periods:
     def __len__(self) -> int:
         return len(self.action)
 
-    @property
+    def __getitem__(self, b: int) -> Trajectory:
+        """Period b's view; past the end an IndexError, so iterating the
+        batch yields its views in row order."""
+        return Trajectory(self, range(len(self))[index(b)])
+
+    @cached_property
     def newly_served(self) -> np.ndarray:
-        """bool[b, t, user]: served after slot t and not before."""
-        return self.served[:, 1:] & ~self.served[:, :-1]
+        """bool[b, t, user]: served after slot t and not before (read-only)."""
+        newly = self.served[:, 1:] & ~self.served[:, :-1]
+        newly.setflags(write=False)
+        return newly
+
+    @cached_property
+    def returns(self) -> np.ndarray:
+        """int[b]: the users period b serves, its reward (read-only)."""
+        returns = self.newly_served.sum(axis=(1, 2))
+        returns.setflags(write=False)
+        return returns
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +280,6 @@ class Trajectory:
 
     periods: Periods
     row: int
-
-    @property
-    def total_reward(self) -> int:
-        return int(self.periods.newly_served[self.row].sum())
 
     @cached_property
     def steps(self) -> tuple[TrajectoryStep, ...]:

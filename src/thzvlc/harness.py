@@ -422,9 +422,9 @@ def write_metrics(out_dir: Path, metrics: list[meta_rl.IterationMetrics]) -> Non
             writer.writerow([m.iteration, repr(m.wall_clock_s)])
 
 
-def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConfig) -> None:
-    """One row per (period, slot, user), read from the arrays each
-    trajectory's periods hold; a period's rows go in one `writerows`."""
+def write_trajectories(out_dir: Path, periods: env.Periods, scenario: ScenarioConfig) -> None:
+    """One row per (period, slot, user), read from the batch's arrays in
+    one pass; a period's rows go in one `writerows`."""
     with atomic_open(out_dir / "trajectories.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -434,16 +434,16 @@ def write_trajectories(out_dir: Path, trajectories: list, scenario: ScenarioConf
             ]
         )
         centers = [(repr(cx), repr(cy)) for cx, cy in scenario.cell_centers]
-        for period, traj in enumerate(trajectories):
-            p, b = traj.periods, traj.row
-            slots, users = p.assigned.shape[1:]
+        p = periods
+        count, slots, users = p.assigned.shape
+        for b in range(count):
             heights = [repr(h) for h in p.heights[b].tolist()]
             columns = [a.ravel().tolist() for a in (
                 p.cells[b, :slots], p.localized[b].view(np.int8), p.assigned[b],
                 p.tx_ok[b].view(np.int8), p.newly_served[b].view(np.int8),
             )]
             writer.writerows(
-                (period, t, j, *centers[cell], heights[j], localized, sbs, tx_ok, newly)
+                (b, t, j, *centers[cell], heights[j], localized, sbs, tx_ok, newly)
                 for (t, j), cell, localized, sbs, tx_ok, newly in zip(product(range(slots), range(users)), *columns)
             )
 
@@ -454,7 +454,7 @@ def write_summary(out_dir: Path, summary: dict) -> None:
         fh.write("\n")
 
 
-def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list[Task], purpose: int) -> list:
+def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list[Task], purpose: int) -> env.Periods:
     """One period per task, in lockstep; period i draws from the rng keyed
     by (master seed, purpose, i)."""
     sc = spec.scenario
@@ -463,19 +463,18 @@ def rollout_periods(params: policy_net.Policy, spec: ExperimentSpec, tasks: list
         for i in range(len(tasks))
     ])
     decode = meta_rl.policy_head(spec.kind, sc).decode
-    return meta_rl.rollout_period(tasks, params, decode, sc, uniforms, False).trajectories
+    return meta_rl.rollout_period(tasks, params, decode, sc, uniforms, False).periods
 
 
 def evaluate_policy(
     params: policy_net.PolicyParams, spec: ExperimentSpec, periods: int
-) -> tuple[float, list]:
-    """Roll a frozen policy on fresh tasks; returns avg reliability per user."""
+) -> tuple[float, env.Periods]:
+    """Roll a frozen policy on fresh tasks; returns avg reliability per user
+    and the periods rolled."""
     seeds = derive_task_seeds(spec.master_seed, periods, 13)
     tasks = [spec.task(s, 10_000 + i) for i, s in enumerate(seeds)]
-    trajectories = rollout_periods(params, spec, tasks, 17)
-    total = sum(traj.total_reward for traj in trajectories)
-    avg = total / (spec.scenario.num_users * periods)
-    return avg, trajectories
+    rolled = rollout_periods(params, spec, tasks, 17)
+    return int(rolled.returns.sum()) / (spec.scenario.num_users * periods), rolled
 
 
 def run(spec: ExperimentSpec) -> tuple[list[meta_rl.IterationMetrics], float]:
@@ -501,8 +500,8 @@ def run(spec: ExperimentSpec) -> tuple[list[meta_rl.IterationMetrics], float]:
         out_dir / "checkpoint.bin", params, spec.config_hash, spec.kind, spec.scenario_hash
     )
     eval_periods = spec.values["run"]["eval_periods"]
-    avg, trajectories = evaluate_policy(params, spec, eval_periods)
-    write_trajectories(out_dir, trajectories, spec.scenario)
+    avg, rolled = evaluate_policy(params, spec, eval_periods)
+    write_trajectories(out_dir, rolled, spec.scenario)
 
     summary = {
         "algorithm": spec.algorithm,
@@ -623,9 +622,9 @@ def _cmd_eval(spec: ExperimentSpec, args) -> int:
     periods = spec.values["run"]["eval_periods"] if args.periods is None else args.periods
     _check_count("--periods", periods, 1)
     params = _load_checkpoint(args.checkpoint, spec)
-    avg, trajectories = evaluate_policy(params, spec, periods)
+    avg, rolled = evaluate_policy(params, spec, periods)
     out_dir = _output_dir(spec)
-    write_trajectories(out_dir, trajectories, spec.scenario)
+    write_trajectories(out_dir, rolled, spec.scenario)
     write_summary(out_dir, {"avg_reliability_per_user": avg, "eval_periods": periods})
     print(f"avg reliability per user {avg:.4f} over {periods} periods")
     return 0
@@ -650,10 +649,9 @@ def _cmd_simulate(spec: ExperimentSpec, args) -> int:
         params = meta_rl.new_policy(spec.kind, spec.scenario, spec.learning, spec.master_seed)
     stream = build_task_stream(spec)
     tasks = [stream[i % len(stream)] for i in range(args.periods)]
-    trajectories = rollout_periods(params, spec, tasks, 19)
-    write_trajectories(_output_dir(spec), trajectories, spec.scenario)
-    total = sum(t.total_reward for t in trajectories)
-    print(f"simulated {args.periods} periods, total reward {total}; log in {spec.output_dir}")
+    rolled = rollout_periods(params, spec, tasks, 19)
+    write_trajectories(_output_dir(spec), rolled, spec.scenario)
+    print(f"simulated {args.periods} periods, total reward {rolled.returns.sum()}; log in {spec.output_dir}")
     return 0
 
 

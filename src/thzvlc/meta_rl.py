@@ -23,12 +23,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import env, policy_net
-from .env import JointActionSpace, Periods, ScenarioConfig, Task, Trajectory
+from .env import JointActionSpace, Periods, ScenarioConfig, Task
 from .policy_net import Gradient, Policy, PolicyParams
 
 
@@ -52,11 +53,11 @@ class LearningConfig:
 @dataclass
 class TaskBatchResult:
     """What one task contributes to a meta update: the post-adaptation
-    gradient, taken at its adapted policy, and the rollouts of both phases."""
+    gradient, taken at its adapted policy, and the periods of both phases."""
 
     gradient: Gradient
-    inner_trajs: list[Trajectory]
-    outer_trajs: list[Trajectory]
+    inner: Periods
+    outer: Periods
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,9 @@ class IterationMetrics:
     wall_clock_s: float
 
     @classmethod
-    def of(cls, iteration: int, trajectories: list[Trajectory], start: float) -> IterationMetrics:
+    def of(cls, iteration: int, returns: np.ndarray, start: float) -> IterationMetrics:
         """The returns' mean and spread, timed from `start` (a perf_counter reading)."""
-        rewards = np.array([t.total_reward for t in trajectories], dtype=float)
+        rewards = np.asarray(returns, dtype=float)
         return cls(iteration, float(rewards.mean()), float(rewards.std()), time.perf_counter() - start)
 
 
@@ -95,10 +96,6 @@ class Rollouts(NamedTuple):
     periods: Periods
     kept: policy_net.Forward | None
     rows: np.ndarray | None
-
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        return [Trajectory(self.periods, b) for b in range(len(self.periods))]
 
 
 def _first_of(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +290,7 @@ def task_gradient(
     if not k:
         raise ValueError("need at least one trajectory")
     gains = periods.newly_served.sum(axis=2).astype(float)
-    returns = gains.sum(axis=1)
+    returns = periods.returns.astype(float)
     if reward_baseline and k > 1:
         baselines = (returns.sum() - returns) / (k - 1)
     else:
@@ -369,19 +366,6 @@ def policy_head(kind: str, scenario: ScenarioConfig) -> PolicyHead:
     raise ValueError(f"unknown rollout kind {kind!r}")
 
 
-def rollout_phase(
-    kind: str,
-    task: Task,
-    params: Policy,
-    scenario: ScenarioConfig,
-    rng: np.random.Generator,
-    count: int,
-) -> Rollouts:
-    """`count` rollouts of one task phase through the head's entry point."""
-    head = policy_head(kind, scenario)
-    return head.rollout(task, params, head.decode, scenario, rng, count)
-
-
 def _phase_rng(master_seed: int, iteration: int, slot: int, task_id: int, phase: int):
     return np.random.default_rng([master_seed, iteration, slot, task_id, phase])
 
@@ -399,16 +383,16 @@ def _run_task_phase(payload) -> TaskBatchResult:
     if scenario != _SCENARIO:
         _SCENARIO = scenario
     scenario = _SCENARIO
+    head = policy_head(kind, scenario)
     rng_inner = _phase_rng(master_seed, iteration, slot, task.id, 0)
-    inner = rollout_phase(kind, task, params, scenario, rng_inner, cfg.inner_rollouts)
+    inner = head.rollout(task, params, head.decode, scenario, rng_inner, cfg.inner_rollouts)
     g = task_gradient(inner, params, cfg.reward_baseline, cfg.reward_to_go)
     adapted = inner_update(params, g, cfg.inner_lr)
-    inner_trajs = inner.trajectories
-    del inner  # its kept rows, before the outer phase keeps its own
+    inner = inner.periods  # drops its kept rows before the outer phase keeps its own
     rng_outer = _phase_rng(master_seed, iteration, slot, task.id, 1)
-    outer = rollout_phase(kind, task, adapted, scenario, rng_outer, cfg.outer_rollouts)
+    outer = head.rollout(task, adapted, head.decode, scenario, rng_outer, cfg.outer_rollouts)
     g_outer = task_gradient(outer, adapted, cfg.reward_baseline, cfg.reward_to_go)
-    return TaskBatchResult(gradient=g_outer, inner_trajs=inner_trajs, outer_trajs=outer.trajectories)
+    return TaskBatchResult(gradient=g_outer, inner=inner, outer=outer.periods)
 
 
 def new_policy(kind: str, scenario: ScenarioConfig, cfg: LearningConfig, seed: int) -> PolicyParams:
@@ -459,13 +443,13 @@ def meta_train(
                 results = list(pool.map(_run_task_phase, payloads))
 
             meta_update(params, [res.gradient for res in results], cfg)
-            outer = [t for res in results for t in res.outer_trajs]
-            metrics.append(IterationMetrics.of(it, outer, start))
+            returns = np.concatenate([res.outer.returns for res in results])
+            metrics.append(IterationMetrics.of(it, returns, start))
             if trajectory_sink is not None:
                 for res in results:
-                    for traj in res.inner_trajs + res.outer_trajs:
+                    for traj in chain(res.inner, res.outer):
                         trajectory_sink(traj)
-            del results, outer  # before the next batch's phases
+            del results  # before the next batch's phases
     finally:
         if pool is not None:
             pool.shutdown()
@@ -487,15 +471,16 @@ def _policy_gradient(
     (master seed, i, 0, task id, phase); its metrics are those of the
     rollouts it was computed from. The returned parameters are dense."""
     metrics: list[IterationMetrics] = []
+    head = policy_head(kind, scenario)
     for it, task in enumerate(tasks):
         start = time.perf_counter()
         rng = _phase_rng(master_seed, it, 0, task.id, phase)
-        rollouts = rollout_phase(kind, task, params, scenario, rng, cfg.inner_rollouts)
+        rollouts = head.rollout(task, params, head.decode, scenario, rng, cfg.inner_rollouts)
         g = task_gradient(rollouts, params, cfg.reward_baseline, cfg.reward_to_go)
         params = inner_update(params, g, cfg.inner_lr)
-        metrics.append(IterationMetrics.of(it, rollouts.trajectories, start))
+        metrics.append(IterationMetrics.of(it, rollouts.periods.returns, start))
         if trajectory_sink is not None:
-            for traj in rollouts.trajectories:
+            for traj in rollouts.periods:
                 trajectory_sink(traj)
     return params.folded(), metrics
 

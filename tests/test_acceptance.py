@@ -391,7 +391,8 @@ def test_criterion_8_dmpg_scalability():
 
 def audit_trajectory(traj, scenario, is_dual):
     horizon_cap = min(scenario.num_users, scenario.num_sbs * scenario.slots_per_period)
-    assert traj.total_reward <= horizon_cap
+    reward = traj.periods.returns[traj.row]
+    assert reward <= horizon_cap
 
     served = traj.steps[0].state.served
     newly_total = 0
@@ -410,7 +411,7 @@ def audit_trajectory(traj, scenario, is_dual):
         newly_total += len(step.newly_served)
         served = nxt
     assert served == traj.final_state.served
-    assert newly_total == sum(traj.final_state.served)
+    assert newly_total == sum(traj.final_state.served) == reward
     if is_dual:
         assert check_period_feasible(per_slot_pairs, scenario.num_users, scenario.num_sbs)
 

@@ -39,17 +39,18 @@ class TestDmpgStep:
             params = meta_rl.new_policy("dmpg", scenario, cfg, seed=seed)
             task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0,
                                    locality_radius=locality_radius, task_id=seed)
-            for traj in rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2).trajectories:
-                yield actions, traj
+            periods = rollout_vap(task, params, decode, scenario, np.random.default_rng(seed), 2).periods
+            for traj, reward in zip(periods, periods.returns):
+                yield actions, traj, reward
 
     def test_no_localized_users_zero_reward(self):
         sc = make_toy_scenario(fov_deg=5.0)
-        for _, traj in self._rollouts(sc, range(4), 0):
-            assert traj.total_reward == 0
+        for _, traj, reward in self._rollouts(sc, range(4), 0):
+            assert reward == 0
             assert all(step.action.assignments == () for step in traj.steps)
 
     def test_matches_external_composition(self, toy_scenario):
-        for actions, traj in self._rollouts(toy_scenario, range(6), 1):
+        for actions, traj, _ in self._rollouts(toy_scenario, range(6), 1):
             for step in traj.steps:
                 vap_set = actions[step.action_index]
                 links = env.slot_links(step.state, toy_scenario)
@@ -83,12 +84,13 @@ class TestRolloutVap:
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(6):
             task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).trajectories
+            periods = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).periods
+            [traj] = periods
             per_slot = [
                 tuple((s, u) for u, s in step.action.assignments) for step in traj.steps
             ]
             assert check_period_feasible(per_slot, toy_scenario.num_users, toy_scenario.num_sbs)
-            assert traj.total_reward <= min(
+            assert periods.returns[0] <= min(
                 toy_scenario.num_users,
                 toy_scenario.num_sbs * toy_scenario.slots_per_period,
             )
@@ -99,7 +101,7 @@ class TestRolloutVap:
         decode = vap_decoder(enumerate_vap_actions(toy_scenario.num_vaps))
         for seed in range(8):
             task = env.sample_task(toy_scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=1, task_id=seed)
-            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).trajectories
+            [traj] = rollout_vap(task, params, decode, toy_scenario, np.random.default_rng(seed), 1).periods
             served = set()
             for step in traj.steps:
                 for u, _ in step.action.assignments:

@@ -17,7 +17,6 @@ from thzvlc.env import (
     EnvState,
     JointAction,
     JointActionSpace,
-    Trajectory,
     brute_force_oracle,
     enumerate_joint_actions,
     evaluate_service,
@@ -346,8 +345,9 @@ class TestPeriodReliability:
         nothing = env.ServiceOutcome(localized=(False, False), tx_ok=(False, False),
                                      served_after=state.served, newly_served=())
         action = enumerate_joint_actions(toy_scenario)[0]
-        traj = Trajectory(one_period(state, [(action, nothing)] * 2), 0)
-        assert traj.total_reward == 0
+        periods = one_period(state, [(action, nothing)] * 2)
+        traj = periods[0]
+        assert periods.returns.tolist() == [0]
         assert [s.newly_served for s in traj.steps] == [(), ()]
 
     def test_saturation_single_slot(self, toy_scenario):
@@ -355,8 +355,9 @@ class TestPeriodReliability:
         for action in enumerate_joint_actions(toy_scenario):
             out = evaluate_service(state, action, toy_scenario, env.slot_links(state, toy_scenario))
             if len(out.newly_served) == toy_scenario.num_users:
-                traj = Trajectory(one_period(state, [(action, out)]), 0)
-                assert traj.total_reward == toy_scenario.num_users
+                periods = one_period(state, [(action, out)])
+                traj = periods[0]
+                assert periods.returns.tolist() == [toy_scenario.num_users]
                 assert traj.steps[0].newly_served == out.newly_served
                 assert traj.steps[0].action == action
                 assert traj.final_state.served == out.served_after
@@ -369,12 +370,66 @@ class TestPeriodReliability:
         space = enumerate_joint_actions(toy_scenario)
         cfg = reference_learning(hidden_sizes=(8,))
         params = meta_rl.new_policy("mpg", toy_scenario, cfg, seed=2)
-        for traj in meta_rl.rollout_joint(task, params, meta_rl.joint_decoder(space), toy_scenario, rng, 25).trajectories:
-            assert traj.total_reward == sum(traj.final_state.served)
-            assert traj.total_reward <= min(
+        periods = meta_rl.rollout_joint(task, params, meta_rl.joint_decoder(space), toy_scenario, rng, 25).periods
+        for traj, reward in zip(periods, periods.returns, strict=True):
+            assert reward == sum(traj.final_state.served)
+            assert reward <= min(
                 toy_scenario.num_users,
                 toy_scenario.num_sbs * toy_scenario.slots_per_period,
             )
+
+
+ROOMS = {"toy": make_toy_scenario, "reference": reference_scenario}
+
+
+def rolled_periods(room, kind, count=5):
+    """`count` periods of distinct tasks in `room` under a fresh `kind` head."""
+    scenario = ROOMS[room]()
+    params = meta_rl.new_policy(kind, scenario, reference_learning(hidden_sizes=(8,)), 1)
+    tasks = [sample_task(scenario.cells_per_side, seed=s, concentration=1.0, locality_radius=1, task_id=s)
+             for s in range(count)]
+    uniforms = meta_rl.draw_uniforms(np.random.default_rng(3), count, scenario)
+    decode = meta_rl.policy_head(kind, scenario).decode
+    return meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, False).periods
+
+
+class TestPeriods:
+    """A batch of periods is the record that crosses module boundaries:
+    its views, in row order, and its returns."""
+
+    CASES = [("toy", "mpg"), ("toy", "dmpg"), ("reference", "dmpg")]
+
+    @pytest.mark.parametrize("room, kind", CASES)
+    def test_views_in_row_order(self, room, kind):
+        periods = rolled_periods(room, kind)
+        assert len(periods) == 5
+        views = list(periods)
+        assert [v.row for v in views] == list(range(5))
+        assert all(v.periods is periods for v in views)
+        assert periods[-1].row == 4
+        for past in (5, -6):
+            with pytest.raises(IndexError):
+                periods[past]
+        with pytest.raises(TypeError):
+            periods[1:3]
+
+    @pytest.mark.parametrize("room, kind", CASES)
+    def test_returns_count_the_served_users(self, room, kind):
+        periods = rolled_periods(room, kind)
+        assert periods.returns.shape == (5,) and periods.returns.dtype.kind == "i"
+        for b, view in enumerate(periods):
+            newly = sum(len(step.newly_served) for step in view.steps)
+            assert periods.returns[b] == newly == sum(view.final_state.served)
+
+    @pytest.mark.parametrize("room, kind", CASES)
+    def test_read_only_and_computed_once(self, room, kind):
+        periods = rolled_periods(room, kind)
+        newly, returns = periods.newly_served, periods.returns
+        assert not newly.flags.writeable and not returns.flags.writeable
+        list(periods[0].steps)
+        assert periods.newly_served is newly and periods.returns is returns
+        with pytest.raises(ValueError):
+            returns[0] = 0
 
 
 class TestJointActionSpace:

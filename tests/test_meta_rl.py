@@ -87,13 +87,13 @@ class TestCollectTrajectories:
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space))
         out = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 0)
-        assert out.trajectories == [] and len(out.kept.probs) == 0 and len(out.rows) == 0
+        assert list(out.periods) == [] and len(out.kept.probs) == 0 and len(out.rows) == 0
 
     def test_horizon(self, toy_scenario):
         task = env.sample_task(toy_scenario.cells_per_side, seed=1, concentration=1.0, locality_radius=1, task_id=1)
         space = env.enumerate_joint_actions(toy_scenario)
         params = init_params(layer_shapes_for(8, (8,), len(space)), seed=0)
-        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3).trajectories
+        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 3).periods
         assert len(trajs) == 3
         assert all(len(t.steps) == toy_scenario.slots_per_period for t in trajs)
 
@@ -101,7 +101,7 @@ class TestCollectTrajectories:
         task = env.sample_task(toy_scenario.cells_per_side, seed=2, concentration=1.0, locality_radius=0, task_id=2)
         space = env.enumerate_joint_actions(toy_scenario)
         params = point_mass_params(toy_scenario, len(space), favored=3)
-        trajs = rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5).trajectories
+        trajs = list(rollout_joint(task, params, joint_decoder(space), toy_scenario, np.random.default_rng(0), 5).periods)
         assert all(trajectories_equal(trajs[0], t) for t in trajs[1:])
 
 
@@ -127,9 +127,11 @@ def lockstep_cases(draw):
 
 
 def assert_same_rollouts(got, want):
-    """Step for step: states, action indices, actions and outcomes, with
-    the package's types, and the returns."""
+    """Step for step, the periods `got` and the reference rollouts `want`:
+    states, action indices, actions and outcomes, with the package's types,
+    and the returns."""
     assert len(got) == len(want)
+    assert got.returns.tolist() == [b.total_reward for b in want]
     for a, b in zip(got, want):
         assert len(a.steps) == len(b.steps)
         for sa, sb in zip(a.steps, b.steps):
@@ -143,7 +145,6 @@ def assert_same_rollouts(got, want):
             assert {type(x) for x in fields} <= {int, bool}
             assert {type(x) for x in sa.state.user_heights} == {float}
         assert a.final_state == b.final_state
-        assert a.total_reward == b.total_reward
 
 
 class TestLockstep:
@@ -156,7 +157,8 @@ class TestLockstep:
         kind, scenario, params, seed = case
         task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0, locality_radius=locality, task_id=seed)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = meta_rl.rollout_phase(kind, task, params, scenario, rng, count).trajectories
+        head = meta_rl.policy_head(kind, scenario)
+        got = head.rollout(task, params, head.decode, scenario, rng, count).periods
         decode = oracles.decoder(kind, scenario)
         want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
         assert_same_rollouts(got, want)
@@ -178,7 +180,7 @@ class TestLockstep:
         shape = (len(tasks), scenario.slots_per_period, 1 + scenario.num_users)
         got = meta_rl.rollout_period(tasks, params, decode, scenario, np.array(draws).reshape(shape), False)
         assert got.kept is None and got.rows is None
-        got = got.trajectories
+        got = got.periods
         ref_rngs = [np.random.default_rng([seed, i]) for i in range(len(tasks))]
         want = [oracles.rollout(t, params, oracles.decoder(kind, scenario), scenario, r)
                 for t, r in zip(tasks, ref_rngs)]
@@ -223,7 +225,7 @@ class TestArrayRollouts:
         got = meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, keep)
         want, kept, rows = oracles.object_rollouts(tasks, params, oracles.decoder(kind, scenario), scenario,
                                                    uniforms, keep)
-        assert_same_rollouts(got.trajectories, want)
+        assert_same_rollouts(got.periods, want)
         assert len(got.periods) == len(tasks)
         if not keep:
             assert got.kept is None and got.rows is None
@@ -246,19 +248,19 @@ class TestArrayRollouts:
                                      uniforms, True)
         want, kept, rows = oracles.object_rollouts(tasks, params, oracles.decoder(kind, scenario), scenario,
                                                    uniforms, True)
-        assert_same_rollouts(got.trajectories, want)
+        assert_same_rollouts(got.periods, want)
         assert np.array_equal(got.rows, rows) and got.kept.probs.tobytes() == kept.probs.tobytes()
         assert got.rows[0] == got.rows[2 * scenario.slots_per_period] != got.rows[scenario.slots_per_period]
 
     def test_periods_are_read_only_and_steps_built_once(self, toy_scenario):
         params = meta_rl.new_policy("dmpg", toy_scenario, reference_learning(hidden_sizes=(4,)), 0)
         task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
-        rollouts = meta_rl.rollout_phase("dmpg", task, params, toy_scenario, np.random.default_rng(0), 3)
+        rollouts = rollout_joint(task, params, meta_rl.policy_head("dmpg", toy_scenario).decode, toy_scenario,
+                                 np.random.default_rng(0), 3)
         for a in vars(rollouts.periods).values():
             assert not a.flags.writeable
-        traj = rollouts.trajectories[1]
+        traj = rollouts.periods[1]
         assert traj.steps is traj.steps and traj.final_state is traj.final_state
-        assert traj.total_reward == sum(len(s.newly_served) for s in traj.steps)
 
 
 class TestTaskGradient:
@@ -856,10 +858,11 @@ class TestKeptGradient:
                 params = random_pending(params, seed)
             task = env.sample_task(scenario.cells_per_side, seed=seed, concentration=1.0,
                                    locality_radius=seed % 2, task_id=seed)
-            rollouts = meta_rl.rollout_phase(kind, task, params, scenario, np.random.default_rng(seed), 1 + seed % 6)
+            head = meta_rl.policy_head(kind, scenario)
+            rollouts = head.rollout(task, params, head.decode, scenario, np.random.default_rng(seed), 1 + seed % 6)
             for baseline, to_go in ((False, False), (True, False), (False, True), (True, True)):
                 g = task_gradient(rollouts, params, baseline, to_go)
-                scored = oracles.score_rows(oracles.encoded(rollouts.trajectories, scenario), baseline, to_go)
+                scored = oracles.score_rows(oracles.encoded(rollouts.periods, scenario), baseline, to_go)
                 steps = [i for i, (_, _, c) in enumerate(scored) if c != 0.0]
                 rows = [scored[i] for i in steps]
                 merged = len(set(rollouts.rows[steps].tolist()))
@@ -882,13 +885,14 @@ class TestKeptGradient:
         # slot 0 starts every period of a task from one state: one kept row
         params = meta_rl.new_policy("mpg", toy_scenario, reference_learning(hidden_sizes=(16,)), 0)
         task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
-        rollouts = meta_rl.rollout_phase("mpg", task, params, toy_scenario, np.random.default_rng(0), 4)
+        rollouts = rollout_joint(task, params, meta_rl.policy_head("mpg", toy_scenario).decode, toy_scenario,
+                                 np.random.default_rng(0), 4)
         slots = toy_scenario.slots_per_period
         assert np.all(rollouts.rows[::slots] == 0)
         assert len(rollouts.kept.probs) == len(set(rollouts.rows.tolist())) < 4 * slots
         assert not rollouts.kept.probs.flags.writeable
         g = task_gradient(rollouts, params, reward_baseline=False, reward_to_go=False)
-        nonzero = [t.total_reward != 0 for t in rollouts.trajectories for _ in range(slots)]
+        nonzero = np.repeat(rollouts.periods.returns != 0, slots)
         assert g.rank == len(set(rollouts.rows[nonzero].tolist())) < sum(nonzero)
 
 

@@ -10,7 +10,9 @@ modules of the package. And
 every public definition of the package must be named by package or
 benchmark code, so code that no run reaches cannot stay there. And only
 the defaults listed here stay in the package: a reference value lives in
-the config schema, and a caller passes it."""
+the config schema, and a caller passes it. And the benchmark's workload
+runs in-process on a toy room of each head, so a change to the calls it
+makes fails here rather than in a benchmark run."""
 
 import argparse
 import ast
@@ -19,8 +21,11 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOAD = ROOT / "perfbench" / "workload.py"
 README = ROOT / "README.md"
 
 
@@ -329,3 +334,56 @@ def test_traced_calls_give_every_per_layer_metric(tmp_path):
         assert metrics["policy_net.forward.calls"] > 0 and metrics["meta_rl.task_gradient.calls"] == 8
         assert metrics["harness.write_trajectories.bytes"] > 0
         assert (metrics["dmpg.rollout_vap.calls"] > 0) == (algorithm == "dmpg")
+
+
+WORKLOAD_CONFIG = """
+[scenario]
+num_users = 3
+cells_per_side = 3
+slots_per_period = 2
+vap_positions = 2,2; 4,2; 2,4; 4,4
+sbs_positions = 2,3; 4,3
+
+[learning]
+inner_rollouts = 2
+outer_rollouts = 1
+meta_iterations = 2
+tasks_per_batch = 2
+hidden_sizes = 8
+
+[tasks]
+count = 3
+locality_radius = 1
+
+[run]
+algorithm = {algorithm}
+workers = 1
+eval_periods = 3
+output_dir = {out}
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["mpg", "dmpg"])
+def test_benchmark_workload_runs_in_process(tmp_path, algorithm):
+    """The benchmark's workload (`perfbench/workload.py`, read from its
+    source, no bytecode cache written) runs on a toy room of each head: set
+    up, a training call and two evaluations audit every rollout without a
+    failure, the sink sees every rollout, and identical calls give identical
+    digests. A change to what it calls fails here, not in a benchmark run."""
+    namespace = {"__name__": "workload"}
+    exec(compile(WORKLOAD.read_text(), str(WORKLOAD), "exec"), namespace)
+    config = tmp_path / "toy.cfg"
+    config.write_text(WORKLOAD_CONFIG.format(algorithm=algorithm, out=(tmp_path / "out").as_posix()))
+    work = namespace["Workload"](config)
+    trained = work.train()
+    assert trained["params"] is not None, work.problems
+    evals = [work.evaluate(trained["params"]) for _ in range(2)]
+    again = work.train()
+    assert work.failed == 0 and work.problems == []
+    cfg = work.spec.learning
+    assert trained["rollouts"] == cfg.meta_iterations * cfg.tasks_per_batch * (cfg.inner_rollouts + cfg.outer_rollouts)
+    assert len(trained["iter_s"]) == cfg.meta_iterations
+    assert all(e["csv_rows_ok"] and e["periods"] == 3 for e in evals)
+    assert evals[0]["trajectories_sha256"] == evals[1]["trajectories_sha256"]
+    assert evals[0]["reliability"] == evals[1]["reliability"]
+    assert trained["rewards_sha256"] == again["rewards_sha256"]
