@@ -131,8 +131,24 @@ def ring_positions(count: int, room_side: float, phase: float) -> tuple[tuple[fl
     return tuple(pts[:count])
 
 
+class ReadOnlyArrays:
+    """A value whose array fields are read-only, and stay so through pickle.
+
+    numpy's pickle does not keep an array's read-only flag, so the arrays of
+    a value a pool worker receives or returns would come back writeable;
+    unpickling sets the flag again on every array the value holds, cached
+    ones included.
+    """
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class MovementPattern:
+class MovementPattern(ReadOnlyArrays):
     """Markov movement over grid cells, shared by all users, as neighbour
     rows: from cell c a user moves to cell to[c, i] with probability
     probs[c, i]. A row's k entries are its neighbours in row-major order,
@@ -228,7 +244,7 @@ class TrajectoryStep:
 
 
 @dataclass(frozen=True, eq=False)
-class Periods:
+class Periods(ReadOnlyArrays):
     """A batch of periods as arrays: row b is one period of T slots and U users.
 
     cells[b, t] and served[b, t] hold the users' cells and served flags at

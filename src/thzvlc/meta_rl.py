@@ -126,7 +126,8 @@ def rollout_period(
 
     Row b rolls tasks[b] on uniforms[b] (see `draw_uniforms`): per slot,
     the action index is the inverse-CDF draw of the policy at
-    uniforms[b, t, 0], `decode(indices, visible, h, served)` turns indices
+    uniforms[b, t, 0] (`policy_net.draw_actions`, one call for every draw
+    from a forward block), `decode(indices, visible, h, served)` turns indices
     into their lit VAP sets, who those localize, and each user's SBS (-1 for
     none), and the users move by uniforms[b, t, 1:]. Each step runs once per
     slot over every distinct state (equal cells, heights and served flags):
@@ -190,9 +191,6 @@ def rollout_period(
         first, state_of = _first_of(keys.view(key_bytes).ravel().tolist())
         cells, heights, served = p.cells[first, t], p.heights[first], p.served[first, t]
         x = policy_net.encode_states(cells, heights, served, cross.centers, scenario)
-        rows = state_of.tolist()
-        draws = u[:, t, 0].tolist()
-        indices = [0] * count
         for lo in range(0, len(x), width):
             fw = policy_net.forward(params, x[lo : lo + width])
             if keep:
@@ -200,15 +198,12 @@ def rollout_period(
                 for mine, block in zip(kept.inputs, fw.inputs):
                     mine[at] = block
                 kept.probs[at] = fw.probs
-            cum = np.cumsum(fw.probs, axis=1, out=fw.probs)
-            for b, r in enumerate(rows):
-                if lo <= r < lo + width:
-                    indices[b] = policy_net.inverse_cdf(cum[r - lo], draws[b])
-            del fw, cum  # so the next forward does not hold two blocks
+            here = (lo <= state_of) & (state_of < lo + width)  # the rows that draw from this block
+            p.action[here, t] = policy_net.draw_actions(fw.probs, state_of[here] - lo, u[here, t, 0])
+            del fw  # so the next forward does not hold two blocks
         if keep:
             rows_of[:, t] = filled + state_of
             filled += len(x)
-        p.action[:, t] = indices
 
         if t == 0:  # each state is a task's start
             ok = np.array([starts[id(tasks[b])].links for b in first.tolist()], dtype=bool).reshape(
@@ -217,7 +212,7 @@ def rollout_period(
         else:
             free = link_tables[kin[first][:, None], everyone, cells]
             ok = env.ceiling_links(cells, heights, free, cross)
-        pair, pair_of = _first_of(zip(rows, indices))
+        pair, pair_of = _first_of(zip(state_of.tolist(), p.action[:, t].tolist()))
         on = state_of[pair]
         h, before = ok[on, scenario.num_vaps :], served[on]
         vap_sets, localized, assigned = decode(p.action[pair, t], ok[on, : scenario.num_vaps], h, before)

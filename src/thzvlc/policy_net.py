@@ -28,11 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import atomic_open
-from .env import EnvState, ScenarioConfig
+from .env import EnvState, ReadOnlyArrays, ScenarioConfig
 
 
 @dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(ReadOnlyArrays):
     """Flat double-precision parameter vector plus its layer layout."""
 
     flat: np.ndarray
@@ -107,7 +107,7 @@ class Gradient:
 
 
 @dataclass(frozen=True)
-class AdaptedParams:
+class AdaptedParams(ReadOnlyArrays):
     """Shared parameters plus one pending low-rank head-weight update.
 
     The policy's head weight is base's plus lr * d.T @ h, never formed:
@@ -432,15 +432,57 @@ def accumulate_grad_log_prob(
     return Gradient(body, bias, d, h, head)
 
 
-def inverse_cdf(cum: np.ndarray, u: float) -> int:
-    """Index of the first running sum above u: a categorical draw from the
-    uniform u (the last index when rounding leaves the total below it)."""
-    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+# Entries per block of a draw's search: a wider row is searched in two
+# levels, its block totals and then one block.
+DRAW_BLOCK = 128
+
+
+def draw_actions(probs: np.ndarray, rows, u) -> np.ndarray:
+    """Inverse-CDF draws: for each draw i, the first index of row
+    probs[rows[i]] whose running sum exceeds the uniform u[i], or the last
+    index when u[i] is at or above the row's total.
+
+    A row of at most `DRAW_BLOCK` entries takes the running sum of the whole
+    row, the sum of `np.cumsum`, so its draws are those of a sequential
+    search. A wider row takes two levels: the running total of its block
+    sums picks the first block whose total passes u; then the running sum of
+    that block alone, carried on from the total before it, picks the entry,
+    never one past the block (when rounding leaves its sum short of u, its
+    last). Block sums add in another order than a running sum over the row,
+    so a wide row's index can differ from the sequential search's only
+    where u lies within rounding of a running sum.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    u = np.asarray(u, dtype=float)
+    n, width = probs.shape
+    if width <= DRAW_BLOCK:
+        run = np.cumsum(probs, axis=1)[rows]
+        return np.minimum((run <= u[:, None]).sum(axis=1), width - 1)
+    full, tail = divmod(width, DRAW_BLOCK)
+    totals = np.empty((n, full + (tail > 0)))
+    totals[:, :full] = probs[:, : full * DRAW_BLOCK].reshape(n, full, DRAW_BLOCK).sum(axis=2)
+    if tail:
+        totals[:, full] = probs[:, full * DRAW_BLOCK :].sum(axis=1)
+    np.cumsum(totals, axis=1, out=totals)
+    run = totals[rows]
+    block = (run <= u[:, None]).sum(axis=1)
+    past = block == run.shape[1]  # u at or above the row's total
+    block[past] -= 1
+    lo = block * DRAW_BLOCK
+    last = np.minimum(lo + DRAW_BLOCK, width) - 1  # the block's last entry
+    # the block's entries after its carried total; a short last block
+    # repeats the row's last entry, past which no draw goes
+    part = np.empty((len(rows), 1 + DRAW_BLOCK))
+    part[:, 0] = np.where(block > 0, run[np.arange(len(rows)), block - 1], 0.0)
+    part[:, 1:] = probs[rows[:, None], np.minimum(lo[:, None] + np.arange(DRAW_BLOCK), width - 1)]
+    np.cumsum(part, axis=1, out=part)
+    at = np.minimum(lo + (part[:, 1:] <= u[:, None]).sum(axis=1), last)
+    return np.where(past, width - 1, at)
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Categorical draw by inverse CDF; reproducible given the rng state."""
-    return inverse_cdf(np.cumsum(dist), rng.random())
+    return int(draw_actions(np.asarray(dist, dtype=float)[None], [0], [rng.random()])[0])
 
 
 def config_digest(text: str) -> str:

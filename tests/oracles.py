@@ -5,7 +5,8 @@ deliberately separate from the package code paths it checks. The rest are
 references that no run executes, built on package code: the priced period
 association solver, the gradient kernel that runs its own forward pass
 with the one-row policy helpers over it, the one-slot-at-a-time step and
-rollout, the lockstep loop that built one object per step, the dense
+rollout, the lockstep loop that built one object per step with its
+sequential inverse-CDF search over a whole row's running sum, the dense
 link pass, the reset that drew a task's start afresh on every call and
 the dense (cells, cells) form of a movement pattern.
 """
@@ -848,6 +849,17 @@ def reset_uncached(task, scenario):
     )
 
 
+def inverse_cdf(cum, u):
+    """Index of the first running sum above u: a categorical draw from the
+    uniform u (the last index when rounding leaves the total below it).
+
+    The sequential search the rollouts drew with before the two-level
+    `policy_net.draw_actions`."""
+    import numpy as np
+
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+
+
 def object_rollouts(tasks, params, decode, scenario, uniforms, keep):
     """`meta_rl.rollout_period` as the package ran it with one object per
     step: (trajectories as `Traj`s, kept forward values or None, each
@@ -900,7 +912,7 @@ def object_rollouts(tasks, params, decode, scenario, uniforms, keep):
             cum = np.cumsum(fw.probs, axis=1)
             for b, r in enumerate(rows):
                 if lo <= r < lo + width:
-                    indices[b] = policy_net.inverse_cdf(cum[r - lo], u[b, t, 0])
+                    indices[b] = inverse_cdf(cum[r - lo], u[b, t, 0])
         if keep:
             rows_of[:, t] = [filled + r for r in rows]
             filled += len(x)

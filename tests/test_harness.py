@@ -235,8 +235,9 @@ def config_texts(draw):
     chosen = [k for k in keys if draw(st.booleans()) or k[1].endswith(("positions", "num_vaps", "num_sbs"))]
     if small:
         chosen.append(("scenario", "num_users"))
-    if ("scenario", "user_height_max") in chosen or ("scenario", "user_height_min") in chosen:
-        chosen += [("scenario", "ceiling"), ("scenario", "user_height_max"), ("scenario", "user_height_min")]
+    heights = [("scenario", "ceiling"), ("scenario", "user_height_max"), ("scenario", "user_height_min")]
+    if any(k in chosen for k in heights):  # a ceiling alone may fall below the default heights
+        chosen += heights
     if any(k[1].endswith("positions") for k in chosen):
         chosen.append(("scenario", "room_side"))
     lines = []

@@ -126,6 +126,17 @@ def lockstep_cases(draw):
     return kind, scenario, params, seed
 
 
+def wide_case(pending):
+    """The 4-user reference room's joint head (29,400 actions, wider than a
+    draw block) behind one 4-wide hidden layer, so a phase of more than 4
+    distinct states takes more than one forward block; dense or with a
+    pending head update."""
+    scenario = reference_scenario(num_users=4)
+    params = meta_rl.new_policy("mpg", scenario, reference_learning(hidden_sizes=(4,)), 0)
+    assert params.action_count > policy_net.DRAW_BLOCK
+    return scenario, random_pending(params, 1) if pending else params
+
+
 def assert_same_rollouts(got, want):
     """Step for step, the periods `got` and the reference rollouts `want`:
     states, action indices, actions and outcomes, with the package's types,
@@ -188,6 +199,21 @@ class TestLockstep:
         for a, b in zip(rngs, ref_rngs):
             assert a.bit_generator.state == b.bit_generator.state
 
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_wide_head_phase_equals_sequential_rollouts(self, count, pending):
+        scenario, params = wide_case(pending)
+        task = env.sample_task(scenario.cells_per_side, seed=3, concentration=1.0, locality_radius=1, task_id=3)
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got = rollout_joint(task, params, joint_decoder(env.enumerate_joint_actions(scenario)), scenario, rng, count)
+        decode = oracles.decoder("mpg", scenario)
+        want = [oracles.rollout(task, params, decode, scenario, ref_rng) for _ in range(count)]
+        assert_same_rollouts(got.periods, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if count == 7:  # a slot with more distinct states than the hidden width: several forward blocks
+            slots = got.rows.reshape(count, -1).T.tolist()
+            assert max(len(set(rows)) for rows in slots) > params.layer_shapes[-1][0]
+
     def test_draws_are_the_sequential_draw_order(self, toy_scenario):
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         block = meta_rl.draw_uniforms(rng, 10, toy_scenario)
@@ -235,6 +261,23 @@ class TestArrayRollouts:
             assert a.tobytes() == b.tobytes() and a.shape == b.shape
         encodings = [s.encoding for t in want for s in t.steps]
         assert all(np.array_equal(got.kept.inputs[0][r], x) for r, x in zip(got.rows, encodings))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("picks", [(), (0,), (0, 0, 0, 0, 0, 0, 0), (0, 1, 2, 1, 0, 2)])
+    def test_wide_head_equals_the_object_loop(self, picks, pending):
+        scenario, params = wide_case(pending)
+        pool = [env.sample_task(scenario.cells_per_side, seed=i, concentration=1.0, locality_radius=i % 2, task_id=i)
+                for i in range(3)]
+        tasks = [pool[i] for i in picks]
+        uniforms = meta_rl.draw_uniforms(np.random.default_rng(len(picks)), len(tasks), scenario)
+        decode = meta_rl.policy_head("mpg", scenario).decode
+        got = meta_rl.rollout_period(tasks, params, decode, scenario, uniforms, True)
+        want, kept, rows = oracles.object_rollouts(tasks, params, oracles.decoder("mpg", scenario), scenario,
+                                                   uniforms, True)
+        assert_same_rollouts(got.periods, want)
+        assert np.array_equal(got.rows, rows)
+        for a, b in zip((*got.kept.inputs, got.kept.probs), (*kept.inputs, kept.probs)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
 
     @pytest.mark.parametrize("kind", ["mpg", "dmpg"])
     def test_states_of_other_heights_stay_apart(self, kind):
@@ -826,6 +869,33 @@ class TestTaskPhaseResult:
         params = meta_rl.new_policy("mpg", scenario, cfg, seed=0)
         result = meta_rl._run_task_phase(("mpg", scenario, cfg, task, params, 0, 0, 0))
         assert len(pickle.dumps(result)) < params.flat.nbytes / 10
+
+
+class TestPickledValuesStayReadOnly:
+    """What crosses a pool's process boundary, in either direction, keeps
+    its arrays read-only: numpy's pickle drops the flag, the values set it
+    again."""
+
+    def test_task_phase_payload_and_result(self, toy_scenario):
+        cfg = reference_learning(inner_rollouts=3, outer_rollouts=2, hidden_sizes=(4,))
+        task = env.sample_task(toy_scenario.cells_per_side, seed=0, concentration=1.0, locality_radius=1, task_id=0)
+        task.pattern.cumulative  # a cached array travels too
+        params = meta_rl.new_policy("mpg", toy_scenario, cfg, 0)
+        sent = [task.pattern, params, random_pending(params, 2)]
+        received = pickle.loads(pickle.dumps(sent))
+        for before, after in zip(sent, received):
+            for name, a in vars(after).items():
+                if isinstance(a, np.ndarray):
+                    assert not a.flags.writeable, name
+                    assert np.array_equal(a, vars(before)[name])
+        assert not received[2].flat.flags.writeable
+        result = meta_rl._run_task_phase(("mpg", toy_scenario, cfg, task, params, 0, 0, 0))
+        returned = pickle.loads(pickle.dumps(result))
+        for before, after in ((result.inner, returned.inner), (result.outer, returned.outer)):
+            assert set(vars(after)) == set(vars(before)) >= {"newly_served", "returns"}
+            for name, a in vars(after).items():
+                assert not a.flags.writeable, name
+                assert np.array_equal(a, vars(before)[name])
 
 
 def random_pending(params, seed):

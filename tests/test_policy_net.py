@@ -26,7 +26,7 @@ from thzvlc.policy_net import (
     save_params,
 )
 from conftest import make_toy_scenario
-from oracles import dense_gradient, forward_one, grad_log_prob, kept_grad_log_prob
+from oracles import dense_gradient, forward_one, grad_log_prob, inverse_cdf, kept_grad_log_prob
 
 
 def small_net(seed=0, shapes=((3, 8), (8, 4))):
@@ -267,6 +267,110 @@ class TestBatchedGradient:
             accumulate_grad_log_prob(params, kept, [0, 2], [0, 1], [1.0, 1.0])
         with pytest.raises(ValueError, match="fit the policy"):
             accumulate_grad_log_prob(small_net(shapes=((3, 8), (8, 5))), kept, [0, 1], [0, 1], [1.0, 1.0])
+
+
+BLOCK = policy_net.DRAW_BLOCK
+
+
+@st.composite
+def draw_cases(draw):
+    """Rows of one width, each dense, with zero entries, zero blocks, a zero
+    tail or a point mass, and draws at 0, at 1 - eps, at random, and on and
+    next to the rows' running block totals and running sums at block ends."""
+    width = draw(st.sampled_from((1, 35, BLOCK, BLOCK + 1, 29_400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = rng.exponential(size=width) ** draw(st.sampled_from((1, 6)))
+        shape = draw(st.sampled_from(("dense", "zero entries", "zero blocks", "zero tail", "point mass")))
+        if shape == "zero entries":
+            p[rng.random(width) < 0.5] = 0.0
+        elif shape == "zero blocks":
+            for lo in range(0, width, BLOCK):
+                if rng.random() < 0.5:
+                    p[lo : lo + BLOCK] = 0.0
+        elif shape == "zero tail":
+            p[rng.integers(1, width + 1) :] = 0.0
+        elif shape == "point mass":
+            p[:] = 0.0
+        if not p.any():
+            p[rng.integers(width)] = 1.0
+        rows.append(p / p.sum())
+    probs = np.array(rows)
+    marks = [0.0, np.nextafter(1.0, 0.0)]
+    for row in probs:
+        ends = np.cumsum(row)[BLOCK - 1 :: BLOCK]
+        totals = np.cumsum(block_totals(row))
+        for x in (*ends, *totals):
+            marks += [x, np.nextafter(x, 0.0), np.nextafter(x, 2.0)]
+    picks = draw(st.lists(st.sampled_from(marks), max_size=12))
+    u = np.array(picks + rng.random(draw(st.integers(0, 12))).tolist())
+    which = rng.integers(0, len(probs), len(u))
+    return probs, which, u
+
+
+def block_totals(row):
+    """Each DRAW_BLOCK-entry block's sum, the last block possibly short."""
+    return np.array([row[lo : lo + BLOCK].sum() for lo in range(0, len(row), BLOCK)])
+
+
+class TestDrawActions:
+    """`draw_actions` against the sequential search over the whole row's
+    running sum (`oracles.inverse_cdf`)."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(draw_cases())
+    def test_matches_the_sequential_search(self, case):
+        probs, which, u = case
+        width = probs.shape[1]
+        got = policy_net.draw_actions(probs, which, u)
+        assert got.shape == u.shape and ((0 <= got) & (got < width)).all()
+        tol = 2 * width * np.finfo(float).eps  # a running sum's rounding, rows summing to 1
+        for r, x, idx in zip(which.tolist(), u.tolist(), got.tolist()):
+            cum = np.cumsum(probs[r])
+            want = inverse_cdf(cum, x)
+            if width <= BLOCK:  # one level: the same running sum
+                assert idx == want
+                continue
+            # equal but where u lies within rounding of every running sum between them
+            lo, hi = sorted((idx, want))
+            assert np.abs(cum[lo:hi] - x).max(initial=0.0) <= tol
+            # never past the block that the running block totals pick
+            totals = np.cumsum(block_totals(probs[r]))
+            block = int((totals <= x).sum())
+            assert idx == width - 1 if block == len(totals) else idx // BLOCK == block
+
+    def test_no_draws(self):
+        got = policy_net.draw_actions(np.full((2, 300), 1 / 300), [], [])
+        assert got.shape == (0,)
+
+    def test_draws_at_the_last_block_total_take_the_last_index(self):
+        # rows with a zero tail whose last block, summed on from the total
+        # carried into it, ends above or below the running total of the
+        # block sums. A draw at that total is at the row's total; a draw just
+        # below it passes the block's own sum and stays in the block. Both
+        # take the last index, not the first of the tail nor one past the row.
+        rng = np.random.default_rng(0)
+        width = 2 * BLOCK + 7
+        seen = set()
+        for _ in range(200):
+            row = rng.random(width)
+            row[-3:] = 0.0
+            row /= row.sum()
+            totals = np.cumsum(block_totals(row))
+            carried = np.cumsum(np.concatenate(([totals[-2]], row[2 * BLOCK :])))[-1]
+            if carried == totals[-1]:
+                continue
+            seen.add(carried > totals[-1])
+            u = totals[-1] if carried > totals[-1] else np.nextafter(totals[-1], 0.0)
+            assert policy_net.draw_actions(row[None], [0], [u]).tolist() == [width - 1]
+        assert seen == {True, False}
+
+    def test_total_below_one_gives_the_last_index(self):
+        for width in (3, 2 * BLOCK + 5):
+            probs = np.zeros((1, width))
+            probs[0, :2] = 0.25
+            assert policy_net.draw_actions(probs, [0, 0, 0], [0.3, 0.5, 0.9]).tolist() == [1, width - 1, width - 1]
 
 
 class TestSampleAction:
